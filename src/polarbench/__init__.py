@@ -2,7 +2,7 @@
 cycle-accurate decoder hardware models, and a Monte-Carlo harness."""
 
 from .bp import BpResult, bp_decode
-from .channels import ChannelModel, LlrFun, bec, biawgn, bsc, transmit
+from .channels import ChannelModel, bec, biawgn, bsc, transmit
 from .construction import construct_bec, construct_montecarlo
 from .kernels import (
     CodeSpec,
@@ -17,7 +17,7 @@ from .kernels import (
     load_codespec,
     load_kernel,
 )
-from .llrops import LlrContradiction, f_equal, f_plus
+from .llrops import LlrContradiction, f_plus
 from .montecarlo import TrialStats, run_trials
 from .sc import decode_sc_arikan, decode_sc_general
 from .scl import Crc, SclResult, decode_scl
@@ -29,7 +29,6 @@ __all__ = [
     "Crc",
     "Kernel",
     "LlrContradiction",
-    "LlrFun",
     "SclResult",
     "TrialStats",
     "bec",
@@ -45,7 +44,6 @@ __all__ = [
     "dump_kernel",
     "encode",
     "encode_matrix",
-    "f_equal",
     "f_plus",
     "kernel_arikan",
     "kernel_from_table",

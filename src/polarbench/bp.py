@@ -11,6 +11,13 @@ messages are fixed priors: +-inf for frozen values, 0 for free ones.
 Infinite messages of opposite sign can meet on erasure-type evidence; BP
 resolves the conflict to 0, raises a flag, and keeps going, so decoding
 failures surface as flags rather than exceptions.
+
+The sweep is also the schedule of the hardware BP line model: an optional
+tick(depth, node, op, outputs) is called once per message operation, in
+sweep order. The size-2 base step ticks u0, u1, x0, x1 after its scalar
+updates; every other node ticks e1a0 and u_out before its first child,
+a0e1 and v_out before its second, then e1a0, x0_out and x1_out. A tick
+only observes; node ids follow 2 * parent + child.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import CodeSpec
-from .llrops import BP_CLIP, f_plus, f_plus_minsum, f_plus_vec
+from .llrops import BP_CLIP, decide, f_plus, f_plus_minsum, f_plus_vec
 
 STOP_RULES = ("adaptive", "frozen", "unchanged", "none")
 
@@ -101,20 +108,24 @@ def _combine_scalar(state: BpState, a: float, b: float) -> float:
     return s
 
 
-def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray) -> np.ndarray:
-    fp = f_plus_minsum if state.min_sum else f_plus
+def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
     if len(x_in) == 2:
+        fp = f_plus_minsum if state.min_sum else f_plus
         a, b = float(x_in[0]), float(x_in[1])
         pe = float(state.priors[2 * r])
         po = float(state.mu_v[d][r])  # == prior of coordinate 2r+1
         e1a0 = _combine_scalar(state, po, b)
-        state.u_msg[2 * r] = fp(a, e1a0)
+        u_out = fp(a, e1a0)
+        state.u_msg[2 * r] = u_out
         a0e1 = fp(pe, a)
         v_out = _combine_scalar(state, a0e1, b)
         state.u_msg[2 * r + 1] = v_out
         x0_out = fp(e1a0, pe)
         x1_out = _combine_scalar(state, a0e1, po)
         state.message_updates += 6
+        if tick is not None:
+            for op, val in (("u0", u_out), ("u1", v_out), ("x0", x0_out), ("x1", x1_out)):
+                tick(d, r, op, val)
         return np.array([x0_out, x1_out])
 
     half = len(x_in) // 2
@@ -125,15 +136,25 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray) -> np.ndarray:
 
     e1a0 = _combine_vec(state, state.mu_v[d][sl], x1)
     u_out = f_plus_vec(x0, e1a0, min_sum=ms)
-    mu_u = _sweep(state, d + 1, 2 * r, u_out)
+    if tick is not None:
+        tick(d, r, "e1a0", e1a0)
+        tick(d, r, "u_out", u_out)
+    mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
     state.mu_u[d][sl] = mu_u
     a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
-    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out)
+    if tick is not None:
+        tick(d, r, "a0e1", a0e1)
+        tick(d, r, "v_out", v_out)
+    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, tick)
     state.mu_v[d][sl] = mu_v
     e1a0 = _combine_vec(state, mu_v, x1)
     x0_out = f_plus_vec(e1a0, mu_u, min_sum=ms)
     x1_out = _combine_vec(state, a0e1, mu_v)
+    if tick is not None:
+        tick(d, r, "e1a0", e1a0)
+        tick(d, r, "x0_out", x0_out)
+        tick(d, r, "x1_out", x1_out)
     state.message_updates += 7 * half
 
     out = np.empty(len(x_in))
@@ -142,15 +163,32 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray) -> np.ndarray:
     return out
 
 
-def bp_iteration(state: BpState, llr: np.ndarray) -> None:
-    """One full sweep. Channel LLRs enter unchanged at the top."""
-    state.x_out[:] = _sweep(state, 0, 0, llr)
+def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
+    """One full sweep. Channel LLRs enter unchanged at the top; tick, if
+    given, sees every message operation (see the module docstring)."""
+    state.x_out[:] = _sweep(state, 0, 0, llr, tick)
+
+
+def channel_llr(spec: CodeSpec, llr: np.ndarray) -> np.ndarray:
+    """Channel LLRs as BP takes them: length N, finite entries clamped to
+    [-BP_CLIP, BP_CLIP], infinities passed through untouched."""
+    lam = np.asarray(llr, dtype=np.float64)
+    if lam.shape != (spec.n,):
+        raise ValueError(f"llr must have length {spec.n}")
+    return np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
 
 
 def _decisions(state: BpState, mask: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    u = np.where(state.u_msg < 0, 1, 0).astype(np.int64)
+    u = decide(state.u_msg)
     u[mask] = vals[mask]
     return u
+
+
+def bp_decisions(state: BpState, lam: np.ndarray, mask: np.ndarray, vals: np.ndarray):
+    """(u_hat, x_hat) after the last sweep, by SC's rule ~(L >= 0), so NaN
+    decides 1. u_hat pins the frozen coordinates; x_hat decides the channel
+    LLRs plus the messages the sweep sent back toward the channel."""
+    return _decisions(state, mask, vals), decide(_combine_vec(state, lam, state.x_out))
 
 
 def bp_decode(
@@ -162,11 +200,7 @@ def bp_decode(
 ) -> BpResult:
     if stop not in STOP_RULES:
         raise ValueError(f"stop must be one of {STOP_RULES}")
-    n = spec.n
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (n,):
-        raise ValueError(f"llr must have length {n}")
-    lam = np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
+    lam = channel_llr(spec, llr)
     mask, vals = spec.frozen_arrays()
     state = bp_state(spec, min_sum=min_sum)
 
@@ -191,7 +225,5 @@ def bp_decode(
         if converged:
             break
 
-    u_hat = prev_u
-    x_belief = _combine_vec(state, lam, state.x_out)
-    x_hat = np.where(x_belief < 0, 1, 0).astype(np.int64)
+    u_hat, x_hat = bp_decisions(state, lam, mask, vals)
     return BpResult(u_hat, x_hat, iters, converged, state.contradiction)

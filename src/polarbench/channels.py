@@ -2,8 +2,9 @@
 
 Binary decoders consume one float LLR per output position,
 lambda = ln W(y|0)/W(y|1), with +-inf for erased-to-certainty symbols.
-Non-binary decoders consume per-position likelihood rows; see
-likelihoods_from_llr for the bridge used when the kernel is binary.
+Non-binary decoders consume per-position likelihood rows; likelihood_rows
+builds them from an (N, q) array of LLRs against symbol 0, and
+likelihood_rows_binary is its q = 2 case.
 """
 
 from __future__ import annotations
@@ -16,24 +17,6 @@ import numpy as np
 
 class DegenerateEvidenceError(ValueError):
     """Every symbol value was assigned zero likelihood at some position."""
-
-
-@dataclass(frozen=True)
-class LlrFun:
-    """LLR vector for one channel output: values[t] = ln W(y|0)/W(y|t).
-
-    values[0] is identically 0 by construction.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.values[0] != 0.0:
-            raise ValueError("values[0] must be 0")
-
-    @property
-    def q(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -101,42 +84,38 @@ def transmit(ch: ChannelModel, x: np.ndarray, rng) -> np.ndarray:
     return 2.0 * y / (ch.param**2)
 
 
-def llr_to_funs(llr: np.ndarray) -> list[LlrFun]:
-    """Wrap binary LLRs as per-position LlrFun objects (q = 2)."""
-    return [LlrFun((0.0, float(v))) for v in np.asarray(llr, dtype=np.float64)]
-
-
-def likelihoods_from_llr(funs, q: int | None = None) -> np.ndarray:
-    """Per-position likelihood rows from LlrFun evidence.
+def likelihood_rows(llr: np.ndarray) -> np.ndarray:
+    """Per-position likelihood rows from LLR rows llr[i, t] = ln W(y_i|0)/W(y_i|t).
 
     Output shape (N, q); each row is rescaled so its max entry is 1
-    (common positive factor per position, harmless to any decoder).
-    -inf entries map to zero mass. A row of all zeros is degenerate.
+    (common positive factor per position, harmless to any decoder), so a
+    row may be offset by any constant, column 0 need not be 0. +inf kills
+    a symbol; -inf entries concentrate all of the row's mass on themselves.
+    A NaN entry is a ValueError and a row with no support a
+    DegenerateEvidenceError, each naming the first such position.
     """
-    if q is None:
-        q = funs[0].q
-    n = len(funs)
-    out = np.zeros((n, q), dtype=np.float64)
-    for i, fn in enumerate(funs):
-        if fn.q != q:
-            raise ValueError("mixed alphabet sizes in evidence")
-        vals = np.array(fn.values, dtype=np.float64)
-        if np.isnan(vals).any():
+    vals = np.asarray(llr, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[1] < 2:
+        raise ValueError("llr rows must have shape (N, q) with q >= 2")
+    # W(y|t) prop exp(-vals[t])
+    surely = vals == -np.inf
+    finite = np.isfinite(vals)
+    nan = np.isnan(vals).any(axis=1)
+    void = ~finite.any(axis=1) & ~surely.any(axis=1)
+    if (nan | void).any():
+        i = int(np.argmax(nan | void))
+        if nan[i]:
             raise ValueError(f"position {i}: NaN evidence")
-        # W(y|t) prop exp(-values[t]); values[t] = +inf kills symbol t,
-        # values[t] = -inf concentrates all mass on the -inf symbols.
-        surely = vals == -np.inf
-        if surely.any():
-            out[i] = np.where(surely, 1.0, 0.0)
-            continue
-        finite = np.isfinite(vals)
-        if not finite.any():
-            raise DegenerateEvidenceError(f"position {i}: no symbol has support")
-        shift = vals[finite].min()
-        out[i] = np.where(finite, np.exp(-(vals - shift)), 0.0)
+        raise DegenerateEvidenceError(f"position {i}: no symbol has support")
+    shift = np.where(finite, vals, np.inf).min(axis=1, keepdims=True)
+    shift[np.isinf(shift)] = 0.0  # no finite entry: the row has a -inf, set below
+    out = np.where(finite, np.exp(-(vals - shift)), 0.0)
+    sure = surely.any(axis=1)
+    out[sure] = surely[sure]
     return out
 
 
 def likelihood_rows_binary(llr: np.ndarray) -> np.ndarray:
     """Shape (N, 2) likelihood rows from binary LLRs, max-normalized."""
-    return likelihoods_from_llr(llr_to_funs(llr), q=2)
+    lam = np.asarray(llr, dtype=np.float64)
+    return likelihood_rows(np.stack([np.zeros_like(lam), lam], axis=1))

@@ -16,14 +16,7 @@ import sys
 import numpy as np
 
 from . import hwsim
-from .bp import bp_decode
-from .channels import (
-    ChannelModel,
-    DegenerateEvidenceError,
-    LlrFun,
-    likelihood_rows_binary,
-    likelihoods_from_llr,
-)
+from .channels import ChannelModel, DegenerateEvidenceError, likelihood_rows_binary
 from .construction import construct_bec, construct_montecarlo
 from .kernels import (
     FrozenMismatchError,
@@ -35,9 +28,7 @@ from .kernels import (
     load_kernel,
 )
 from .llrops import LlrContradiction
-from .montecarlo import CSV_HEADER, csv_row, run_trials
-from .sc import decode_sc_arikan, decode_sc_general
-from .scl import decode_scl
+from .montecarlo import CSV_HEADER, csv_row, decode_frame, run_trials
 
 # binary length-4 kernel used when general-line runs without a kernel file
 G4_DEFAULT = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
@@ -280,29 +271,18 @@ def cmd_decode(args) -> int:
     if q == 2:
         if len(vals) != n:
             raise SystemExit(f"error: expected {n} llr values, got {len(vals)}")
-        lam = np.array(vals)
-        rows = likelihood_rows_binary(lam)
+        llr = np.array(vals)
     else:
         if len(vals) != n * (q - 1):
             raise SystemExit(f"error: expected {n * (q - 1)} llr values ({q - 1} per position)")
-        funs = [
-            LlrFun((0.0, *vals[i * (q - 1) : (i + 1) * (q - 1)])) for i in range(n)
-        ]
-        rows = likelihoods_from_llr(funs, q)
+        # column 0 is symbol 0 against itself
+        llr = np.hstack([np.zeros((n, 1)), np.reshape(vals, (n, q - 1))])
+    if args.decoder == "bp" and not spec.kernel.is_arikan:
+        sys.stderr.write("bp decoding needs the binary (u+v, v) kernel\n")
+        return 2
 
     try:
-        if args.decoder == "sc":
-            if spec.kernel.is_arikan:
-                u_hat = decode_sc_arikan(spec, lam, min_sum=args.min_sum).u_hat
-            else:
-                u_hat = decode_sc_general(spec, rows).u_hat
-        elif args.decoder == "scl":
-            u_hat = decode_scl(spec, rows, args.list_size).u_hat
-        else:
-            if not spec.kernel.is_arikan:
-                sys.stderr.write("bp decoding needs the binary (u+v, v) kernel\n")
-                return 2
-            u_hat = bp_decode(spec, lam, max_iters=args.iters, min_sum=args.min_sum).u_hat
+        u_hat = decode_frame(spec, args.decoder, llr, args.list_size, args.iters, args.min_sum)
     except (LlrContradiction, DegenerateEvidenceError) as e:
         sys.stderr.write(f"decode failed: {e}\n")
         return 1

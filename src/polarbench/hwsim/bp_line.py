@@ -8,9 +8,10 @@ child visits, which telescopes to (11N - 14)/2 cycles per iteration.
 
 Units are addressed in the trace as u<depth>.r<id> where a node's id is
 2 * parent_id + (0 for the check-side child, 1 for the variable-side one).
-The arithmetic reuses the software message ops, so after any number of
-iterations the state matches the software decoder run with stopping
-disabled.
+The model has no sweep of its own: it is the tick hook of the software
+sweep (bp_iteration), which reports each message operation in order, and
+it spends one cycle per operation. So after any number of iterations the
+state matches the software decoder run with stopping disabled.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bp import BpState, _combine_scalar, _combine_vec, _decisions, bp_state
+from ..bp import BpState, bp_decisions, bp_iteration, bp_state, channel_llr
 from ..kernels import CodeSpec
-from ..llrops import BP_CLIP, f_plus, f_plus_minsum, f_plus_vec
 from .core import CycleReport, TraceLog
 
 
@@ -42,65 +42,10 @@ class _BpLineEngine:
         self.cycle = 0
         self.trace = TraceLog(trace)
 
-    def _tick(self, d: int, r: int, op: str, outs):
+    def tick(self, d: int, r: int, op: str, outs):
         if self.trace.enabled:
             self.trace.fire(self.cycle, f"u{d}.r{r}", op, [], np.atleast_1d(outs))
         self.cycle += 1
-
-    def _visit(self, d: int, r: int, x_in: np.ndarray) -> np.ndarray:
-        st = self.state
-        fp = f_plus_minsum if st.min_sum else f_plus
-        if len(x_in) == 2:
-            a, b = float(x_in[0]), float(x_in[1])
-            pe = float(st.priors[2 * r])
-            po = float(st.mu_v[d][r])
-            e1a0 = _combine_scalar(st, po, b)
-            u0_out = fp(a, e1a0)
-            st.u_msg[2 * r] = u0_out
-            a0e1 = fp(pe, a)
-            v_out = _combine_scalar(st, a0e1, b)
-            st.u_msg[2 * r + 1] = v_out
-            x0_out = fp(e1a0, pe)
-            x1_out = _combine_scalar(st, a0e1, po)
-            st.message_updates += 6
-            self._tick(d, r, "u0", u0_out)
-            self._tick(d, r, "u1", v_out)
-            self._tick(d, r, "x0", x0_out)
-            self._tick(d, r, "x1", x1_out)
-            return np.array([x0_out, x1_out])
-
-        half = len(x_in) // 2
-        sl = slice(r * half, (r + 1) * half)
-        x0 = x_in[0::2]
-        x1 = x_in[1::2]
-        ms = st.min_sum
-
-        e1a0 = _combine_vec(st, st.mu_v[d][sl], x1)
-        u_out = f_plus_vec(x0, e1a0, min_sum=ms)
-        self._tick(d, r, "e1a0", e1a0)
-        self._tick(d, r, "u_out", u_out)
-        mu_u = self._visit(d + 1, 2 * r, u_out)
-        st.mu_u[d][sl] = mu_u
-
-        a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
-        v_out = _combine_vec(st, a0e1, x1)
-        self._tick(d, r, "a0e1", a0e1)
-        self._tick(d, r, "v_out", v_out)
-        mu_v = self._visit(d + 1, 2 * r + 1, v_out)
-        st.mu_v[d][sl] = mu_v
-
-        e1a0 = _combine_vec(st, mu_v, x1)
-        x0_out = f_plus_vec(e1a0, mu_u, min_sum=ms)
-        x1_out = _combine_vec(st, a0e1, mu_v)
-        self._tick(d, r, "e1a0", e1a0)
-        self._tick(d, r, "x0_out", x0_out)
-        self._tick(d, r, "x1_out", x1_out)
-        st.message_updates += 7 * half
-
-        out = np.empty(len(x_in))
-        out[0::2] = x0_out
-        out[1::2] = x1_out
-        return out
 
 
 def run_bp_line(
@@ -113,10 +58,7 @@ def run_bp_line(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = spec.n
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (n,):
-        raise ValueError(f"llr must have length {n}")
-    lam = np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
+    lam = channel_llr(spec, llr)
     mask, vals = spec.frozen_arrays()
 
     eng = _BpLineEngine(spec, min_sum=min_sum, trace=trace)
@@ -124,16 +66,14 @@ def run_bp_line(
     per_iter = None
     for _ in range(iterations):
         start = eng.cycle
-        st.x_out[:] = eng._visit(0, 0, lam)
+        bp_iteration(st, lam, tick=eng.tick)
         took = eng.cycle - start
         if per_iter is None:
             per_iter = took
         elif took != per_iter:
             raise AssertionError("iteration cycle count drifted")
 
-    u_hat = _decisions(st, mask, vals)
-    x_belief = _combine_vec(st, lam, st.x_out)
-    x_hat = np.where(x_belief < 0, 1, 0).astype(np.int64)
+    u_hat, x_hat = bp_decisions(st, lam, mask, vals)
 
     report = CycleReport(
         arch="bp_line",

@@ -11,12 +11,18 @@ serve an activation and in where intermediate values live:
                several one-cycle sub-passes
   sc_multi     p <= N-1 staggered codewords sharing PE instances keyed by
                (depth, cycle mod (N-1)); contention is counted, not assumed.
-               Codeword 0 runs through the engine to fix the schedule; the
-               other p-1 are decoded together by one batched call of the
-               software recursion (decode_sc_arikan on a (p-1, N) array)
+               All p codewords go through one batched decode with the
+               pipeline engine as its hook; the engine sizes each
+               activation by the last axis, so it counts one codeword's
+               schedule, which every codeword shares
 
-The arithmetic is the same vector f-plus / f-equal used by the software
-decoder, applied in the same order, so decisions match it bit for bit.
+No model has a recursion of its own. Each engine is the schedule hook of
+the software decoder, decode_sc_arikan: the decoder computes every value
+and the engine counts cycles and processing elements for each activation
+it reports. The line models also keep the per-depth partial-sum flip-flop
+banks, updated from the leaf decisions alone and checked at every STEP III
+against the re-encoded left half the decoder used. Decisions match the
+software decoder bit for bit because they are its decisions.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels import CodeSpec, encode_unchecked
-from ..llrops import decide, f_equal_vec, f_plus_vec
 from ..sc import decode_sc_arikan
 from .core import CycleReport, TraceLog
 
@@ -70,7 +75,6 @@ class _ScEngine:
         self.m = spec.m
         self.arch = arch
         self.min_sum = min_sum
-        self.mask, self.vals = spec.frozen_arrays()
         self.trace = TraceLog(trace)
         self.cycle = 0
         self.sched: list[tuple[int, int]] = []  # (depth, cycle) per sub-pass
@@ -78,8 +82,7 @@ class _ScEngine:
             self.pe_limit = None
             self.pe_count = self.n - 1
             self.llr_regs = 2 * (self.n - 1)
-            self.banks = None
-            self.ps_flops = 0
+            self.banks = {}
         elif arch in ("sc_line", "sc_limited"):
             i = 1 if arch == "sc_line" else i_param
             if not 1 <= i <= self.m:
@@ -92,14 +95,14 @@ class _ScEngine:
                 d: np.zeros(2 ** (self.m - d - 1), dtype=np.int64)
                 for d in range(self.m - 1)
             }
-            self.ps_flops = sum(len(b) for b in self.banks.values())
         else:
             raise ValueError(f"unknown arch {arch!r}")
+        self.ps_flops = sum(len(b) for b in self.banks.values())
         self.left_phase: list[tuple[int, int, int]] = []  # (depth, start, width)
 
     # one STEP activation; returns nothing but advances the clock
     def _fire(self, depth: int, op: str, inputs, outputs):
-        width = len(outputs)
+        width = outputs.shape[-1]
         limit = width if self.pe_limit is None else self.pe_limit
         passes = max(1, math.ceil(width / limit))
         unit = f"pe{depth}" if self.arch == "sc_pipeline" else "pe"
@@ -115,54 +118,35 @@ class _ScEngine:
                 )
             self.cycle += 1
 
-    def _decide_leaf(self, lam: float, off: int) -> int:
-        if self.mask[off]:
-            u = int(self.vals[off])
-        else:
-            u = decide(lam)
-        if self.banks is not None and u:
-            kernel = self.spec.kernel
-            for depth, start, width in self.left_phase:
-                self.banks[depth][:width] ^= _arikan_gmat(kernel, width)[off - start]
-        return u
+    # schedule hook of decode_sc_arikan
+    def f(self, off: int, width: int, inputs, out):
+        depth = self.m + 1 - width.bit_length()
+        self._fire(depth, "f", inputs, out)
+        if depth in self.banks:
+            self.left_phase.append((depth, off, width // 2))
 
-    def _visit(self, lam: np.ndarray, off: int, depth: int):
-        nd = len(lam)
-        if nd == 1:
-            u = self._decide_leaf(float(lam[0]), off)
-            arr = np.array([u], dtype=np.int64)
-            return arr, arr.copy()
-        half = nd // 2
-        even, odd = lam[0::2], lam[1::2]
-        l1 = f_plus_vec(even, odd, min_sum=self.min_sum)
-        self._fire(depth, "f", (even, odd), l1)
-
-        track = self.banks is not None and depth <= self.m - 2
-        if track:
-            self.left_phase.append((depth, off, half))
-        u0, x0 = self._visit(l1, off, depth + 1)
-        if track:
+    def g(self, off: int, width: int, inputs, out, x0):
+        depth = self.m + 1 - width.bit_length()
+        if depth in self.banks:
             self.left_phase.pop()
-            bank = self.banks[depth][:half]
-            if not np.array_equal(bank, x0):
+            if not np.array_equal(self.banks[depth][: width // 2], x0):
                 raise PartialSumMismatch(f"depth {depth} bank diverged from re-encode")
-            x0 = bank.copy()
             self.banks[depth][:] = 0  # release for the next node at this depth
+        self._fire(depth, "g", inputs, out)
 
-        l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd)
-        self._fire(depth, "g", (even, odd), l2)
-        u1, x1 = self._visit(l2, off + half, depth + 1)
-        x = np.empty(nd, dtype=np.int64)
-        x[0::2] = x0 ^ x1
-        x[1::2] = x1
-        return np.concatenate([u0, u1]), x
+    def leaf(self, off: int, u):
+        # a decision of 1 flips every open bank where its encode row is 1;
+        # only the line models open banks, and they decode one frame
+        if self.left_phase and u[0]:
+            for depth, start, width in self.left_phase:
+                self.banks[depth][:width] ^= _arikan_gmat(self.spec.kernel, width)[off - start]
 
     def run(self, llr: np.ndarray):
         lam = np.asarray(llr, dtype=np.float64)
         if lam.shape != (self.n,):
             raise ValueError(f"llr must have length {self.n}")
-        u_hat, x_hat = self._visit(lam, 0, 0)
-        return u_hat, x_hat
+        res = decode_sc_arikan(self.spec, lam, min_sum=self.min_sum, hook=self)
+        return res.u_hat, res.x_hat
 
 
 def run_sc(
@@ -220,16 +204,12 @@ def run_sc_multi(
     if any(w.shape != (n,) for w in words):
         raise ValueError(f"every codeword's llr must have length {n}")
 
-    # The schedule is input-independent, so one engine run on codeword 0
-    # fixes it. Codewords 1..p-1 go through one batched call of the software
-    # recursion, which computes the same values in the same order as the
-    # engine (tests pin this down).
+    # The schedule is input-independent: the engine counts it once while
+    # the decoder walks all p codewords together.
     eng = _ScEngine(spec, "sc_pipeline", min_sum=min_sum, trace=False)
-    results = [eng.run(words[0])]
+    res = decode_sc_arikan(spec, np.stack(words), min_sum=min_sum, hook=eng)
+    results = list(zip(res.u_hat, res.x_hat))
     sched = eng.sched
-    if p > 1:
-        res = decode_sc_arikan(spec, np.stack(words[1:]), min_sum=min_sum)
-        results.extend(zip(res.u_hat, res.x_hat))
 
     tl = TraceLog(trace)
     if tl.enabled:

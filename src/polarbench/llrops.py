@@ -40,47 +40,31 @@ def f_plus_minsum(a: float, b: float) -> float:
     return math.copysign(1.0, a) * math.copysign(1.0, b) * min(abs(a), abs(b))
 
 
-def f_equal(a: float, b: float) -> float:
-    """Variable-node update: sum of LLRs. Opposite infinities conflict."""
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        raise LlrContradiction("opposite infinite LLRs combined at equality node")
-    return a + b
-
-
 def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:
     """Elementwise f_plus. Handles inf entries per the scalar shortcuts.
 
-    a and b may be one frame, shape (N,), or a batch, shape (B, N); each row
-    of a batch gives exactly what a call on that row alone gives.
+    a and b may be one frame, shape (N,), or a batch, shape (B, N). Each
+    entry depends on its own a and b alone, so a batch row gives exactly
+    what a call on that row alone gives.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     sign = np.sign(a) * np.sign(b)
-    aa, ab = np.abs(a), np.abs(b)
-    core = sign * np.minimum(aa, ab)
-    finite = np.isfinite(a) & np.isfinite(b)
-    if finite.all():  # the inf shortcuts below would change nothing
-        if not min_sum:
-            core = core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-        return core
+    core = sign * np.minimum(np.abs(a), np.abs(b))
+    inf_a = np.isinf(a)
+    inf_b = np.isinf(b)
+    mixed = inf_a.any() or inf_b.any()
     if not min_sum:
-        corr = np.zeros_like(core)
-        af, bf = a[finite], b[finite]
-        corr[finite] = np.log1p(np.exp(-np.abs(af + bf))) - np.log1p(np.exp(-np.abs(af - bf)))
-        core = core + corr
-        # This rounds as core + (A - B), the all-finite branch as
-        # (core + A) - B. A batch row with nothing but finite entries takes
-        # the all-finite branch, so each row comes out exactly as a call on
-        # that row alone would.
-        if core.ndim > 1:
-            plain = finite.all(axis=-1)
-            if plain.any():
-                core[plain] = f_plus_vec(a[plain], b[plain])
+        # Every finite entry rounds as (core + A) - B, whatever its
+        # neighbours hold. Infinite inputs are zeroed here so that inf - inf
+        # makes no NaN; their entries are set below.
+        fa, fb = (np.where(inf_a, 0.0, a), np.where(inf_b, 0.0, b)) if mixed else (a, b)
+        core = core + np.log1p(np.exp(-np.abs(fa + fb))) - np.log1p(np.exp(-np.abs(fa - fb)))
+    if not mixed:
+        return core
     # inf against anything collapses to +-other; sign*min already does this
     # except where the finite side is 0 with an inf mate: sign()=0 kills it,
     # which matches f_plus(inf, 0) = 0.
-    inf_a = np.isinf(a)
-    inf_b = np.isinf(b)
     core = np.where(inf_a & ~inf_b, np.where(a > 0, b, -b), core)
     core = np.where(inf_b & ~inf_a, np.where(b > 0, a, -a), core)
     core = np.where(inf_a & inf_b, np.where(sign > 0, np.inf, -np.inf), core)
@@ -100,17 +84,7 @@ def f_equal_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def decide(llr: float) -> int:
-    """Hard decision: 0 when llr >= 0 (ties break toward 0)."""
-    return 0 if llr >= 0 else 1
-
-
-def decide_vec(llr: np.ndarray) -> np.ndarray:
-    return (np.asarray(llr) < 0).astype(np.int64)
-
-
-def clip_finite(llr: np.ndarray, bound: float = BP_CLIP) -> np.ndarray:
-    """Clamp finite entries to [-bound, bound]; infinities pass through."""
-    out = np.asarray(llr, dtype=np.float64)
-    finite = np.isfinite(out)
-    return np.where(finite, np.clip(out, -bound, bound), out)
+def decide(llr):
+    """Hard decision ~(llr >= 0): 0 when llr >= 0 (ties break toward 0),
+    1 otherwise, NaN included. Works elementwise on arrays."""
+    return (~(np.asarray(llr) >= 0)).astype(np.int64)

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import bp_decode
-from .channels import ChannelModel, DegenerateEvidenceError, likelihood_rows_binary, transmit
+from .channels import (
+    ChannelModel,
+    DegenerateEvidenceError,
+    likelihood_rows,
+    likelihood_rows_binary,
+    transmit,
+)
 from .kernels import CodeSpec, encode
 from .llrops import LlrContradiction
 from .sc import decode_sc_arikan, decode_sc_general
@@ -50,6 +56,35 @@ class TrialStats:
         )
 
 
+def decode_frame(
+    spec: CodeSpec,
+    decoder: str,
+    llr: np.ndarray,
+    list_size: int = 8,
+    iters: int = 40,
+    min_sum: bool = False,
+) -> np.ndarray:
+    """u_hat of one frame from `decoder`, one of DECODERS.
+
+    llr is (N,) binary LLRs, or an (N, q) array of LLRs against symbol 0
+    for a q-ary kernel. Likelihood rows are built only for the decoders
+    that read them: SC on a kernel other than (u+v, v), and SCL.
+    Contradictory or degenerate evidence raises LlrContradiction or
+    DegenerateEvidenceError.
+    """
+    if decoder not in DECODERS:
+        raise ValueError(f"decoder must be one of {DECODERS}")
+    if decoder == "bp":
+        return bp_decode(spec, llr, max_iters=iters, min_sum=min_sum).u_hat
+    if decoder == "sc" and spec.kernel.is_arikan:
+        return decode_sc_arikan(spec, llr, min_sum=min_sum).u_hat
+    lam = np.asarray(llr, dtype=np.float64)
+    rows = likelihood_rows(lam) if lam.ndim == 2 else likelihood_rows_binary(lam)
+    if decoder == "sc":
+        return decode_sc_general(spec, rows).u_hat
+    return decode_scl(spec, rows, list_size).u_hat
+
+
 def run_lane(
     spec: CodeSpec,
     ch: ChannelModel,
@@ -60,8 +95,6 @@ def run_lane(
     iters: int = 40,
     min_sum: bool = False,
 ) -> TrialStats:
-    if decoder not in DECODERS:
-        raise ValueError(f"decoder must be one of {DECODERS}")
     if spec.kernel.q != 2:
         raise ValueError("channel trials need a binary-alphabet kernel")
     k = spec.k_info
@@ -73,15 +106,7 @@ def run_lane(
         x = encode(spec, u)
         lam = transmit(ch, x, rng)
         try:
-            if decoder == "sc":
-                if spec.kernel.is_arikan:
-                    u_hat = decode_sc_arikan(spec, lam, min_sum=min_sum).u_hat
-                else:
-                    u_hat = decode_sc_general(spec, likelihood_rows_binary(lam)).u_hat
-            elif decoder == "scl":
-                u_hat = decode_scl(spec, likelihood_rows_binary(lam), list_size).u_hat
-            else:
-                u_hat = bp_decode(spec, lam, max_iters=iters, min_sum=min_sum).u_hat
+            u_hat = decode_frame(spec, decoder, lam, list_size, iters, min_sum)
         except (LlrContradiction, DegenerateEvidenceError):
             frame_err += 1
             bit_err += k

@@ -6,6 +6,19 @@ works for any kernel, carrying per-position likelihood rows of shape (N, q)
 and marginalizing undecided kernel inputs exactly. Both support a genie
 mode (feed back true inputs, record which decisions would have been wrong)
 used by Monte-Carlo code construction.
+
+decode_sc_arikan is also the recursion of the hardware SC models: an
+optional schedule hook sees every step the walk takes, in order,
+
+  hook.f(off, width, (even, odd), out)      STEP I of the node at `off`
+  hook.g(off, width, (even, odd), out, x0)  STEP III, x0 the re-encoded
+                                            left half it used
+  hook.leaf(off, u)                         the decision for input `off`
+
+where width is the node's length and every array keeps the batch axis
+(a frozen decision has shape (1,) and broadcasts over the batch).
+The hook counts cycles and resources and may raise to abort the decode;
+it never changes a value.
 """
 
 from __future__ import annotations
@@ -48,6 +61,8 @@ def decode_sc_arikan(
     min_sum: bool = False,
     trace: bool = False,
     genie_u: np.ndarray | None = None,
+    *,
+    hook=None,
 ) -> ScResult:
     """SC decoding of one frame, shape (N,), or of a batch, shape (B, N).
 
@@ -60,6 +75,9 @@ def decode_sc_arikan(
     A frame whose +-inf evidence contradicts itself or its frozen values
     raises LlrContradiction; in a batch, one such frame raises for the
     whole call and no result is returned for the others.
+
+    hook, if given, is told of every activation and decision (see the
+    module docstring).
     """
     if not spec.kernel.is_arikan:
         raise ValueError("decode_sc_arikan requires the (u+v, v) kernel")
@@ -91,18 +109,31 @@ def decode_sc_arikan(
             else:
                 u = ~(lam_d >= 0)
             u_hat[..., at] = u
+            if hook is not None:
+                hook.leaf(off, u)
             return u
-        half = lam_d.shape[-1] // 2
+        width = lam_d.shape[-1]
         even = lam_d[..., 0::2]
         odd = lam_d[..., 1::2]
-        x0 = rec(f_plus_vec(even, odd, min_sum=min_sum), off)
-        x1 = rec(f_equal_vec(np.where(x0 == 1, -even, even), odd), off + half)
+        l1 = f_plus_vec(even, odd, min_sum=min_sum)
+        if hook is not None:
+            hook.f(off, width, (even, odd), l1)
+        x0 = rec(l1, off)
+        l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd)
+        if hook is not None:
+            hook.g(off, width, (even, odd), l2, x0)
+        x1 = rec(l2, off + width // 2)
         x = np.empty(lam_d.shape, dtype=np.int64)
         x[..., 0::2] = x0 ^ x1
         x[..., 1::2] = x1
         return x
 
-    x_hat = rec(lam, 0)
+    try:
+        x_hat = rec(lam, 0)
+    finally:
+        # rec refers to itself; dropping it frees its arrays and the hook
+        # now rather than at some later cycle collection
+        del rec
     return ScResult(u_hat, x_hat, dllr, errs)
 
 
@@ -143,12 +174,6 @@ def kernel_marginal_scores(
     jidx = np.arange(kernel.ell)[None, None, :]
     terms = rows_block[jidx, tab]  # (cand, n_suffix, ell)
     return terms.prod(axis=2).sum(axis=1)
-
-
-def kernel_marginal_llr(
-    kernel: Kernel, rows_block: np.ndarray, boundary: int, prefix: tuple[int, ...]
-) -> np.ndarray:
-    return scores_to_llr(kernel_marginal_scores(kernel, rows_block, boundary, prefix))
 
 
 def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int) -> np.ndarray:

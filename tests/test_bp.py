@@ -9,11 +9,13 @@ from polarbench.bp import (
     bp_decode,
     bp_iteration,
     bp_state,
+    channel_llr,
     _decisions,
 )
 from polarbench.channels import bec, transmit
 from polarbench.kernels import CodeSpec, encode, kernel_linear
 from polarbench.llrops import BP_CLIP, f_plus
+from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
 
 from conftest import random_llr, spec_all_free
@@ -210,3 +212,27 @@ def test_bp_input_validation(arikan):
     spec = spec_all_free(arikan, 2)
     with pytest.raises(ValueError):
         bp_decode(spec, np.zeros(3))
+
+
+def test_channel_llr_clips_finite_only(arikan):
+    spec = spec_all_free(arikan, 2)
+    out = channel_llr(spec, np.array([100.0, -100.0, 3.0, np.inf]))
+    assert list(out) == [BP_CLIP, -BP_CLIP, 3.0, np.inf]
+    assert channel_llr(spec, np.array([-np.inf, 0.0, 0.0, 0.0]))[0] == -np.inf
+    with pytest.raises(ValueError):
+        channel_llr(spec, np.zeros(5))
+
+
+def test_bp_decides_nan_as_sc(arikan):
+    # every message of an all-NaN frame is NaN; SC decides NaN as 1
+    # (~(L >= 0)), and so must BP and the BP line model
+    for m in (1, 2):
+        spec = spec_all_free(arikan, m)
+        llr = np.full(spec.n, np.nan)
+        sc = decode_sc_arikan(spec, llr)
+        assert sc.u_hat.all()
+        bp = bp_decode(spec, llr, max_iters=2, stop="none")
+        line = run_bp_line(spec, llr, iterations=2)
+        for res in (bp, line):
+            assert np.array_equal(res.u_hat, sc.u_hat)
+            assert res.x_hat.all()  # the channel belief is NaN too

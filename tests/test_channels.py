@@ -6,13 +6,11 @@ import pytest
 from polarbench.channels import (
     ChannelModel,
     DegenerateEvidenceError,
-    LlrFun,
     bec,
     biawgn,
     bsc,
+    likelihood_rows,
     likelihood_rows_binary,
-    likelihoods_from_llr,
-    llr_to_funs,
     transmit,
 )
 
@@ -87,11 +85,13 @@ def test_transmit_accepts_seed_or_generator():
     assert np.array_equal(a, b)
 
 
-def test_llrfun_validation():
-    LlrFun((0.0, 1.5))
-    with pytest.raises(ValueError):
-        LlrFun((0.5, 1.5))
-    assert LlrFun((0.0, 1.0, 2.0, 3.0)).q == 4
+def test_likelihood_rows_validation():
+    assert likelihood_rows(np.zeros((3, 4))).shape == (3, 4)
+    for bad in (np.zeros(4), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            likelihood_rows(bad)
+    # LLRs against symbol 0 may carry any per-row offset
+    assert np.array_equal(likelihood_rows([[0.0, 1.0, 3.0]]), likelihood_rows([[0.5, 1.5, 3.5]]))
 
 
 def test_likelihoods_round_trip():
@@ -123,33 +123,32 @@ def test_likelihoods_infinities():
 
 
 def test_likelihoods_nonbinary_and_errors():
-    funs = [LlrFun((0.0, 1.0, np.inf, -0.5))]
-    rows = likelihoods_from_llr(funs)
+    rows = likelihood_rows(np.array([[0.0, 1.0, np.inf, -0.5]]))
     assert rows.shape == (1, 4)
     assert rows[0, 2] == 0.0
     assert rows[0].max() == 1.0
     # the most plausible symbol (t=3, llr -0.5) carries the unit mass
     assert rows[0, 3] == 1.0
-    with pytest.raises(ValueError):
-        likelihoods_from_llr([LlrFun((0.0, 1.0)), LlrFun((0.0, 1.0, 2.0))])
-    with pytest.raises(ValueError):
-        likelihoods_from_llr([LlrFun((0.0, math.nan))])
+    with pytest.raises(ValueError, match="position 1: NaN"):
+        likelihood_rows(np.array([[0.0, 1.0], [0.0, math.nan], [0.0, 2.0]]))
 
 
 def test_degenerate_all_inf():
-    bad = object.__new__(LlrFun)
-    object.__setattr__(bad, "values", (np.inf, np.inf))
+    with pytest.raises(DegenerateEvidenceError, match="position 2"):
+        likelihood_rows(np.array([[0.0, 1.0], [0.0, np.inf], [np.inf, np.inf]]))
+    # the first bad position decides which error is raised
     with pytest.raises(DegenerateEvidenceError):
-        likelihoods_from_llr([bad], q=2)
+        likelihood_rows(np.array([[np.inf, np.inf], [0.0, math.nan]]))
 
 
 def test_minus_inf_wins_over_finite():
-    funs = [LlrFun((0.0, -np.inf, 3.0))]
-    rows = likelihoods_from_llr(funs)
+    rows = likelihood_rows(np.array([[0.0, -np.inf, 3.0], [np.inf, -np.inf, -np.inf]]))
     assert list(rows[0]) == [0.0, 1.0, 0.0]
+    assert list(rows[1]) == [0.0, 1.0, 1.0]
 
 
-def test_llr_to_funs():
-    funs = llr_to_funs(np.array([1.5, -2.0]))
-    assert funs[0].values == (0.0, 1.5)
-    assert funs[1].values == (0.0, -2.0)
+def test_binary_rows_are_the_q2_case():
+    llr = np.array([1.5, -2.0, 0.0, np.inf, -np.inf, 700.0, -700.0])
+    rows = likelihood_rows_binary(llr)
+    assert np.array_equal(rows, likelihood_rows(np.stack([np.zeros(7), llr], axis=1)))
+    assert list(rows[3]) == [1.0, 0.0] and list(rows[4]) == [0.0, 1.0]

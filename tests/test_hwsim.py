@@ -19,6 +19,7 @@ from polarbench.hwsim import (
 )
 from polarbench.bp import bp_decode, bp_state, bp_iteration
 from polarbench.kernels import CodeSpec, kernel_arikan, kernel_linear
+from polarbench.hwsim.sc_arch import PartialSumMismatch, _ScEngine
 from polarbench.llrops import LlrContradiction
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 
@@ -123,6 +124,27 @@ def test_sc_trace_format(rng):
     assert first[2].startswith(("f", "g"))
 
 
+@pytest.mark.parametrize("arch", ["sc_line", "sc_limited"])
+def test_sc_line_bank_corruption_raises(arch, rng):
+    # the flip-flop banks are updated from the leaf decisions alone; one
+    # flipped bit must be caught where the bank meets the re-encoded half
+    spec = _spec(4, 8)
+    llr = random_llr(rng, 16)
+    eng = _ScEngine(spec, arch, i_param=2)
+    eng.run(llr)  # clean run: banks agree at every STEP III
+    eng = _ScEngine(spec, arch, i_param=2)
+    decide = eng.leaf
+
+    def corrupting_leaf(off, u):
+        decide(off, u)
+        if off == 8:  # inside the right half: depth 1 bank is open
+            eng.banks[1][0] ^= 1
+
+    eng.leaf = corrupting_leaf
+    with pytest.raises(PartialSumMismatch):
+        eng.run(llr)
+
+
 def test_report_text_format(rng):
     spec = _spec(3, 4)
     run = run_sc(spec, random_llr(rng, 8), arch="sc_pipeline")
@@ -161,7 +183,7 @@ def test_sc_multi_bit_exact_and_counts(p, rng):
         assert len(run.results) == p
         for (u_hat, x_hat), llr in zip(run.results, words):
             assert u_hat.shape == x_hat.shape == (8,)
-            # the engine is the reference independent of the shared recursion
+            # the batched walk gives each codeword its single-frame decisions
             hw = run_sc(spec, llr, arch="sc_pipeline", min_sum=min_sum)
             assert np.array_equal(u_hat, hw.u_hat), min_sum
             assert np.array_equal(x_hat, hw.x_hat), min_sum

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from polarbench.channels import bec, bsc
+import polarbench.montecarlo as mc
+from polarbench.bp import bp_decode
+from polarbench.channels import bec, bsc, likelihood_rows, likelihood_rows_binary
 from polarbench.construction import construct_bec
 from polarbench.kernels import CodeSpec, kernel_linear
 from polarbench.montecarlo import (
@@ -10,9 +12,12 @@ from polarbench.montecarlo import (
     TrialStats,
     _lane_counts,
     csv_row,
+    decode_frame,
     run_lane,
     run_trials,
 )
+from polarbench.sc import decode_sc_arikan, decode_sc_general
+from polarbench.scl import decode_scl
 
 from conftest import G4
 
@@ -166,3 +171,34 @@ def test_scl_lane_uses_list_size():
     s8 = run_lane(spec, bsc(0.09), "scl", 60, rng, list_size=8)
     # same noise, larger list: never more frame errors
     assert s8.frame_errors <= s1.frame_errors
+
+
+def test_decode_frame_dispatch(monkeypatch):
+    rng = np.random.default_rng(8)
+    spec = construct_bec(3, 0.5, 0.5)
+    g4 = CodeSpec(kernel_linear(G4), 1, {0: 0})
+    q4 = CodeSpec(kernel_linear([[1, 0], [1, 1]], q=4), 2, {0: 0})
+    llr = rng.normal(0, 2, 8)
+    llr4 = np.hstack([np.zeros((4, 1)), rng.normal(0, 2, (4, 3))])
+    cases = [
+        (spec, "sc", llr, decode_sc_arikan(spec, llr, min_sum=True).u_hat),
+        (spec, "bp", llr, bp_decode(spec, llr, max_iters=5, min_sum=True).u_hat),
+        (spec, "scl", llr, decode_scl(spec, likelihood_rows_binary(llr), 2).u_hat),
+        (g4, "sc", llr[:4], decode_sc_general(g4, likelihood_rows_binary(llr[:4])).u_hat),
+        (q4, "sc", llr4, decode_sc_general(q4, likelihood_rows(llr4)).u_hat),
+    ]
+    for sp, dec, ev, want in cases:
+        got = decode_frame(sp, dec, ev, list_size=2, iters=5, min_sum=True)
+        assert np.array_equal(got, want), dec
+    with pytest.raises(ValueError):
+        decode_frame(spec, "viterbi", llr)
+
+    # the (u+v, v) decoders read LLRs directly and never build likelihood rows
+    def no_rows(_):
+        raise AssertionError("likelihood rows built")
+
+    monkeypatch.setattr(mc, "likelihood_rows_binary", no_rows)
+    for dec in ("sc", "bp"):
+        decode_frame(spec, dec, llr)
+    with pytest.raises(AssertionError):
+        decode_frame(spec, "scl", llr)

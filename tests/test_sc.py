@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from polarbench.sc import (
     UnsupportedCodeError,
     decode_sc_arikan,
     decode_sc_general,
-    kernel_marginal_llr,
+    kernel_marginal_scores,
     scores_to_llr,
 )
 
@@ -49,6 +52,26 @@ def test_sc_matches_bruteforce_marginals(arikan, rng):
             assert res.decision_llrs[i] == pytest.approx(want[1], abs=1e-9)
             decided[i] = int(res.u_hat[i])
         assert np.array_equal(res.x_hat, encode_unchecked(arikan, res.u_hat))
+
+
+def test_sc_hook_released_on_return(arikan):
+    # the recursion must not keep its hook (an engine with its banks and
+    # schedule) alive after returning, not even until a cycle collection
+    class Hook:
+        def f(self, *args):
+            pass
+
+        g = leaf = f
+
+    hook = Hook()
+    ref = weakref.ref(hook)
+    gc.disable()
+    try:
+        decode_sc_arikan(spec_all_free(arikan, 3), np.ones(8), hook=hook)
+        del hook
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sc_respects_frozen(arikan, rng):
@@ -260,7 +283,7 @@ def test_glue_group_joint_decision(rng):
     widths = [w for _, w, _ in res.decisions]
     assert widths == [2, 1, 1]
     # the joint decision maximizes the exact group marginal
-    want = kernel_marginal_llr(k, rows, 0, ())
+    want = scores_to_llr(kernel_marginal_scores(k, rows, 0, ()))
     got_vec = res.decisions[0][2]
     assert np.allclose(got_vec, want, atol=1e-12)
     joint = 2 * res.u_hat[0] + res.u_hat[1]
