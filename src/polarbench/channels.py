@@ -4,7 +4,8 @@ Binary decoders consume one float LLR per output position,
 lambda = ln W(y|0)/W(y|1), with +-inf for erased-to-certainty symbols.
 Non-binary decoders consume per-position likelihood rows; likelihood_rows
 builds them from an (N, q) array of LLRs against symbol 0, and
-likelihood_rows_binary is its q = 2 case.
+likelihood_rows_binary is its q = 2 case. check_likelihood_rows is the
+input check of every decoder that reads rows.
 """
 
 from __future__ import annotations
@@ -113,6 +114,19 @@ def likelihood_rows(llr: np.ndarray) -> np.ndarray:
     sure = surely.any(axis=1)
     out[sure] = surely[sure]
     return out
+
+
+def check_likelihood_rows(rows, n: int, q: int) -> np.ndarray:
+    """rows as a float64 (n, q) array; a ValueError names the first position
+    holding an entry that is not finite and nonnegative."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape != (n, q):
+        raise ValueError(f"rows must have shape ({n}, {q})")
+    bad = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"position {i}: likelihoods must be finite and nonnegative")
+    return rows
 
 
 def likelihood_rows_binary(llr: np.ndarray) -> np.ndarray:

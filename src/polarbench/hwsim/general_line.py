@@ -4,14 +4,21 @@ The schedule is the natural generalization of the binary line: every tree
 node issues one preparation cycle per outer stage and a base block spends
 one decision cycle per coordinate, giving ell*(N-1)/(ell-1) cycles total.
 
+The model has no recursion of its own. The engine is the schedule hook of
+the software decoder, decode_sc_general: the decoder computes every value
+and the engine counts one cycle for each stage preparation it reports (on
+the processing element of that node's depth) and for each decision (on
+pe0). Decisions match the software decoder bit for bit because they are
+its decisions.
+
 Preparation hardware holds only the zero-prefix marginalization tables in
-ROM. Conditioning on already-decided outer codewords happens through coset
-accumulators: each kernel instance keeps the running combination
-sum_r x_r[i] * G[r] of its decided rows, and the stored evidence rows are
-read through that offset (a GF adder on the address lines). For a linear
-kernel the shifted zero-prefix sum equals the conditioned sum term for
-term, so the computed values match the software decoder exactly, and when
-the last stage finishes the accumulators already hold the codeword block.
+ROM and conditions on decided outer codewords through coset accumulators:
+each kernel instance keeps the running combination sum_r x_r[i] * G[r] of
+its decided rows. The accumulators are now the model's check, not its
+arithmetic: at every node the engine combines the outer codewords (at a
+base block, the decisions) through the generator and raises
+PartialSumMismatch unless the result is the codeword the decoder
+re-encoded through the kernel table.
 """
 
 from __future__ import annotations
@@ -20,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import CodeSpec, _pack
-from ..llrops import LlrContradiction
-from ..sc import UnsupportedCodeError, scores_to_llr
+from ..kernels import CodeSpec
+from ..sc import UnsupportedCodeError, decode_sc_general
 from .core import CycleReport, TraceLog
 from .sc_arch import PartialSumMismatch
 
@@ -42,93 +48,58 @@ class _GeneralLineEngine:
             raise UnsupportedCodeError("the line model needs a linear kernel")
         if any(len(g) > 1 for g in kernel.glue):
             raise UnsupportedCodeError("joint glue groups have no line schedule")
-        self.kernel = kernel
-        self.alph = kernel.alph
-        self.G = kernel.generator
-        self.mask, self.vals = spec.frozen_arrays()
+        alph = kernel.alph
+        self.ell = ell = kernel.ell
+        self.add_table = alph.add_table
+        # coset contribution s * G[r] of symbol s on input r, indexed [r, s]
+        self.gmul = np.stack([
+            np.stack([alph.scalar_row_mul(s, row) for s in range(kernel.q)])
+            for row in kernel.generator
+        ])
+        # the open base block's ell accumulators live in a Python list: a
+        # decision updates a few symbols, too few to pay for a numpy call
+        self.gmul_rows = self.gmul.tolist()
+        self.add_rows = alph.add_table.tolist()
+        self.base: list[int] = []
+        self.depth = {ell**k: spec.m - k for k in range(1, spec.m + 1)}
+        self.acc: dict[int, np.ndarray] = {}  # depth -> accumulators of its open node
         self.trace = TraceLog(trace)
         self.cycle = 0
-        self._jidx = np.arange(kernel.ell)[None, None, :]
 
     def _tick(self, depth: int, op: str, outs):
         if self.trace.enabled:
             self.trace.fire(self.cycle, f"pe{depth}", op, [], np.asarray(outs).ravel())
         self.cycle += 1
 
-    def _prep(self, w_blk: np.ndarray, offsets: np.ndarray, r: int) -> np.ndarray:
-        """Stage-r evidence rows, conditioned through the coset offsets."""
-        kernel = self.kernel
-        tab0 = kernel.marginal_table(r, (0,) * r)
-        shifted = np.take_along_axis(w_blk, self.alph.add_table[offsets], axis=2)
-        terms = shifted[:, self._jidx, tab0]
-        out = terms.prod(axis=3).sum(axis=2)
-        peak = out.max(axis=1)
-        if (peak <= 0.0).any():
-            raise LlrContradiction("evidence rules out every symbol at some position")
-        return out / peak[:, None]
+    # schedule hook of decode_sc_general
+    def prep(self, off: int, width: int, r: int, w_r):
+        self._tick(self.depth[width], f"prep{r}", w_r)
 
-    def _base(self, w_rows: np.ndarray, off: int):
-        kernel = self.kernel
-        q = kernel.q
-        ell = kernel.ell
-        u = np.zeros(ell, dtype=np.int64)
-        offset = np.zeros(ell, dtype=np.int64)
-        ridx = np.arange(ell)[:, None]
-        for c in range(ell):
-            tab0 = kernel.marginal_table(c, (0,) * c)
-            shifted = w_rows[ridx, self.alph.add_table[offset]]
-            scores = shifted[self._jidx[0], tab0].prod(axis=2).sum(axis=1)
-            llr_vec = scores_to_llr(scores)  # raises if nothing is possible
-            if self.mask[off + c]:
-                u[c] = self.vals[off + c]
-            else:
-                best_t, best_s = -1, -1.0
-                for t in range(q):
-                    if scores[t] > best_s:
-                        best_t, best_s = t, float(scores[t])
-                u[c] = best_t
-            offset = self.alph.add_vec(offset, self.alph.scalar_row_mul(int(u[c]), self.G[c]))
-            self._tick(0, f"dec{c}", llr_vec)
-        if not np.array_equal(offset, kernel.table[_pack(u, q)]):
-            raise PartialSumMismatch("base coset accumulator diverged from the kernel map")
-        return u, offset.copy()
+    def decide(self, i: int, u, llr):
+        c = i % self.ell
+        row = self.gmul_rows[c][u[0]]
+        self.base = row if c == 0 else [self.add_rows[a][b] for a, b in zip(self.base, row)]
+        self._tick(0, f"dec{c}", llr)
 
-    def _visit(self, w_d: np.ndarray, off: int, depth: int):
-        kernel = self.kernel
-        ell = kernel.ell
-        if w_d.shape[0] == ell:
-            return self._base(w_d, off)
-        blk = w_d.shape[0] // ell
-        w_blk = w_d.reshape(blk, ell, kernel.q)
-        offsets = np.zeros((blk, ell), dtype=np.int64)
-        u_parts = []
-        x_parts = []
-        for r in range(ell):
-            w_r = self._prep(w_blk, offsets, r)
-            self._tick(depth, f"prep{r}", w_r)
-            u_r, x_r = self._visit(w_r, off + r * blk, depth + 1)
-            contrib = self.alph.mul_vec(x_r[:, None], self.G[r][None, :])
-            offsets = self.alph.add_vec(offsets, contrib)
-            u_parts.append(u_r)
-            x_parts.append(x_r)
-        x = offsets.reshape(-1)
-        cols = np.stack(x_parts, axis=1)
-        if not np.array_equal(x, kernel.map_columns(cols).reshape(-1)):
+    def node(self, off: int, x):
+        width = len(x)
+        depth = self.depth[width]
+        if width == self.ell:
+            if self.base != x.tolist():
+                raise PartialSumMismatch("base coset accumulator diverged from the kernel map")
+        elif (self.acc.pop(depth) != x).any():
             raise PartialSumMismatch(f"depth {depth} coset accumulators diverged")
-        return np.concatenate(u_parts), x
+        if depth:
+            # one vector update of the parent's accumulators: row r is decided
+            r = off // width % self.ell
+            contrib = self.gmul[r][x].reshape(-1)
+            self.acc[depth - 1] = contrib if r == 0 else self.add_table[self.acc[depth - 1], contrib]
 
 
 def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> GeneralLineRun:
-    kernel = spec.kernel
-    n, q, ell = spec.n, kernel.q, kernel.ell
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (n, q):
-        raise ValueError(f"rows must have shape ({n}, {q})")
-    if (rows < 0).any():
-        raise ValueError("likelihoods must be nonnegative")
-
+    n, ell = spec.n, spec.kernel.ell
     eng = _GeneralLineEngine(spec, trace)
-    u_hat, x_hat = eng._visit(rows, 0, 0)
+    res = decode_sc_general(spec, rows, hook=eng)
     report = CycleReport(
         arch="general_line",
         n=n,
@@ -137,4 +108,4 @@ def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> G
         llr_regs=(n - ell) // (ell - 1),
         extra={"ell": ell},
     )
-    return GeneralLineRun(u_hat, x_hat, report, eng.trace)
+    return GeneralLineRun(res.u_hat, res.x_hat, report, eng.trace)

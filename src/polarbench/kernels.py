@@ -24,7 +24,9 @@ class FrozenMismatchError(ValueError):
 
 
 TABLE_LIMIT = 1 << 20  # exhaustive bijectivity check bound
-MARGINAL_LIMIT = 4096  # q**ell bound for marginalization support
+
+# the (u+v, v) map over GF(2): row i is the output for input i = 2*u0 + u1
+_ARIKAN_TABLE = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
 
 
 def _pack(symbols, q: int) -> int:
@@ -50,6 +52,8 @@ class Kernel:
     table[i] holds the ell output symbols for the input whose mixed-radix
     packing is i (input 0 most significant). glue partitions the input
     coordinates into consecutive groups that are decided jointly.
+    is_arikan is derived from that structure: the (u+v, v) table over
+    GF(2) with singleton glue groups.
     Immutable after construction; safe to share between decoders.
     """
 
@@ -58,8 +62,7 @@ class Kernel:
     table: np.ndarray
     generator: np.ndarray | None = None
     glue: tuple[tuple[int, ...], ...] = ()
-    name: str = ""
-    _marg_cache: dict = field(default_factory=dict, repr=False)
+    is_arikan: bool = field(init=False, default=False)
 
     def __post_init__(self):
         q = self.alph.q
@@ -83,6 +86,7 @@ class Kernel:
             self.generator = np.asarray(self.generator, dtype=np.int64)
             if self.generator.shape != (self.ell, self.ell):
                 raise InvalidKernelError("generator must be ell x ell")
+        self.is_arikan = np.array_equal(self.table, _ARIKAN_TABLE) and len(self.glue) == 2
 
     def _check_glue(self):
         flat = [i for grp in self.glue for i in grp]
@@ -107,10 +111,6 @@ class Kernel:
         radix = self.q ** np.arange(self.ell - 1, -1, -1, dtype=np.int64)
         return self.table[cols @ radix]
 
-    @property
-    def is_arikan(self) -> bool:
-        return self.name == "arikan"
-
     def group_at(self, boundary: int) -> tuple[int, ...]:
         """The glue group starting at input coordinate `boundary`."""
         for grp in self.glue:
@@ -118,38 +118,23 @@ class Kernel:
                 return grp
         raise ValueError(f"coordinate {boundary} is not a glue-group boundary")
 
-    def marginal_table(self, boundary: int, prefix: tuple[int, ...]) -> np.ndarray:
-        """Output-symbol lookup for marginalizing the group at `boundary`.
+    def marginal_view(self, boundary: int) -> np.ndarray:
+        """The table as a (q**boundary, q**w, q**n_suffix, ell) array view.
 
-        Returns int array with shape (q**w, n_suffix, ell): entry [t, s, j]
-        is g_j(prefix, group value t, suffix s). Cached per (boundary, prefix).
+        w is the width of the glue group at `boundary`. Input 0 is the most
+        significant digit of a table index, so entry [p, t, s, j] is
+        g_j(prefix, group value t, suffix s) where p packs the prefix:
+        row p is the lookup for marginalizing the group given that prefix.
         """
-        key = (boundary, prefix)
-        tab = self._marg_cache.get(key)
-        if tab is not None:
-            return tab
-        if len(prefix) != boundary:
-            raise ValueError("prefix length must equal the group boundary")
         q = self.q
-        grp = self.group_at(boundary)
-        w = len(grp)
-        n_suf = self.ell - boundary - w
-        out = np.empty((q**w, q**n_suf, self.ell), dtype=np.int64)
-        for t in range(q**w):
-            gv = _unpack(t, q, w)
-            for s in range(q**n_suf):
-                sv = _unpack(s, q, n_suf)
-                out[t, s] = self.table[_pack(prefix + gv + sv, q)]
-        self._marg_cache[key] = out
-        return out
+        w = len(self.group_at(boundary))
+        return self.table.reshape(q**boundary, q**w, q ** (self.ell - boundary - w), self.ell)
 
 
 def kernel_arikan() -> Kernel:
     """The (u+v, v) kernel over GF(2)."""
-    a = alphabet(2)
-    table = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
     gen = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    return Kernel(ell=2, alph=a, table=table, generator=gen, name="arikan")
+    return Kernel(ell=2, alph=alphabet(2), table=_ARIKAN_TABLE.copy(), generator=gen)
 
 
 def kernel_linear(G, q: int = 2, glue=None) -> Kernel:
@@ -166,17 +151,15 @@ def kernel_linear(G, q: int = 2, glue=None) -> Kernel:
         rows.append(a.matvec(np.array(u), G))
     table = np.array(rows, dtype=np.int64)
     glue_t = tuple(tuple(g) for g in glue) if glue else ()
-    arikan_gen = np.array([[1, 0], [1, 1]])
-    name = "arikan" if (q == 2 and ell == 2 and np.array_equal(G, arikan_gen)) else ""
-    return Kernel(ell=ell, alph=a, table=table, generator=G, glue=glue_t, name=name)
+    return Kernel(ell=ell, alph=a, table=table, generator=G, glue=glue_t)
 
 
-def kernel_from_table(table, q: int = 2, glue=None, name: str = "") -> Kernel:
+def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
     """Kernel from an explicit output table (supports non-linear maps)."""
     table = np.asarray(table, dtype=np.int64)
     ell = table.shape[1]
     glue_t = tuple(tuple(g) for g in glue) if glue else ()
-    return Kernel(ell=ell, alph=alphabet(q), table=table, glue=glue_t, name=name)
+    return Kernel(ell=ell, alph=alphabet(q), table=table, glue=glue_t)
 
 
 # --------------------------------------------------------------------------

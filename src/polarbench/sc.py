@@ -18,7 +18,9 @@ optional schedule hook sees every step the walk takes, in order,
 where width is the node's length and every array keeps the batch axis
 (a frozen decision has shape (1,) and broadcasts over the batch).
 The hook counts cycles and resources and may raise to abort the decode;
-it never changes a value.
+it never changes a value. decode_sc_general is in the same way the
+recursion of the general-kernel line model, through the hook described in
+its docstring.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import check_likelihood_rows
 from .kernels import CodeSpec, Kernel, _pack, _unpack
 from .llrops import LlrContradiction, f_equal_vec, f_plus_vec
 
@@ -145,35 +148,44 @@ def scores_to_llr(scores: np.ndarray) -> np.ndarray:
 
     Zero-likelihood conventions: S_t = 0 gives +inf (value t impossible),
     S_0 = 0 with S_t > 0 gives -inf. All-zero scores are a contradiction.
+    Where the ratio over- or underflows, ln S_0 - ln S_t keeps the LLR
+    finite; everywhere else the ratio form is used, which rounds the same
+    way near ties whatever the scale of the scores.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.max() <= 0.0:
         raise LlrContradiction("no candidate value has positive likelihood")
     out = np.zeros(len(s), dtype=np.float64)
-    s0 = s[0]
+    s0 = float(s[0])
     for t in range(1, len(s)):
-        if s[t] == 0.0:
+        st = float(s[t])
+        if st == 0.0:
             out[t] = np.inf
         elif s0 == 0.0:
             out[t] = -np.inf
         else:
-            out[t] = np.log(s0 / s[t])
+            ratio = s0 / st  # a Python float: overflow gives inf, not a warning
+            if 0.0 < ratio < np.inf:
+                out[t] = np.log(ratio)
+            else:
+                out[t] = np.log(s0) - np.log(st)
     return out
 
 
-def kernel_marginal_scores(
-    kernel: Kernel, rows_block: np.ndarray, boundary: int, prefix: tuple[int, ...]
-) -> np.ndarray:
-    """Total likelihood of each value of the glue group at `boundary`.
+def conditioned_scores(kernel: Kernel, w: np.ndarray, prefix: np.ndarray, boundary: int) -> np.ndarray:
+    """Total likelihood of each value of the glue group at `boundary`, per instance.
 
-    rows_block holds the ell per-output likelihood rows of one kernel
-    instance. Inputs before the boundary are pinned to `prefix`; inputs
-    after the group are summed out.
+    w: (M, ell, q) likelihood rows of M kernel instances; prefix: (M, boundary)
+    inputs decided before the group. Returns shape (M, q**width). The
+    suffix is summed in index order, so an instance's totals do not depend
+    on which other instances share the call.
     """
-    tab = kernel.marginal_table(boundary, tuple(int(v) for v in prefix))
-    jidx = np.arange(kernel.ell)[None, None, :]
-    terms = rows_block[jidx, tab]  # (cand, n_suffix, ell)
-    return terms.prod(axis=2).sum(axis=1)
+    q, ell = kernel.q, kernel.ell
+    radix = q ** np.arange(boundary - 1, -1, -1, dtype=np.int64)
+    tab = kernel.marginal_view(boundary)[prefix @ radix]  # (M, q**width, q**n_suffix, ell)
+    # flat position of w[i, j, tab[i, t, s, j]]
+    tab = tab + q * np.arange(ell) + (q * ell * np.arange(len(w)))[:, None, None, None]
+    return np.take(w, tab).prod(axis=3).cumsum(axis=2)[..., -1]
 
 
 def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int) -> np.ndarray:
@@ -182,21 +194,7 @@ def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int) 
     w_blk: (ncol, ell, q) likelihood rows grouped by kernel instance.
     decided: (ncol, r) symbols already fixed on each instance's inputs.
     """
-    ncol = w_blk.shape[0]
-    q = kernel.q
-    jidx = np.arange(kernel.ell)[None, None, :]
-    out = np.empty((ncol, q), dtype=np.float64)
-    if r == 0:
-        tab = kernel.marginal_table(0, ())
-        terms = w_blk[:, jidx, tab]  # (ncol, cand, n_suffix, ell)
-        out[:] = terms.prod(axis=3).sum(axis=2)
-    else:
-        uniq, inv = np.unique(decided, axis=0, return_inverse=True)
-        for g in range(len(uniq)):
-            sel = inv == g
-            tab = kernel.marginal_table(r, tuple(int(v) for v in uniq[g]))
-            terms = w_blk[sel][:, jidx, tab]
-            out[sel] = terms.prod(axis=3).sum(axis=2)
+    out = conditioned_scores(kernel, w_blk, decided, r)
     peak = out.max(axis=1)
     if (peak <= 0.0).any():
         raise LlrContradiction("evidence rules out every symbol at some position")
@@ -208,28 +206,53 @@ def decode_sc_general(
     rows: np.ndarray,
     trace: bool = False,
     genie_u: np.ndarray | None = None,
+    *,
+    hook=None,
 ) -> ScGeneralResult:
+    """SC decoding of one frame from likelihood rows of shape (N, q).
+
+    Rows must be finite and nonnegative (a ValueError names the first bad
+    position). Evidence that rules out every value raises LlrContradiction.
+
+    hook, if given, is told of every step of the walk, in order:
+
+      hook.prep(off, width, r, w_r)  stage r of the node at `off` prepared
+                                     w_r, the (width/ell, q) evidence rows
+                                     of its outer code r
+      hook.decide(i, u, llr)         the glue group starting at input i
+                                     decided as the symbols u, from the
+                                     decision LLR vector llr
+      hook.node(off, x)              the node at `off` re-encoded its
+                                     decisions as the codeword x
+
+    It counts cycles and may raise to abort the decode; it never changes
+    a value.
+    """
     kernel = spec.kernel
     q = kernel.q
+    ell = kernel.ell
     n = spec.n
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (n, q):
-        raise ValueError(f"rows must have shape ({n}, {q})")
-    if (rows < 0).any():
-        raise ValueError("likelihoods must be nonnegative")
+    rows = check_likelihood_rows(rows, n, q)
     if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
         raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
 
     mask, vals = spec.frozen_arrays()
     decisions = [] if trace else None
     errs = np.zeros(n, dtype=bool) if genie_u is not None else None
+    u_hat = np.empty(n, dtype=np.int64)
 
-    def base_block(w_rows: np.ndarray, off: int):
-        u = np.zeros(kernel.ell, dtype=np.int64)
+    # flat position in one instance's (ell, q) rows of output j's symbol
+    out_pos = kernel.table + q * np.arange(ell)
+
+    def base_block(w_rows: np.ndarray, off: int) -> np.ndarray:
+        u = u_hat[off : off + ell]
+        # likelihood of every kernel input word; input 0 is the most
+        # significant digit, so a glue group's totals given the decided
+        # prefix are a pairwise sum over one contiguous suffix row
+        joint = np.take(w_rows, out_pos).prod(axis=1)
         for grp in kernel.glue:
             c, width = grp[0], len(grp)
-            prefix = tuple(int(v) for v in u[:c])
-            scores = kernel_marginal_scores(kernel, w_rows, c, prefix)
+            scores = joint.reshape(q**c, q**width, -1)[_pack(u[:c], q)].sum(axis=1)
             llr_vec = scores_to_llr(scores)  # raises if nothing is possible
             if trace:
                 decisions.append((off + c, width, llr_vec))
@@ -240,39 +263,41 @@ def decode_sc_general(
                     errs[off + c + d] = hat[d] != truth
                     u[c + d] = truth
             else:
+                # the most likely value that honours the group's frozen pins
+                pins = [(d, vals[off + c + d]) for d in range(width) if mask[off + c + d]]
                 best_t = -1
                 best_s = -1.0
-                for t in range(q**width):
-                    cand = _unpack(t, q, width)
-                    ok = all(
-                        not mask[off + c + d] or cand[d] == vals[off + c + d]
-                        for d in range(width)
-                    )
-                    if ok and scores[t] > best_s:
-                        best_t, best_s = t, float(scores[t])
-                for d, sym in enumerate(_unpack(best_t, q, width)):
-                    u[c + d] = sym
-        x = kernel.table[_pack(u, q)].copy()
-        return u, x
+                for t, s_t in enumerate(scores.tolist()):
+                    if s_t > best_s and all(_unpack(t, q, width)[d] == v for d, v in pins):
+                        best_t, best_s = t, s_t
+                u[c : c + width] = _unpack(best_t, q, width)
+            if hook is not None:
+                hook.decide(off + c, u[c : c + width], llr_vec)
+        return kernel.table[_pack(u, q)].copy()
 
-    def rec(w_d: np.ndarray, off: int):
+    def rec(w_d: np.ndarray, off: int) -> np.ndarray:
+        # returns the re-encoded codeword of this node; decisions go to u_hat
         nd = w_d.shape[0]
-        if nd == kernel.ell:
-            return base_block(w_d, off)
-        blk = nd // kernel.ell
-        w_blk = w_d.reshape(blk, kernel.ell, q)
-        decided = np.empty((blk, 0), dtype=np.int64)
-        u_parts = []
-        x_parts = []
-        for r in range(kernel.ell):
-            w_r = _prep_outer(kernel, w_blk, decided, r)
-            u_r, x_r = rec(w_r, off + r * blk)
-            u_parts.append(u_r)
-            x_parts.append(x_r)
-            decided = np.concatenate([decided, x_r[:, None]], axis=1)
-        cols = np.stack(x_parts, axis=1)
-        x = kernel.map_columns(cols).reshape(-1)
-        return np.concatenate(u_parts), x
+        if nd == ell:
+            x = base_block(w_d, off)
+        else:
+            blk = nd // ell
+            w_blk = w_d.reshape(blk, ell, q)
+            cols = np.empty((blk, ell), dtype=np.int64)  # outer codeword r in column r
+            for r in range(ell):
+                w_r = _prep_outer(kernel, w_blk, cols[:, :r], r)
+                if hook is not None:
+                    hook.prep(off, nd, r, w_r)
+                cols[:, r] = rec(w_r, off + r * blk)
+            x = kernel.map_columns(cols).reshape(-1)
+        if hook is not None:
+            hook.node(off, x)
+        return x
 
-    u_hat, x_hat = rec(rows, 0)
+    try:
+        x_hat = rec(rows, 0)
+    finally:
+        # rec refers to itself; dropping it frees its arrays and the hook
+        # now rather than at some later cycle collection
+        del rec
     return ScGeneralResult(u_hat, x_hat, decisions, errs)

@@ -18,14 +18,14 @@ steps skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import likelihood_rows_binary
-from .kernels import CodeSpec, Kernel, _pack, _unpack
+from .channels import check_likelihood_rows, likelihood_rows_binary
+from .kernels import CodeSpec, Kernel, _unpack
 from .llrops import LlrContradiction
-from .sc import UnsupportedCodeError
+from .sc import UnsupportedCodeError, conditioned_scores
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ class _Ctx:
     mask: np.ndarray
     vals: np.ndarray
     ops: int = 0
-    _jidx: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._jidx = np.arange(self.kernel.ell)[None, None, :]
 
 
 def _normalize_columns(p: np.ndarray) -> np.ndarray:
@@ -98,52 +94,38 @@ def _normalize_columns(p: np.ndarray) -> np.ndarray:
 
 
 def _prep_outer_list(
-    ctx: _Ctx, pi: np.ndarray, src: np.ndarray, xs: list[np.ndarray], r: int
+    ctx: _Ctx, pi: np.ndarray, src: np.ndarray, xcols: np.ndarray, r: int
 ) -> np.ndarray:
     """Evidence for outer code r, per candidate, from the node evidence pi.
 
     pi: (q, n_in, Nd) where n_in covers this node's incoming candidates.
-    src: current candidate -> incoming candidate. xs: partial codewords of
-    outer codes 0..r-1, already reindexed to current candidates.
-    Scores carry a 1/q prior for the prepared symbol, then get rescaled
-    per column.
+    src: current candidate -> incoming candidate. xcols: (rho, Nd/ell, r)
+    partial codewords of outer codes 0..r-1, already reindexed to current
+    candidates. Scores carry a 1/q prior for the prepared symbol, then get
+    rescaled per column.
     """
     kernel = ctx.kernel
     q = kernel.q
+    ell = kernel.ell
     rho = len(src)
-    blk = pi.shape[2] // kernel.ell
+    blk = pi.shape[2] // ell
     if kernel.is_arikan:
         a = pi[:, src, :]
         e, o = a[:, :, 0::2], a[:, :, 1::2]
         if r == 0:
             out = 0.5 * np.stack([e[0] * o[0] + e[1] * o[1], e[1] * o[0] + e[0] * o[1]])
         else:
-            x0 = xs[0]
+            x0 = xcols[:, :, 0]
             exb = np.where(x0 == 0, e[0], e[1])  # evidence at even slot for x0 ^ b = x0
             exb1 = np.where(x0 == 0, e[1], e[0])
             out = 0.5 * np.stack([exb * o[0], exb1 * o[1]])
         ctx.ops += 4 * rho * blk
         return _normalize_columns(out)
 
-    a = np.moveaxis(pi[:, src, :], 0, 2).reshape(rho, blk, kernel.ell, q)
-    out = np.empty((q, rho, blk), dtype=np.float64)
-    if r == 0:
-        tab = kernel.marginal_table(0, ())
-        terms = a[:, :, ctx._jidx, tab]  # (rho, blk, q, n_suf, ell)
-        out[:] = np.moveaxis(terms.prod(-1).sum(-1), 2, 0)
-        ctx.ops += rho * blk * tab.shape[0] * tab.shape[1] * kernel.ell
-    else:
-        prefixes = np.stack(xs, axis=2).reshape(rho * blk, r)
-        uniq, inv = np.unique(prefixes, axis=0, return_inverse=True)
-        flat = a.reshape(rho * blk, kernel.ell, q)
-        vals = np.empty((rho * blk, q), dtype=np.float64)
-        for g in range(len(uniq)):
-            sel = inv == g
-            tab = kernel.marginal_table(r, tuple(int(v) for v in uniq[g]))
-            terms = flat[sel][:, ctx._jidx, tab]
-            vals[sel] = terms.prod(-1).sum(-1)
-            ctx.ops += int(sel.sum()) * tab.shape[0] * tab.shape[1] * kernel.ell
-        out[:] = np.moveaxis(vals.reshape(rho, blk, q), 2, 0)
+    a = np.moveaxis(pi[:, src, :], 0, 2).reshape(rho * blk, ell, q)
+    scores = conditioned_scores(kernel, a, xcols.reshape(rho * blk, r), r)
+    ctx.ops += rho * blk * q ** (ell - r) * ell
+    out = np.moveaxis(scores.reshape(rho, blk, q), 2, 0)
     return _normalize_columns(out / q)
 
 
@@ -171,18 +153,7 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
                 u_blk[:, c + d] = sym
             continue
         rows = np.moveaxis(pi, 0, 2)  # (rho, ell, q)
-        scores = np.empty((rho, len(cand_ts)), dtype=np.float64)
-        if c == 0:
-            tab = kernel.marginal_table(0, ())[cand_ts]
-            terms = rows[:, ctx._jidx, tab]
-            scores[:] = terms.prod(-1).sum(-1)
-        else:
-            uniq, inv = np.unique(u_blk[:, :c], axis=0, return_inverse=True)
-            for g in range(len(uniq)):
-                sel = inv == g
-                tab = kernel.marginal_table(c, tuple(int(v) for v in uniq[g]))[cand_ts]
-                terms = rows[sel][:, ctx._jidx, tab]
-                scores[sel] = terms.prod(-1).sum(-1)
+        scores = conditioned_scores(kernel, rows, u_blk[:, :c], c)[:, cand_ts]
         ctx.ops += rho * len(cand_ts)
         if scores.max() <= 0.0:
             raise LlrContradiction("no surviving list path at a selection step")
@@ -206,25 +177,24 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
 
 def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     kernel = ctx.kernel
+    ell = kernel.ell
     nd = pi.shape[2]
-    if nd == kernel.ell:
+    if nd == ell:
         return _base_node(ctx, pi, off, rho)
-    blk = nd // kernel.ell
+    blk = nd // ell
     src = np.arange(rho)
-    xs: list[np.ndarray] = []
-    us: list[np.ndarray] = []
-    cur = rho
-    for r in range(kernel.ell):
-        p_r = _prep_outer_list(ctx, pi, src, xs, r)
-        s_r, u_r, x_r, cur = _rec_list(ctx, p_r, off + r * blk, cur)
-        xs = [x[s_r] for x in xs]
-        us = [u[s_r] for u in us]
+    xcols = np.empty((rho, blk, ell), dtype=np.int64)  # outer codeword r in [..., r]
+    u_node = np.empty((rho, nd), dtype=np.int64)
+    for r in range(ell):
+        p_r = _prep_outer_list(ctx, pi, src, xcols[:, :, :r], r)
+        s_r, u_r, x_r, rho = _rec_list(ctx, p_r, off + r * blk, rho)
+        xcols = xcols[s_r]
+        u_node = u_node[s_r]
         src = src[s_r]
-        xs.append(x_r)
-        us.append(u_r)
-    cols = np.stack(xs, axis=2)  # (rho, blk, ell)
-    x_node = kernel.map_columns(cols.reshape(-1, kernel.ell)).reshape(cur, nd)
-    return src, np.concatenate(us, axis=1), x_node, cur
+        xcols[:, :, r] = x_r
+        u_node[:, r * blk : (r + 1) * blk] = u_r
+    x_node = kernel.map_columns(xcols.reshape(-1, ell)).reshape(rho, nd)
+    return src, u_node, x_node, rho
 
 
 def decode_scl(
@@ -239,9 +209,7 @@ def decode_scl(
     n = spec.n
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (n, q):
-        raise ValueError(f"rows must have shape ({n}, {q})")
+    rows = check_likelihood_rows(rows, n, q)
     if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
         raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     peak = rows.max(axis=1)

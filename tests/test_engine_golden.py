@@ -1,11 +1,14 @@
-"""Golden pins of every binary hardware model: trace text, report text and
+"""Golden pins of every hardware model: trace text, report text and
 decisions, byte for byte.
 
 Each case renders the full per-cycle trace, the cycle report and the hard
 decisions of one run and compares a sha256 prefix with a recorded value.
-The inputs cover exact and min-sum arithmetic, evidence with +-inf entries,
-frozen values of 1, several BP iterations and multi-codeword runs at
-N = 2, 8 and 16.
+The binary inputs cover exact and min-sum arithmetic, evidence with +-inf
+entries, frozen values of 1, several BP iterations and multi-codeword runs
+at N = 2, 8 and 16. The general-line inputs cover ell = 2 and 4 over GF(2),
+an ell = 3 kernel over GF(3) and the (u+v, v) kernel over GF(4), with
+Gaussian likelihood rows and rows holding zeros, nonzero frozen values and
+N up to 64.
 """
 
 import hashlib
@@ -13,8 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from polarbench.hwsim import run_bp_line, run_sc, run_sc_multi
-from polarbench.kernels import CodeSpec, kernel_arikan
+from polarbench.hwsim import run_bp_line, run_general_line, run_sc, run_sc_multi
+from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 
 ARIKAN = kernel_arikan()
 SIZES = (2, 8, 16)
@@ -59,8 +62,40 @@ def _multi_text(n, p, min_sum, kind):
     return text
 
 
+GL_KERNELS = {
+    "gf2l2": ([[1, 0], [1, 1]], 2, (1, 3, 6)),
+    "gf2l4": ([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], 2, (1, 2, 3)),
+    "gf3l3": ([[1, 0, 0], [1, 1, 0], [1, 2, 1]], 3, (1, 2, 3)),
+    "gf4l2": ([[1, 0], [1, 1]], 4, (1, 3, 5)),
+}
+
+
+def _gl_text(name, m, kind):
+    G, q, _ = GL_KERNELS[name]
+    kernel = kernel_linear(G, q=q)
+    n = kernel.ell**m
+    # the first half frozen, values cycling through the field
+    spec = CodeSpec(kernel, m, {i: (i * 2 + 1) % q for i in range(n // 2)})
+    rng = np.random.default_rng([n, q, kind == "zeros"])
+    x = encode(spec, spec.assemble(rng.integers(0, q, spec.k_info)))
+    rows = np.exp(rng.normal(0.0, 1.5, (n, q)))
+    rows[np.arange(n), x] *= 4.0
+    if kind == "zeros":
+        # zero about a third of the entries, never the transmitted symbol
+        zero = rng.random((n, q)) < 0.35
+        zero[np.arange(n), x] = False
+        rows[zero] = 0.0
+    run = run_general_line(spec, rows, trace=True)
+    return (run.trace.to_text() + run.report.to_text()
+            + f"u={_bits(run.u_hat)}\nx={_bits(run.x_hat)}\n")
+
+
 def _cases():
     cases = {}
+    for name, (_, _, depths) in GL_KERNELS.items():
+        for m in depths:
+            for kind in ("gauss", "zeros"):
+                cases[f"general_line-{name}-m{m}-{kind}"] = (_gl_text, (name, m, kind))
     for n in SIZES:
         m = n.bit_length() - 1
         for min_sum in (False, True):
@@ -110,6 +145,30 @@ GOLDEN = {
     "bp_line3-8-exact-inf": "8d7d69e2a4bfb4e8",
     "bp_line3-8-ms-gauss": "6cc5363ad286c79f",
     "bp_line3-8-ms-inf": "d7ff3552d6431e96",
+    "general_line-gf2l2-m1-gauss": "615934878e4984da",
+    "general_line-gf2l2-m1-zeros": "01555756114c75c4",
+    "general_line-gf2l2-m3-gauss": "250a13a57d3213fa",
+    "general_line-gf2l2-m3-zeros": "6f931181e54d1e31",
+    "general_line-gf2l2-m6-gauss": "1cb30388f962af64",
+    "general_line-gf2l2-m6-zeros": "6127101588992bd3",
+    "general_line-gf2l4-m1-gauss": "3bfa9028a04aab4b",
+    "general_line-gf2l4-m1-zeros": "cba247ad8eee7ee8",
+    "general_line-gf2l4-m2-gauss": "834a981c3fc4eb0c",
+    "general_line-gf2l4-m2-zeros": "2daeb3d86d10bd77",
+    "general_line-gf2l4-m3-gauss": "44fb7ab62cc3d069",
+    "general_line-gf2l4-m3-zeros": "134da5b959ba69fc",
+    "general_line-gf3l3-m1-gauss": "d5dc162ae4385a50",
+    "general_line-gf3l3-m1-zeros": "3fb38b1f6461fb45",
+    "general_line-gf3l3-m2-gauss": "9243f46e0b813486",
+    "general_line-gf3l3-m2-zeros": "a4bd42924cf50836",
+    "general_line-gf3l3-m3-gauss": "e97728e48382a758",
+    "general_line-gf3l3-m3-zeros": "f48ece49364fd632",
+    "general_line-gf4l2-m1-gauss": "5374aaa22f1d6f19",
+    "general_line-gf4l2-m1-zeros": "d87e7dbdeef2ae3f",
+    "general_line-gf4l2-m3-gauss": "a11735996ed8f664",
+    "general_line-gf4l2-m3-zeros": "70c54dc34b4712f7",
+    "general_line-gf4l2-m5-gauss": "51dcd8a42a079f34",
+    "general_line-gf4l2-m5-zeros": "5ce115c008c36c18",
     "sc_limited1-16-exact-gauss": "8d426eed0bc38dda",
     "sc_limited1-16-exact-inf": "e5384e87e9dd8285",
     "sc_limited1-16-ms-gauss": "7fa9ebfa93441a7c",

@@ -18,7 +18,8 @@ from polarbench.hwsim import (
     run_sc_multi,
 )
 from polarbench.bp import bp_decode, bp_state, bp_iteration
-from polarbench.kernels import CodeSpec, kernel_arikan, kernel_linear
+from polarbench.hwsim.general_line import _GeneralLineEngine
+from polarbench.kernels import CodeSpec, Kernel, kernel_arikan, kernel_linear
 from polarbench.hwsim.sc_arch import PartialSumMismatch, _ScEngine
 from polarbench.llrops import LlrContradiction
 from polarbench.sc import decode_sc_arikan, decode_sc_general
@@ -384,6 +385,36 @@ def test_general_line_validation(rng):
         run_general_line(spec, np.ones((3, 2)))
     with pytest.raises(ValueError):
         run_general_line(spec, -np.ones((4, 2)))
+    for bad in (np.nan, np.inf):
+        rows = np.ones((4, 2))
+        rows[2, 0] = bad
+        with pytest.raises(ValueError, match="position 2"):
+            run_general_line(spec, rows)
+
+
+def test_general_line_accumulators_checked_at_every_node():
+    spec = _gl_spec(2, 3)
+    rows = likelihood_rows_binary(np.full(8, -3.0))  # every free decision is 1
+    # a generator that disagrees with the kernel table trips the base check
+    k = spec.kernel
+    skew = Kernel(ell=2, alph=k.alph, table=k.table, generator=np.array([[1, 1], [0, 1]]))
+    with pytest.raises(PartialSumMismatch, match="base"):
+        run_general_line(CodeSpec(skew, 3, spec.frozen), rows)
+
+    # a re-encoded codeword that disagrees with its outer codewords trips the
+    # check of that node
+    class Corrupt:
+        def __init__(self, width):
+            self.eng = _GeneralLineEngine(spec, False)
+            self.prep, self.decide = self.eng.prep, self.eng.decide
+            self.width = width
+
+        def node(self, off, x):
+            self.eng.node(off, x ^ 1 if len(x) == self.width else x)
+
+    for width, depth in ((4, 1), (8, 0)):
+        with pytest.raises(PartialSumMismatch, match=f"depth {depth}"):
+            decode_sc_general(spec, rows, hook=Corrupt(width))
 
 
 # closed forms directly -------------------------------------------------------

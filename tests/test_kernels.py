@@ -10,6 +10,7 @@ from polarbench.kernels import (
     InvalidKernelError,
     Kernel,
     SpecFormatError,
+    _encode_rec,
     _pack,
     _unpack,
     dump_codespec,
@@ -132,18 +133,42 @@ def test_glue_groups_validated():
 
 
 def test_marginal_table_shape_and_content(arikan):
-    t0 = arikan.marginal_table(0, ())
-    # entry [t, s]: the output symbols for u0=t with suffix u1=s
-    assert t0.shape == (2, 2, 2)
+    # row p of the view for the group at c is the lookup for prefix p:
+    # entry [p, t, s] is the output for inputs (prefix, t, suffix)
+    t0 = arikan.marginal_view(0)
+    assert t0.shape == (1, 2, 2, 2)
     for t in range(2):
         for s in range(2):
-            assert tuple(t0[t, s]) == arikan.map((t, s))
-    t1 = arikan.marginal_table(1, (1,))
-    assert t1.shape == (2, 1, 2)
+            assert tuple(t0[0, t, s]) == arikan.map((t, s))
+    t1 = arikan.marginal_view(1)
+    assert t1.shape == (2, 2, 1, 2)
     for t in range(2):
-        assert tuple(t1[t, 0]) == arikan.map((1, t))
+        assert tuple(t1[1, t, 0]) == arikan.map((1, t))
+    assert np.shares_memory(t1, arikan.table)
+    # a glued group spans several digits; GF(3) packs base 3
+    k = kernel_linear([[1, 0, 0], [1, 1, 0], [1, 2, 1]], q=3, glue=[(0,), (1, 2)])
+    view = k.marginal_view(1)
+    assert view.shape == (3, 9, 1, 3)
+    for p in range(3):
+        for t in range(9):
+            assert tuple(view[p, t, 0]) == k.map((p,) + _unpack(t, 3, 2))
     with pytest.raises(ValueError):
-        arikan.marginal_table(1, ())  # prefix too short
+        k.marginal_view(2)  # interior of a group is not a boundary
+
+
+def test_is_arikan_from_structure():
+    # the flag follows the table and the glue groups, not how the kernel was built
+    table = [[0, 0], [1, 1], [1, 0], [0, 1]]
+    built = kernel_from_table(table, q=2)
+    assert built.is_arikan
+    u = np.random.default_rng(4).integers(0, 2, 16)
+    ref = kernel_arikan()
+    assert np.array_equal(encode_unchecked(built, u), encode_unchecked(ref, u))
+    assert np.array_equal(encode_unchecked(built, u), _encode_rec(ref, u))
+    assert kernel_linear([[1, 0], [1, 1]]).is_arikan
+    assert not kernel_linear([[1, 0], [1, 1]], glue=[(0, 1)]).is_arikan
+    assert not kernel_linear([[1, 0], [1, 1]], q=3).is_arikan
+    assert not kernel_linear([[1, 1], [0, 1]]).is_arikan  # (u, u+v): another table
 
 
 def test_encode_equals_matrix_small_kernels():

@@ -202,3 +202,21 @@ def test_decode_frame_dispatch(monkeypatch):
         decode_frame(spec, dec, llr)
     with pytest.raises(AssertionError):
         decode_frame(spec, "scl", llr)
+
+
+def test_decode_frame_glued_uv_kernel(monkeypatch):
+    # (u+v, v) with both inputs glued is not the Arikan kernel: SC decides
+    # the pair jointly through the general decoder, and BP refuses it
+    spec = CodeSpec(kernel_linear([[1, 0], [1, 1]], glue=[(0, 1)]), 1, {})
+    assert not spec.kernel.is_arikan
+    llr = np.array([0.3, -1.1])
+    res = decode_sc_general(spec, likelihood_rows_binary(llr), trace=True)
+    assert [width for _, width, _ in res.decisions] == [2]
+
+    def no_arikan(*args, **kwargs):
+        raise AssertionError("the (u+v, v) fast path ignores glue groups")
+
+    monkeypatch.setattr(mc, "decode_sc_arikan", no_arikan)
+    assert np.array_equal(decode_frame(spec, "sc", llr), res.u_hat)
+    with pytest.raises(ValueError):
+        decode_frame(spec, "bp", llr)

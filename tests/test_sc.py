@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polarbench.channels import likelihood_rows_binary
 from polarbench.kernels import (
     CodeSpec,
+    _unpack,
     encode,
     encode_unchecked,
     kernel_arikan,
@@ -18,9 +20,9 @@ from polarbench.llrops import LlrContradiction
 from polarbench.oracle import marginal_llr_bruteforce
 from polarbench.sc import (
     UnsupportedCodeError,
+    _prep_outer,
     decode_sc_arikan,
     decode_sc_general,
-    kernel_marginal_scores,
     scores_to_llr,
 )
 
@@ -63,11 +65,23 @@ def test_sc_hook_released_on_return(arikan):
 
         g = leaf = f
 
-    hook = Hook()
-    ref = weakref.ref(hook)
+    class GeneralHook:
+        def prep(self, *args):
+            pass
+
+        decide = node = prep
+
     gc.disable()
     try:
+        hook = Hook()
+        ref = weakref.ref(hook)
         decode_sc_arikan(spec_all_free(arikan, 3), np.ones(8), hook=hook)
+        del hook
+        assert ref() is None
+        hook = GeneralHook()
+        ref = weakref.ref(hook)
+        spec = spec_all_free(kernel_linear(G4), 2)
+        decode_sc_general(spec, np.ones((16, 2)), trace=True, hook=hook)
         del hook
         assert ref() is None
     finally:
@@ -212,6 +226,42 @@ def test_scores_to_llr_conventions():
         scores_to_llr(np.array([0.0, 0.0]))
 
 
+def test_scores_to_llr_tiny_score_stays_finite():
+    # the ratio 1 / 1e-320 overflows; the difference of logs does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = scores_to_llr(np.array([1.0, 1e-320]))
+        back = scores_to_llr(np.array([1e-320, 1.0]))
+    assert np.isfinite(out[1]) and out[1] == pytest.approx(-np.log(1e-320))
+    assert back[1] == pytest.approx(np.log(1e-320))
+    # away from over- and underflow the value is the log of the ratio
+    assert scores_to_llr(np.array([0.3, 0.7]))[1] == np.log(0.3 / 0.7)
+
+
+@pytest.mark.parametrize("G,q", [(G4, 2), ([[1, 0, 0], [1, 1, 0], [1, 2, 1]], 3)])
+def test_prep_outer_columns_independent(G, q):
+    # each column's evidence is what a call on that column alone gives,
+    # whichever other columns share its decided prefix
+    k = kernel_linear(G, q=q)
+    rng = np.random.default_rng(q)
+    w_blk = np.exp(rng.normal(0.0, 2.0, (60, k.ell, q)))
+    decided = rng.integers(0, q, (60, k.ell))
+    for r in range(k.ell):
+        got = _prep_outer(k, w_blk, decided[:, :r], r)
+        for i in range(len(w_blk)):
+            alone = _prep_outer(k, w_blk[i : i + 1], decided[i : i + 1, :r], r)
+            assert np.array_equal(got[i], alone[0]), (r, i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_general_rejects_non_finite_rows(bad):
+    spec = CodeSpec(kernel_linear(G4), 2, {0: 0, 5: 1})
+    rows = np.ones((16, 2))
+    rows[6, 1] = bad
+    with pytest.raises(ValueError, match="position 6"):
+        decode_sc_general(spec, rows)
+
+
 def test_general_matches_arikan(arikan, rng):
     spec = CodeSpec(kernel=arikan, m=3, frozen={0: 0, 1: 0, 2: 0})
     for _ in range(10):
@@ -283,7 +333,11 @@ def test_glue_group_joint_decision(rng):
     widths = [w for _, w, _ in res.decisions]
     assert widths == [2, 1, 1]
     # the joint decision maximizes the exact group marginal
-    want = scores_to_llr(kernel_marginal_scores(k, rows, 0, ()))
+    totals = np.zeros(4)
+    for idx in range(16):
+        x = k.map(_unpack(idx, 2, 4))
+        totals[idx // 4] += np.prod([rows[j, x[j]] for j in range(4)])
+    want = scores_to_llr(totals)
     got_vec = res.decisions[0][2]
     assert np.allclose(got_vec, want, atol=1e-12)
     joint = 2 * res.u_hat[0] + res.u_hat[1]

@@ -6,7 +6,7 @@ from polarbench.kernels import CodeSpec, encode, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.oracle import ml_decode
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan
-from polarbench.scl import Crc, decode_scl, decode_scl_arikan
+from polarbench.scl import Crc, _Ctx, _prep_outer_list, decode_scl, decode_scl_arikan
 
 from conftest import G4, random_llr, spec_all_free
 
@@ -201,3 +201,31 @@ def test_scl_contradiction(arikan):
     spec = spec_all_free(arikan, 1)
     with pytest.raises(LlrContradiction):
         decode_scl(spec, np.array([[0.0, 0.0], [1.0, 1.0]]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_scl_rejects_non_finite_rows(arikan, bad):
+    spec = spec_all_free(arikan, 3)
+    rows = np.ones((8, 2))
+    rows[5, 0] = bad
+    with pytest.raises(ValueError, match="position 5"):
+        decode_scl(spec, rows, 4)
+
+
+@pytest.mark.parametrize("G,q", [(G4, 2), ([[1, 0, 0], [1, 1, 0], [1, 2, 1]], 3)])
+def test_scl_prep_columns_independent(G, q):
+    # each kernel instance's evidence is what a call on that instance alone
+    # gives, whichever other instances share its decided prefix
+    k = kernel_linear(G, q=q)
+    rng = np.random.default_rng(q + 10)
+    ell, blk = k.ell, 20
+    pi = np.exp(rng.normal(0.0, 2.0, (q, 3, blk * ell)))
+    ctx = _Ctx(kernel=k, m_list=4, mask=np.zeros(0, bool), vals=np.zeros(0, np.int64))
+    for src in (np.array([1]), np.array([0, 2, 2])):
+        xcols = rng.integers(0, q, (len(src), blk, ell))
+        for r in range(ell):
+            got = _prep_outer_list(ctx, pi, src, xcols[:, :, :r], r)
+            for b in range(blk):
+                alone = _prep_outer_list(ctx, pi[:, :, b * ell : (b + 1) * ell], src,
+                                         xcols[:, b : b + 1, :r], r)
+                assert np.array_equal(got[:, :, b], alone[:, :, 0]), (len(src), r, b)
