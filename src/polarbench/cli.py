@@ -71,9 +71,14 @@ def _write_out(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_tokens(path: str) -> list[str]:
+def _read_numbers(path: str, conv) -> list:
+    """conv of each whitespace-separated token; a bad token is a usage error."""
     with open(path) as fh:
-        return fh.read().split()
+        toks = fh.read().split()
+    try:
+        return [conv(t) for t in toks]
+    except ValueError as e:
+        raise SystemExit(f"error: {path}: {e}")
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -110,16 +115,21 @@ def _apply_config(argv: list[str]) -> list[str]:
 # subcommand handlers --------------------------------------------------------
 
 
-def _load_spec_arg(path: str) -> CodeSpec:
+def _load_file(path: str, loader):
+    """loader(text of path); a malformed file is a usage error."""
     with open(path) as fh:
-        return load_codespec(fh.read())
+        text = fh.read()
+    try:
+        return loader(text)
+    except ValueError as e:
+        raise SystemExit(f"error: {path}: {e}")
+
 
 
 def cmd_construct(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.kernel:
-        with open(args.kernel) as fh:
-            kernel = load_kernel(fh.read())
+        kernel = _load_file(args.kernel, load_kernel)
         if args.m is None:
             raise SystemExit("error: --kernel needs --m")
         m = args.m
@@ -150,7 +160,7 @@ def cmd_construct(args) -> int:
 def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.code:
-        spec = _load_spec_arg(args.code)
+        spec = _load_file(args.code, load_codespec)
     else:
         if args.N is None or args.rate is None:
             raise SystemExit("error: give --code or both --N and --rate")
@@ -180,8 +190,7 @@ def _hwsim_spec(args, arch: str, n: int):
     rate = args.rate
     if arch == "general_line":
         if args.kernel:
-            with open(args.kernel) as fh:
-                kernel = load_kernel(fh.read())
+            kernel = _load_file(args.kernel, load_kernel)
         elif args.ell == 2:
             kernel = kernel_linear([[1, 0], [1, 1]])
         elif args.ell == 4:
@@ -243,9 +252,8 @@ def cmd_hwsim(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    spec = _load_spec_arg(args.code)
-    toks = _read_tokens(args.infile)
-    vals = np.array([int(t) for t in toks], dtype=np.int64)
+    spec = _load_file(args.code, load_codespec)
+    vals = np.array(_read_numbers(args.infile, int), dtype=np.int64)
     if len(vals) == spec.k_info:
         u = spec.assemble(vals)
     elif len(vals) == spec.n:
@@ -264,10 +272,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    spec = _load_spec_arg(args.code)
+    spec = _load_file(args.code, load_codespec)
     q = spec.kernel.q
     n = spec.n
-    vals = [float(t) for t in _read_tokens(args.infile)]
+    vals = _read_numbers(args.infile, float)
+    nan = np.flatnonzero(np.isnan(vals))
+    if nan.size:
+        raise SystemExit(f"error: {args.infile}: llr value {nan[0]} is NaN")
     if q == 2:
         if len(vals) != n:
             raise SystemExit(f"error: expected {n} llr values, got {len(vals)}")

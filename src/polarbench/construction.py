@@ -2,7 +2,9 @@
 
 Two selectors: exact erasure-probability evolution for the (u+v, v) kernel
 on a BEC, and genie-aided Monte-Carlo estimation that works for any binary
-kernel and channel model.
+kernel and channel model. The Monte-Carlo selector draws its frames one at
+a time and, on the (u+v, v) kernel, decodes them in chunks of at most
+LANE_SIZE frames, one batched genie call per chunk.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import numpy as np
 
 from .channels import ChannelModel, likelihood_rows_binary, transmit
 from .kernels import CodeSpec, Kernel, encode_unchecked, kernel_arikan
+from .llrops import LlrContradiction
+from .montecarlo import LANE_SIZE
 from .sc import decode_sc_arikan, decode_sc_general
 
 
@@ -68,15 +72,21 @@ def montecarlo_error_profile(
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     n = free.n
     counts = np.zeros(n, dtype=np.int64)
-    for _ in range(trials):
-        u = rng.integers(0, 2, size=n)
-        x = encode_unchecked(kernel, u)
-        llr = transmit(channel, x, rng)
+    for start in range(0, trials, LANE_SIZE):
+        count = min(LANE_SIZE, trials - start)
+        u = np.empty((count, n), dtype=np.int64)
+        llr = np.empty((count, n))
+        for i in range(count):
+            u[i] = rng.integers(0, 2, size=n)
+            llr[i] = transmit(channel, encode_unchecked(kernel, u[i]), rng)
         if kernel.is_arikan:
             res = decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u)
+            if res.failed.any():
+                raise LlrContradiction("channel evidence contradicts the transmitted word")
+            counts += res.genie_errors.sum(axis=0)
         else:
-            res = decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u)
-        counts += res.genie_errors
+            for u_i, llr_i in zip(u, llr):
+                counts += decode_sc_general(free, likelihood_rows_binary(llr_i), genie_u=u_i).genie_errors
     return counts / trials
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels import CodeSpec, encode_unchecked
+from ..llrops import LlrContradiction
 from ..sc import decode_sc_arikan
 from .core import CycleReport, TraceLog
 
@@ -208,6 +209,9 @@ def run_sc_multi(
     # the decoder walks all p codewords together.
     eng = _ScEngine(spec, "sc_pipeline", min_sum=min_sum, trace=False)
     res = decode_sc_arikan(spec, np.stack(words), min_sum=min_sum, hook=eng)
+    if res.failed.any():
+        bad = np.flatnonzero(res.failed).tolist()
+        raise LlrContradiction(f"evidence of codewords {bad} contradicts itself")
     results = list(zip(res.u_hat, res.x_hat))
     sched = eng.sched
 

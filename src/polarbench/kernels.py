@@ -334,28 +334,28 @@ def _parse_lines(text: str):
             continue
         tok = line.split()
         kw = tok[0]
-        if kw == "kernel":
-            opts = dict(t.split("=", 1) for t in tok[1:])
-            try:
-                header = (int(opts["ell"]), int(opts["q"]))
-            except (KeyError, ValueError) as e:
-                raise SpecFormatError(f"bad kernel header: {line!r}") from e
-        elif kw == "G":
-            g_rows.append([int(v) for v in tok[1:]])
-        elif kw == "glue":
-            groups = " ".join(tok[1:]).split(";")
-            glue = [tuple(int(v) for v in grp.split()) for grp in groups]
-        elif kw == "m":
-            m = int(tok[1])
-        elif kw == "frozen":
-            for t in tok[1:]:
-                if "=" in t:
-                    i, v = t.split("=", 1)
-                    frozen[int(i)] = int(v)
-                else:
-                    frozen[int(t)] = 0
-        else:
+        if kw not in ("kernel", "G", "glue", "m", "frozen"):
             raise SpecFormatError(f"unknown directive {kw!r}")
+        try:
+            if kw == "kernel":
+                opts = dict(t.split("=", 1) for t in tok[1:])
+                header = (int(opts["ell"]), int(opts["q"]))
+            elif kw == "G":
+                g_rows.append([int(v) for v in tok[1:]])
+            elif kw == "glue":
+                groups = " ".join(tok[1:]).split(";")
+                glue = [tuple(int(v) for v in grp.split()) for grp in groups]
+            elif kw == "m":
+                m = int(tok[1])
+            else:
+                for t in tok[1:]:
+                    if "=" in t:
+                        i, v = t.split("=", 1)
+                        frozen[int(i)] = int(v)
+                    else:
+                        frozen[int(t)] = 0
+        except (IndexError, KeyError, ValueError) as e:
+            raise SpecFormatError(f"bad {kw} line: {line!r}") from e
     if header is None:
         raise SpecFormatError("missing kernel header line")
     return header, g_rows, glue, m, frozen

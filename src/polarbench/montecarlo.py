@@ -3,8 +3,12 @@
 Trials are grouped into fixed-size lanes; lane i draws from
 default_rng([seed, i]), so the tally is independent of how lanes are
 scheduled and a --jobs split reproduces the single-process result byte for
-byte. Decode failures (contradictory evidence) count as a frame error with
-every information bit wrong; they never abort a run.
+byte. A lane draws its frames one at a time (payload, then channel noise)
+and decodes them all in one batched call: SC on the (u+v, v) kernel walks
+its recursion once for the whole lane, the other decoders loop over the
+rows. Decode failures (contradictory or degenerate evidence) come back as
+a per-frame mask and count as a frame error with every information bit
+wrong; they never abort a run.
 """
 
 from __future__ import annotations
@@ -63,22 +67,39 @@ def decode_frame(
     list_size: int = 8,
     iters: int = 40,
     min_sum: bool = False,
-) -> np.ndarray:
-    """u_hat of one frame from `decoder`, one of DECODERS.
+):
+    """Decode with `decoder`, one of DECODERS, one frame or a batch.
 
-    llr is (N,) binary LLRs, or an (N, q) array of LLRs against symbol 0
-    for a q-ary kernel. Likelihood rows are built only for the decoders
-    that read them: SC on a kernel other than (u+v, v), and SCL.
-    Contradictory or degenerate evidence raises LlrContradiction or
-    DegenerateEvidenceError.
+    One frame: llr is (N,) binary LLRs, or an (N, q) array of LLRs against
+    symbol 0 for a q-ary kernel. It returns u_hat; contradictory or
+    degenerate evidence raises LlrContradiction or DegenerateEvidenceError.
+
+    A batch of binary frames: llr is (B, N). It returns (u_hat, failed),
+    where failed is a (B,) bool array marking the frames whose evidence
+    would have raised, and a failed frame's u_hat row is meaningless. SC on
+    the (u+v, v) kernel decodes the batch in one call; the other decoders
+    go row by row.
+
+    Likelihood rows are built only for the decoders that read them: SC on
+    a kernel other than (u+v, v), and SCL.
     """
     if decoder not in DECODERS:
         raise ValueError(f"decoder must be one of {DECODERS}")
-    if decoder == "bp":
-        return bp_decode(spec, llr, max_iters=iters, min_sum=min_sum).u_hat
-    if decoder == "sc" and spec.kernel.is_arikan:
-        return decode_sc_arikan(spec, llr, min_sum=min_sum).u_hat
     lam = np.asarray(llr, dtype=np.float64)
+    if decoder == "sc" and spec.kernel.is_arikan:
+        res = decode_sc_arikan(spec, lam, min_sum=min_sum)
+        return res.u_hat if res.failed is None else (res.u_hat, res.failed)
+    if spec.kernel.q == 2 and lam.ndim == 2:
+        u_hat = np.zeros(lam.shape, dtype=np.int64)
+        failed = np.zeros(len(lam), dtype=bool)
+        for i, row in enumerate(lam):
+            try:
+                u_hat[i] = decode_frame(spec, decoder, row, list_size, iters, min_sum)
+            except (LlrContradiction, DegenerateEvidenceError):
+                failed[i] = True
+        return u_hat, failed
+    if decoder == "bp":
+        return bp_decode(spec, lam, max_iters=iters, min_sum=min_sum).u_hat
     rows = likelihood_rows(lam) if lam.ndim == 2 else likelihood_rows_binary(lam)
     if decoder == "sc":
         return decode_sc_general(spec, rows).u_hat
@@ -95,28 +116,20 @@ def run_lane(
     iters: int = 40,
     min_sum: bool = False,
 ) -> TrialStats:
+    """Draw `count` frames from rng, decode them as one batch, tally errors."""
     if spec.kernel.q != 2:
         raise ValueError("channel trials need a binary-alphabet kernel")
     k = spec.k_info
     info_idx = np.array(spec.info_indices(), dtype=np.int64)
-    bit_err = 0
-    frame_err = 0
-    for _ in range(count):
-        u = spec.assemble(rng.integers(0, 2, k))
-        x = encode(spec, u)
-        lam = transmit(ch, x, rng)
-        try:
-            u_hat = decode_frame(spec, decoder, lam, list_size, iters, min_sum)
-        except (LlrContradiction, DegenerateEvidenceError):
-            frame_err += 1
-            bit_err += k
-            continue
-        if k:
-            errs = int((u_hat[info_idx] != u[info_idx]).sum())
-            if errs:
-                frame_err += 1
-                bit_err += errs
-    return TrialStats(count, bit_err, frame_err, k)
+    u = np.empty((count, spec.n), dtype=np.int64)
+    lam = np.empty((count, spec.n))
+    for i in range(count):
+        u[i] = spec.assemble(rng.integers(0, 2, k))
+        lam[i] = transmit(ch, encode(spec, u[i]), rng)
+    u_hat, failed = decode_frame(spec, decoder, lam, list_size, iters, min_sum)
+    errs = (u_hat[:, info_idx] != u[:, info_idx]).sum(axis=1)
+    errs[failed] = k
+    return TrialStats(count, int(errs.sum()), int(((errs > 0) | failed).sum()), k)
 
 
 def _lane_counts(trials: int) -> list[tuple[int, int]]:

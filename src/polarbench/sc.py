@@ -7,6 +7,12 @@ and marginalizing undecided kernel inputs exactly. Both support a genie
 mode (feed back true inputs, record which decisions would have been wrong)
 used by Monte-Carlo code construction.
 
+Batch contract of decode_sc_arikan: one frame, shape (N,), raises
+LlrContradiction when its +-inf evidence contradicts itself; a batch,
+shape (B, N), never raises for that but marks the frame in
+ScResult.failed, and every other frame's result equals a single-frame
+call on its row.
+
 decode_sc_arikan is also the recursion of the hardware SC models: an
 optional schedule hook sees every step the walk takes, in order,
 
@@ -44,6 +50,9 @@ class ScResult:
     x_hat: np.ndarray
     decision_llrs: np.ndarray | None = None
     genie_errors: np.ndarray | None = None
+    # (B,) for batch input: True where the frame's evidence contradicted
+    # itself, and that row's other fields are meaningless; None for (N,)
+    failed: np.ndarray | None = None
 
 
 @dataclass
@@ -76,8 +85,9 @@ def decode_sc_arikan(
     genie_errors when genie_u (same shape as llr) is given (bool).
 
     A frame whose +-inf evidence contradicts itself or its frozen values
-    raises LlrContradiction; in a batch, one such frame raises for the
-    whole call and no result is returned for the others.
+    raises LlrContradiction when given alone, shape (N,). In a batch the
+    call goes on: failed, a (B,) bool array, marks each such frame, whose
+    u_hat, x_hat, decision_llrs and genie_errors rows are then meaningless.
 
     hook, if given, is told of every activation and decision (see the
     module docstring).
@@ -96,6 +106,7 @@ def decode_sc_arikan(
     u_hat = np.empty(lam.shape, dtype=np.int64)
     dllr = np.zeros(lam.shape) if trace else None
     errs = np.zeros(lam.shape, dtype=bool) if genie_u is not None else None
+    failed = np.zeros(lam.shape[0], dtype=bool) if lam.ndim == 2 else None
 
     def rec(lam_d: np.ndarray, off: int) -> np.ndarray:
         # returns the re-encoded codeword of this node; decisions go to u_hat
@@ -122,7 +133,7 @@ def decode_sc_arikan(
         if hook is not None:
             hook.f(off, width, (even, odd), l1)
         x0 = rec(l1, off)
-        l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd)
+        l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd, failed)
         if hook is not None:
             hook.g(off, width, (even, odd), l2, x0)
         x1 = rec(l2, off + width // 2)
@@ -137,7 +148,7 @@ def decode_sc_arikan(
         # rec refers to itself; dropping it frees its arrays and the hook
         # now rather than at some later cycle collection
         del rec
-    return ScResult(u_hat, x_hat, dllr, errs)
+    return ScResult(u_hat, x_hat, dllr, errs, failed)
 
 
 # general-kernel path --------------------------------------------------------
@@ -233,6 +244,12 @@ def decode_sc_general(
     ell = kernel.ell
     n = spec.n
     rows = check_likelihood_rows(rows, n, q)
+    # Scale each row by a power of two so that its peak lies in [1, 2).
+    # That is exact: products and ratios keep every bit unless they would
+    # have over- or underflowed, and huge finite rows no longer overflow
+    # to inf and report false certainty. All-zero rows are left as they are.
+    peak = rows.max(axis=1)
+    rows = np.ldexp(rows, np.where(peak > 0.0, 1 - np.frexp(peak)[1], 0)[:, None])
     if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
         raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
 

@@ -316,6 +316,38 @@ def test_decode_contradiction_exit1(tmp_path, capsys):
     assert "decode failed" in err
 
 
+@pytest.mark.parametrize("spec_text,names", [
+    ("kernel ell=2 q=2\nm x\n", "'m x'"),
+    ("kernel ell=2 q=2\nm\n", "'m'"),
+    ("kernel ell=2 q=2\nm 2\nfrozen 0 4\n", "frozen index 4"),  # N = 4
+    ("kernel ell\nm 2\n", "'kernel ell'"),
+])
+def test_decode_malformed_spec_usage_error(tmp_path, capsys, spec_text, names):
+    codefile = tmp_path / "code.txt"
+    codefile.write_text(spec_text)
+    llrfile = tmp_path / "llr.txt"
+    llrfile.write_text("1 1 1 1")
+    code, _, err = run_cli(capsys, "decode", "--code", str(codefile), "--in", str(llrfile))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert names in err
+
+
+@pytest.mark.parametrize("decoder", ["sc", "bp"])
+@pytest.mark.parametrize("tokens", ["1 1 abc 1", "1 1 nan 1", "1 NaN 1 1"])
+def test_decode_malformed_llr_usage_error(tmp_path, capsys, decoder, tokens):
+    codefile = tmp_path / "code.txt"
+    codefile.write_text("kernel ell=2 q=2\nm 2\nfrozen 0\n")
+    llrfile = tmp_path / "llr.txt"
+    llrfile.write_text(tokens)
+    code, out, err = run_cli(
+        capsys, "decode", "--code", str(codefile), "--in", str(llrfile), "--decoder", decoder
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_decode_bp_needs_arikan(tmp_path, capsys):
     codefile = tmp_path / "code.txt"
     codefile.write_text("kernel ell=2 q=2\nG 1 1\nG 0 1\nm 2\nfrozen 0\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarbench.channels import bec, bsc
+from polarbench.channels import bec, biawgn, bsc, transmit
 from polarbench.construction import (
     bec_erasure_profile,
     construct_bec,
@@ -9,7 +9,10 @@ from polarbench.construction import (
     freeze_worst,
     montecarlo_error_profile,
 )
-from polarbench.kernels import kernel_linear
+from polarbench.kernels import CodeSpec, encode_unchecked, kernel_linear
+from polarbench.llrops import LlrContradiction
+from polarbench.montecarlo import LANE_SIZE
+from polarbench.sc import decode_sc_arikan
 
 from conftest import G4
 
@@ -104,3 +107,41 @@ def test_construct_montecarlo_general_kernel():
     assert spec.n == 4
     assert spec.k_info == 2
     assert all(v == 0 for v in spec.frozen.values())
+
+
+def _genie_profile_per_frame(kernel, m, channel, trials, rng, min_sum=False):
+    # the genie loop one (N,) decode at a time, in the same draw order
+    rng = np.random.default_rng(rng)
+    free = CodeSpec(kernel=kernel, m=m, frozen={})
+    counts = np.zeros(free.n, dtype=np.int64)
+    for _ in range(trials):
+        u = rng.integers(0, 2, size=free.n)
+        llr = transmit(channel, encode_unchecked(kernel, u), rng)
+        counts += decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u).genie_errors
+    return counts / trials
+
+
+@pytest.mark.parametrize("channel,min_sum", [
+    (bec(0.5), False), (bsc(0.08), False), (bsc(0.0), False), (biawgn(0.8), True),
+])
+def test_mc_profile_batched_matches_per_frame(arikan, channel, min_sum):
+    # LANE_SIZE + 5 trials: one full chunk and one partial chunk
+    trials = LANE_SIZE + 5
+    got = montecarlo_error_profile(arikan, 4, channel, trials, rng=6, min_sum=min_sum)
+    want = _genie_profile_per_frame(arikan, 4, channel, trials, 6, min_sum)
+    assert np.array_equal(got, want)
+
+
+def test_mc_profile_contradicting_evidence_raises(arikan, monkeypatch):
+    # a channel cannot contradict the sent word; if the evidence does, the
+    # genie profile raises rather than counting a meaningless frame
+    import polarbench.construction as construction
+
+    def lying(channel, x, rng):
+        llr = np.where(x == 0, np.inf, -np.inf)
+        llr[0] = -llr[0]  # certain, and wrong, about one bit
+        return llr
+
+    monkeypatch.setattr(construction, "transmit", lying)
+    with pytest.raises(LlrContradiction):
+        montecarlo_error_profile(arikan, 3, bec(0.5), 10, rng=0)

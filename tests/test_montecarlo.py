@@ -3,9 +3,18 @@ import pytest
 
 import polarbench.montecarlo as mc
 from polarbench.bp import bp_decode
-from polarbench.channels import bec, bsc, likelihood_rows, likelihood_rows_binary
+from polarbench.channels import (
+    DegenerateEvidenceError,
+    bec,
+    biawgn,
+    bsc,
+    likelihood_rows,
+    likelihood_rows_binary,
+    transmit,
+)
 from polarbench.construction import construct_bec
-from polarbench.kernels import CodeSpec, kernel_linear
+from polarbench.kernels import CodeSpec, encode, kernel_linear
+from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import (
     CSV_HEADER,
     LANE_SIZE,
@@ -78,29 +87,97 @@ def test_run_lane_validation():
         run_lane(CodeSpec(kernel=k, m=2, frozen={}), bec(0.1), "sc", 5, 0)
 
 
-def test_decode_failures_counted_not_raised(monkeypatch):
-    # a decoder blow-up must surface as a counted frame, not an exception;
-    # exact-marginal decoding never contradicts itself on a clean BEC, so
-    # force the failure path directly
-    import polarbench.montecarlo as mc
-    from polarbench.llrops import LlrContradiction
+def _lane_reference(spec, ch, decoder, count, rng, min_sum=False):
+    # run_lane's RNG order, one (N,) decode per frame, failures caught
+    k = spec.k_info
+    info = spec.info_indices()
+    bits = frames = failures = 0
+    for _ in range(count):
+        u = spec.assemble(rng.integers(0, 2, k))
+        lam = transmit(ch, encode(spec, u), rng)
+        try:
+            u_hat = decode_frame(spec, decoder, lam, min_sum=min_sum)
+        except LlrContradiction:
+            failures += 1
+            frames += 1
+            bits += k
+            continue
+        errs = int((u_hat[info] != u[info]).sum())
+        frames += errs > 0
+        bits += errs
+    return TrialStats(count, bits, frames, k), failures
 
+
+@pytest.mark.parametrize("ch,min_sum", [
+    (bec(0.6), False), (bec(0.4), True), (bsc(0.08), False), (biawgn(0.8), False), (biawgn(0.8), True),
+])
+@pytest.mark.parametrize("count", [1, 7, LANE_SIZE])
+def test_run_lane_matches_per_frame_reference(ch, min_sum, count):
+    spec = construct_bec(5, 0.5, 0.5)
+    got = run_lane(spec, ch, "sc", count, np.random.default_rng(count), min_sum=min_sum)
+    want, failures = _lane_reference(spec, ch, "sc", count, np.random.default_rng(count), min_sum)
+    assert got == want
+    if ch.kind == "bec" and ch.param == 0.6 and count == LANE_SIZE:
+        assert failures > 20  # the batch really holds contradicting frames
+
+
+def test_run_lane_row_loop_decoders_match_reference():
     spec = construct_bec(3, 0.5, 0.5)
-    calls = {"n": 0}
+    for dec in ("scl", "bp"):
+        got = run_lane(spec, bec(0.5), dec, 40, np.random.default_rng(4))
+        want, _ = _lane_reference(spec, bec(0.5), dec, 40, np.random.default_rng(4))
+        assert got == want, dec
 
-    def exploding(spec_, lam, min_sum=False):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise LlrContradiction("forced")
-        return mc.decode_scl(spec_, np.ones((spec_.n, 2)), 1)
 
-    monkeypatch.setattr(mc, "decode_sc_arikan", exploding)
-    stats = run_lane(spec, bec(0.2), "sc", 30, np.random.default_rng(2))
-    assert calls["n"] == 30
-    assert stats.trials == 30
-    # 10 forced failures, each worth one frame and a full payload of bits
-    assert stats.frame_errors >= 10
-    assert stats.bit_errors >= 10 * spec.k_info
+def test_decode_failures_counted_not_raised():
+    # at eps = 0.6 many erasure frames meet contradicting evidence after a
+    # wrong guess; each counts as one frame error with every info bit wrong
+    spec = construct_bec(5, 0.5, 0.5)
+    k = spec.k_info
+    rng = np.random.default_rng(2)
+    u, lam = [], []
+    for _ in range(200):  # run_lane's draw order
+        u.append(spec.assemble(rng.integers(0, 2, k)))
+        lam.append(transmit(bec(0.6), encode(spec, u[-1]), rng))
+    u, lam = np.array(u), np.array(lam)
+    u_hat, failed = decode_frame(spec, "sc", lam)
+    assert failed.sum() > 10
+    for b in range(len(lam)):
+        if failed[b]:
+            with pytest.raises(LlrContradiction):
+                decode_frame(spec, "sc", lam[b])
+    info = spec.info_indices()
+    errs = (u_hat[:, info] != u[:, info]).sum(axis=1)
+    ok = ~failed
+    stats = run_lane(spec, bec(0.6), "sc", 200, np.random.default_rng(2))
+    assert stats.frame_errors == int(failed.sum() + (errs[ok] > 0).sum())
+    assert stats.bit_errors == int(failed.sum() * k + errs[ok].sum())
+
+
+@pytest.mark.parametrize("ch", [bec(0.6), bsc(0.08)])
+def test_run_trials_jobs_agree_on_batched_lanes(ch):
+    spec = construct_bec(5, 0.5, 0.5)
+    one = run_trials(spec, ch, "sc", 2 * LANE_SIZE + 9, seed=11, jobs=1)
+    two = run_trials(spec, ch, "sc", 2 * LANE_SIZE + 9, seed=11, jobs=2)
+    assert one == two
+
+
+def test_decode_frame_batch_of_row_loop_decoders():
+    # SCL and BP decode a batch row by row and mark failures per row
+    spec = CodeSpec(construct_bec(1, 0.5, 0.5).kernel, 1, {0: 0})
+    lam = np.array([[3.0, 3.0], [-np.inf, np.inf], [0.5, -2.0]])
+    for dec in ("scl", "bp"):
+        u_hat, failed = decode_frame(spec, dec, lam, list_size=2, iters=5)
+        singles = []
+        for row in lam:
+            try:
+                singles.append(decode_frame(spec, dec, row, list_size=2, iters=5))
+            except (LlrContradiction, DegenerateEvidenceError):
+                singles.append(None)
+        assert failed.tolist() == [s is None for s in singles], dec
+        for b, one in enumerate(singles):
+            if one is not None:
+                assert np.array_equal(u_hat[b], one), (dec, b)
 
 
 def test_run_trials_deterministic_across_jobs():

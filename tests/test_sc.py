@@ -194,15 +194,54 @@ def test_sc_batch_matches_single_frames(arikan, rng, min_sum, evidence):
         assert np.array_equal(batch_genie.genie_errors[b], one_genie.genie_errors), b
 
 
-def test_sc_batch_contradiction_raises_for_whole_call(arikan, rng):
+def _single_or_none(spec, lam, **kw):
+    try:
+        return decode_sc_arikan(spec, lam, **kw)
+    except LlrContradiction:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_sc_batch_failed_rows_match_single_calls(m, data):
+    # a (B, N) call marks exactly the frames whose (N,) call raises, and
+    # every other frame equals its single call, genie mode included
+    n = 2**m
+    frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)))
+    spec = CodeSpec(kernel_arikan(), m, frozen)
+    b = data.draw(st.integers(1, 6))
+    entries = st.sampled_from([np.inf, -np.inf, np.inf, -np.inf, 0.0, 1.5, -0.25])
+    lam = np.reshape(data.draw(st.lists(entries, min_size=b * n, max_size=b * n)), (b, n))
+    genie = np.reshape(data.draw(st.lists(st.integers(0, 1), min_size=b * n, max_size=b * n)), (b, n))
+    min_sum = data.draw(st.booleans())
+    batch = decode_sc_arikan(spec, lam, min_sum=min_sum, trace=True)
+    batch_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie)
+    assert batch.failed.shape == batch_genie.failed.shape == (b,)
+    for i in range(b):
+        one = _single_or_none(spec, lam[i], min_sum=min_sum, trace=True)
+        assert batch.failed[i] == (one is None), i
+        if one is not None:
+            assert np.array_equal(batch.u_hat[i], one.u_hat), i
+            assert np.array_equal(batch.x_hat[i], one.x_hat), i
+            assert np.array_equal(batch.decision_llrs[i], one.decision_llrs), i
+        one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i])
+        assert batch_genie.failed[i] == (one is None), i
+        if one is not None:
+            assert np.array_equal(batch_genie.u_hat[i], one.u_hat), i
+            assert np.array_equal(batch_genie.genie_errors[i], one.genie_errors), i
+
+
+def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
     spec = _batch_spec(arikan)
     _, lam = _known_codewords(spec, rng, 5)
-    decode_sc_arikan(spec, lam)  # valid codewords decode
     lam[3, 7] = -lam[3, 7]  # one fully known frame is no longer a codeword
     with pytest.raises(LlrContradiction):
         decode_sc_arikan(spec, lam[3])
-    with pytest.raises(LlrContradiction):
-        decode_sc_arikan(spec, lam)
+    res = decode_sc_arikan(spec, lam)
+    assert res.failed.tolist() == [False, False, False, True, False]
+    for b in (0, 1, 2, 4):
+        assert np.array_equal(res.u_hat[b], decode_sc_arikan(spec, lam[b]).u_hat)
+    assert decode_sc_arikan(spec, lam[0]).failed is None
 
 
 def test_sc_batch_input_validation(arikan):
@@ -376,6 +415,33 @@ def test_general_contradiction_raises(arikan):
     rows = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(LlrContradiction):
         decode_sc_general(spec, rows)
+
+
+def test_general_huge_rows_do_not_overflow():
+    # rows near the float64 ceiling used to overflow the kernel products to
+    # inf, so the first decision called two possible values impossible
+    spec = CodeSpec(kernel_linear([[1, 0], [1, 1]], q=3), 1, {})
+    rows = np.array([[1e300, 0.0, 1.0], [1e300, 1.0, 1.0]])
+    with np.errstate(over="raise"):
+        res = decode_sc_general(spec, rows, trace=True)
+    (i, width, llr), _ = res.decisions
+    assert (i, width) == (0, 1)
+    # scores of u0 = 0, 1, 2: 1e600 + 1, 1e300 + 1, 2e300
+    assert np.all(np.isfinite(llr))
+    assert llr == pytest.approx([0.0, 300 * np.log(10), 300 * np.log(10) - np.log(2)])
+    assert res.u_hat.tolist() == [0, 0]
+
+
+def test_general_row_scaling_is_exact(k4, rng):
+    # scaling rows by powers of two changes no decision LLR bit
+    spec = CodeSpec(k4, 2, {0: 0, 5: 1})
+    rows = np.exp(rng.normal(0.0, 2.0, (16, 2)))
+    want = decode_sc_general(spec, rows, trace=True).decisions
+    scaled = np.ldexp(rows, rng.integers(-40, 40, (16, 1)))
+    got = decode_sc_general(spec, scaled, trace=True).decisions
+    for (i, w, a), (j, v, b) in zip(want, got):
+        assert (i, w) == (j, v)
+        assert np.array_equal(a, b), i
 
 
 def test_general_input_validation(arikan):
