@@ -12,12 +12,22 @@ Infinite messages of opposite sign can meet on erasure-type evidence; BP
 resolves the conflict to 0, raises a flag, and keeps going, so decoding
 failures surface as flags rather than exceptions.
 
+One frame or a batch: LLRs of shape (N,) or (B, N). The sweep runs over
+the last axis, so every array of BpState takes the batch axis first and
+the contradiction flag becomes a (B,) array. Every message depends on its
+own frame alone, and bp_decode sweeps only the frames that have not yet
+stopped, so each row of a batch result equals a single-frame call on that
+row: decisions, iteration count, convergence and contradiction. The
+size-2 base step stays scalar, row by row, on Python floats: numpy's SIMD
+exp and log1p can round differently from math.exp and math.log1p in the
+last bit, and the scalar loop is also the faster one at this size.
+
 The sweep is also the schedule of the hardware BP line model: an optional
 tick(depth, node, op, outputs) is called once per message operation, in
-sweep order. The size-2 base step ticks u0, u1, x0, x1 after its scalar
-updates; every other node ticks e1a0 and u_out before its first child,
-a0e1 and v_out before its second, then e1a0, x0_out and x1_out. A tick
-only observes; node ids follow 2 * parent + child.
+sweep order, for one frame only. The size-2 base step ticks u0, u1, x0, x1
+after its scalar updates; every other node ticks e1a0 and u_out before its
+first child, a0e1 and v_out before its second, then e1a0, x0_out and
+x1_out. A tick only observes; node ids follow 2 * parent + child.
 """
 
 from __future__ import annotations
@@ -35,11 +45,17 @@ STOP_RULES = ("adaptive", "frozen", "unchanged", "none")
 
 @dataclass
 class BpResult:
+    """Decisions of one frame, or of a batch row by row.
+
+    For (N,) input iterations, converged and contradiction are scalars; for
+    (B, N) input they are (B,) arrays, one entry per frame.
+    """
+
     u_hat: np.ndarray
     x_hat: np.ndarray
-    iterations: int
-    converged: bool
-    contradiction: bool
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
+    contradiction: bool | np.ndarray
 
 
 @dataclass
@@ -50,7 +66,9 @@ class BpState:
     node r at depth d); at the deepest depth it holds the odd-coordinate
     priors and is never rewritten. mu_u, u_msg and x_out are scratch,
     rewritten every sweep; scrub_transients poisons them to prove nothing
-    else persists.
+    else persists. For a batch every array has a leading frame axis,
+    contradiction is a (B,) bool array and message_updates counts the
+    updates of every frame swept.
     """
 
     m: int
@@ -61,7 +79,7 @@ class BpState:
     u_msg: np.ndarray = None
     x_out: np.ndarray = None
     message_updates: int = 0
-    contradiction: bool = False
+    contradiction: bool | np.ndarray = False
     min_sum: bool = False
 
     def scrub_transients(self):
@@ -70,37 +88,73 @@ class BpState:
         self.u_msg.fill(np.nan)
         self.x_out.fill(np.nan)
 
+    def take(self, rows: np.ndarray) -> "BpState":
+        """A batch state holding copies of the given frames of this batch
+        state, with message_updates counting from 0."""
+        return BpState(
+            m=self.m, n=self.n, priors=self.priors,
+            mu_v=[v[rows] for v in self.mu_v], mu_u=[u[rows] for u in self.mu_u],
+            u_msg=self.u_msg[rows], x_out=self.x_out[rows],
+            contradiction=self.contradiction[rows], min_sum=self.min_sum,
+        )
 
-def bp_state(spec: CodeSpec, min_sum: bool = False) -> BpState:
+    def put(self, rows: np.ndarray, sub: "BpState") -> None:
+        """Write back the frames of a state made by take(rows), and add its
+        message_updates."""
+        for dst, src in zip(self.mu_v + self.mu_u, sub.mu_v + sub.mu_u):
+            dst[rows] = src
+        self.u_msg[rows] = sub.u_msg
+        self.x_out[rows] = sub.x_out
+        self.contradiction[rows] = sub.contradiction
+        self.message_updates += sub.message_updates
+
+    def flag(self, rows) -> None:
+        """Record a contradiction in the given frames of a batch (a mask or
+        row indices); a single-frame state ignores rows."""
+        if np.ndim(self.contradiction):
+            self.contradiction[rows] = True
+        else:
+            self.contradiction = True
+
+
+def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int | None = None) -> BpState:
+    """Fresh state for one frame, or for `batch` frames when it is given."""
     if not spec.kernel.is_arikan:
         raise ValueError("belief propagation is defined for the (u+v, v) kernel")
     m, n = spec.m, spec.n
+    lead = () if batch is None else (batch,)
     mask, vals = spec.frozen_arrays()
     priors = np.zeros(n, dtype=np.float64)
     priors[mask] = np.where(vals[mask] == 0, np.inf, -np.inf)
     st = BpState(m=m, n=n, priors=priors, min_sum=min_sum)
-    st.mu_v = [np.zeros(n // 2) for _ in range(m)]
+    st.mu_v = [np.zeros(lead + (n // 2,)) for _ in range(m)]
     st.mu_v[m - 1][:] = priors[1::2]
-    st.mu_u = [np.zeros(n // 2) for _ in range(m)]
-    st.u_msg = np.zeros(n)
-    st.x_out = np.zeros(n)
+    st.mu_u = [np.zeros(lead + (n // 2,)) for _ in range(m)]
+    st.u_msg = np.zeros(lead + (n,))
+    st.x_out = np.zeros(lead + (n,))
+    if batch is not None:
+        st.contradiction = np.zeros(batch, dtype=bool)
     return st
 
 
 def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    conflict = np.isinf(a) & np.isinf(b) & (np.sign(a) != np.sign(b))
-    with np.errstate(invalid="ignore"):
-        s = a + b
-    if conflict.any():
-        state.contradiction = True
-        s = np.where(conflict, 0.0, s)
-    finite = np.isfinite(s)
-    return np.where(finite, np.clip(s, -BP_CLIP, BP_CLIP), s)
+    """a + b, finite sums clamped to +-BP_CLIP; opposite infinities give 0
+    and flag their frame. Callers silence numpy's invalid-value warning."""
+    s = a + b
+    nan = np.isnan(s)
+    if nan.any():
+        # a NaN sum of two infinities is a conflict; other NaNs came in as NaN
+        conflict = nan & np.isinf(a) & np.isinf(b)
+        if conflict.any():
+            state.flag(conflict.any(axis=-1))
+            s[conflict] = 0.0
+    return np.where(np.isfinite(s), np.minimum(np.maximum(s, -BP_CLIP), BP_CLIP), s)
 
 
-def _combine_scalar(state: BpState, a: float, b: float) -> float:
+def _combine_scalar(hits: list, row: int, a: float, b: float) -> float:
+    """Scalar _combine_vec for one frame; a conflict appends `row` to hits."""
     if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        state.contradiction = True
+        hits.append(row)
         return 0.0
     s = a + b
     if math.isfinite(s):
@@ -108,46 +162,50 @@ def _combine_scalar(state: BpState, a: float, b: float) -> float:
     return s
 
 
-def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
-    if len(x_in) == 2:
-        fp = f_plus_minsum if state.min_sum else f_plus
-        a, b = float(x_in[0]), float(x_in[1])
-        pe = float(state.priors[2 * r])
-        po = float(state.mu_v[d][r])  # == prior of coordinate 2r+1
-        e1a0 = _combine_scalar(state, po, b)
-        u_out = fp(a, e1a0)
-        state.u_msg[2 * r] = u_out
+def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.ndarray:
+    """The size-2 node r, one frame at a time on Python floats."""
+    fp = f_plus_minsum if state.min_sum else f_plus
+    pe, po = state.priors[2 * r : 2 * r + 2].tolist()  # po == mu_v[d][..., r]
+    u, x, hits = [], [], []
+    for row, (a, b) in enumerate(x_in.reshape(-1, 2).tolist()):
+        e1a0 = _combine_scalar(hits, row, po, b)
         a0e1 = fp(pe, a)
-        v_out = _combine_scalar(state, a0e1, b)
-        state.u_msg[2 * r + 1] = v_out
-        x0_out = fp(e1a0, pe)
-        x1_out = _combine_scalar(state, a0e1, po)
-        state.message_updates += 6
-        if tick is not None:
-            for op, val in (("u0", u_out), ("u1", v_out), ("x0", x0_out), ("x1", x1_out)):
-                tick(d, r, op, val)
-        return np.array([x0_out, x1_out])
+        u.append((fp(a, e1a0), _combine_scalar(hits, row, a0e1, b)))
+        x.append((fp(e1a0, pe), _combine_scalar(hits, row, a0e1, po)))
+    if hits:
+        state.flag(hits)
+    state.u_msg[..., 2 * r : 2 * r + 2] = np.array(u).reshape(x_in.shape)
+    state.message_updates += 3 * x_in.size
+    if tick is not None:
+        for op, val in zip(("u0", "u1", "x0", "x1"), u[0] + x[0]):
+            tick(d, r, op, val)
+    return np.array(x).reshape(x_in.shape)
 
-    half = len(x_in) // 2
+
+def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
+    if x_in.shape[-1] == 2:
+        return _base_step(state, d, r, x_in, tick)
+
+    half = x_in.shape[-1] // 2
     sl = slice(r * half, (r + 1) * half)
-    x0 = x_in[0::2]
-    x1 = x_in[1::2]
+    x0 = x_in[..., 0::2]
+    x1 = x_in[..., 1::2]
     ms = state.min_sum
 
-    e1a0 = _combine_vec(state, state.mu_v[d][sl], x1)
+    e1a0 = _combine_vec(state, state.mu_v[d][..., sl], x1)
     u_out = f_plus_vec(x0, e1a0, min_sum=ms)
     if tick is not None:
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "u_out", u_out)
     mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
-    state.mu_u[d][sl] = mu_u
+    state.mu_u[d][..., sl] = mu_u
     a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
     if tick is not None:
         tick(d, r, "a0e1", a0e1)
         tick(d, r, "v_out", v_out)
     mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, tick)
-    state.mu_v[d][sl] = mu_v
+    state.mu_v[d][..., sl] = mu_v
     e1a0 = _combine_vec(state, mu_v, x1)
     x0_out = f_plus_vec(e1a0, mu_u, min_sum=ms)
     x1_out = _combine_vec(state, a0e1, mu_v)
@@ -155,32 +213,39 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "x0_out", x0_out)
         tick(d, r, "x1_out", x1_out)
-    state.message_updates += 7 * half
+    state.message_updates += 7 * (x_in.size // 2)
 
-    out = np.empty(len(x_in))
-    out[0::2] = x0_out
-    out[1::2] = x1_out
+    out = np.empty(x_in.shape)
+    out[..., 0::2] = x0_out
+    out[..., 1::2] = x1_out
     return out
 
 
 def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
-    """One full sweep. Channel LLRs enter unchanged at the top; tick, if
-    given, sees every message operation (see the module docstring)."""
-    state.x_out[:] = _sweep(state, 0, 0, llr, tick)
+    """One full sweep. Channel LLRs enter unchanged at the top, with the
+    shape of the state: (N,) or (B, N). tick, if given, sees every message
+    operation of a single frame (see the module docstring)."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != state.x_out.shape:
+        raise ValueError(f"llr shape {llr.shape} does not match the state's {state.x_out.shape}")
+    if tick is not None and state.x_out.ndim != 1:
+        raise ValueError("tick observes a single frame; a batch sweep takes none")
+    with np.errstate(invalid="ignore"):
+        state.x_out[...] = _sweep(state, 0, 0, llr, tick)
 
 
 def channel_llr(spec: CodeSpec, llr: np.ndarray) -> np.ndarray:
-    """Channel LLRs as BP takes them: length N, finite entries clamped to
-    [-BP_CLIP, BP_CLIP], infinities passed through untouched."""
+    """Channel LLRs as BP takes them: shape (N,) or (B, N), finite entries
+    clamped to [-BP_CLIP, BP_CLIP], infinities passed through untouched."""
     lam = np.asarray(llr, dtype=np.float64)
-    if lam.shape != (spec.n,):
-        raise ValueError(f"llr must have length {spec.n}")
+    if lam.ndim not in (1, 2) or lam.shape[-1] != spec.n or lam.size == 0:
+        raise ValueError(f"llr must have shape ({spec.n},) or (B, {spec.n}) with B >= 1")
     return np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
 
 
 def _decisions(state: BpState, mask: np.ndarray, vals: np.ndarray) -> np.ndarray:
     u = decide(state.u_msg)
-    u[mask] = vals[mask]
+    u[..., mask] = vals[mask]
     return u
 
 
@@ -188,7 +253,9 @@ def bp_decisions(state: BpState, lam: np.ndarray, mask: np.ndarray, vals: np.nda
     """(u_hat, x_hat) after the last sweep, by SC's rule ~(L >= 0), so NaN
     decides 1. u_hat pins the frozen coordinates; x_hat decides the channel
     LLRs plus the messages the sweep sent back toward the channel."""
-    return _decisions(state, mask, vals), decide(_combine_vec(state, lam, state.x_out))
+    with np.errstate(invalid="ignore"):
+        x_belief = _combine_vec(state, lam, state.x_out)
+    return _decisions(state, mask, vals), decide(x_belief)
 
 
 def bp_decode(
@@ -198,32 +265,58 @@ def bp_decode(
     stop: str = "adaptive",
     min_sum: bool = False,
 ) -> BpResult:
+    """BP decoding of one frame, shape (N,), or of a batch, shape (B, N).
+
+    Each frame stops on its own, by `stop`: "frozen" once every frozen
+    coordinate's message agrees with its value, "unchanged" once u_hat
+    repeats, "adaptive" at the first of the two, "none" after max_iters.
+    An iteration sweeps only the frames still running; the others keep the
+    state they stopped with.
+    """
     if stop not in STOP_RULES:
         raise ValueError(f"stop must be one of {STOP_RULES}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     lam = channel_llr(spec, llr)
+    single = lam.ndim == 1
+    if single:
+        lam = lam[None]
+    b = len(lam)
     mask, vals = spec.frozen_arrays()
-    state = bp_state(spec, min_sum=min_sum)
+    want_pos = vals[mask] == 0
+    state = bp_state(spec, min_sum=min_sum, batch=b)
 
-    prev_u = None
-    converged = False
-    iters = 0
+    iters = np.zeros(b, dtype=np.int64)
+    converged = np.zeros(b, dtype=bool)
+    prev_u = np.full(lam.shape, -1, dtype=np.int64)  # no decision repeats at iteration 1
+    active = np.arange(b)
     for it in range(1, max_iters + 1):
-        bp_iteration(state, lam)
-        iters = it
-        u_hat = _decisions(state, mask, vals)
-        frozen_ok = bool(
-            np.all(np.where(vals[mask] == 0, state.u_msg[mask] >= 0, state.u_msg[mask] <= 0))
-        )
-        unchanged = prev_u is not None and np.array_equal(u_hat, prev_u)
-        prev_u = u_hat
-        if stop == "frozen" and frozen_ok:
-            converged = True
-        elif stop == "unchanged" and unchanged:
-            converged = True
-        elif stop == "adaptive" and (frozen_ok or unchanged):
-            converged = True
-        if converged:
+        if len(active) == b:
+            sub = state
+            bp_iteration(sub, lam)
+        else:
+            sub = state.take(active)
+            bp_iteration(sub, lam[active])
+            state.put(active, sub)
+        u_hat = _decisions(sub, mask, vals)
+        msgs = sub.u_msg[:, mask]
+        frozen_ok = np.where(want_pos, msgs >= 0, msgs <= 0).all(axis=1)
+        unchanged = (u_hat == prev_u[active]).all(axis=1)
+        prev_u[active] = u_hat
+        done = {
+            "frozen": frozen_ok,
+            "unchanged": unchanged,
+            "adaptive": frozen_ok | unchanged,
+            "none": np.zeros(len(active), bool),
+        }[stop]
+        iters[active] = it
+        converged[active] = done
+        active = active[~done]
+        if not len(active):
             break
 
     u_hat, x_hat = bp_decisions(state, lam, mask, vals)
+    if single:
+        return BpResult(u_hat[0], x_hat[0], int(iters[0]), bool(converged[0]),
+                        bool(state.contradiction[0]))
     return BpResult(u_hat, x_hat, iters, converged, state.contradiction)

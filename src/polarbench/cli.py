@@ -53,6 +53,16 @@ def _parse_channel(text: str) -> ChannelModel:
         raise argparse.ArgumentTypeError(str(e))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _default_seed() -> int:
     return int(os.environ.get("POLARBENCH_SEED", "0"))
 
@@ -254,6 +264,10 @@ def cmd_hwsim(args) -> int:
 def cmd_encode(args) -> int:
     spec = _load_file(args.code, load_codespec)
     vals = np.array(_read_numbers(args.infile, int), dtype=np.int64)
+    try:
+        spec.kernel.alph.check_symbols(vals)
+    except ValueError as e:
+        raise SystemExit(f"error: {args.infile}: {e}")
     if len(vals) == spec.k_info:
         u = spec.assemble(vals)
     elif len(vals) == spec.n:
@@ -330,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float)
     p.add_argument("--channel", type=_parse_channel, default=ChannelModel("bec", 0.5))
     p.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
-    p.add_argument("--list-size", type=int, default=8)
-    p.add_argument("--iters", type=int, default=40)
+    p.add_argument("--list-size", type=_positive_int, default=8)
+    p.add_argument("--iters", type=_positive_int, default=40)
     p.add_argument("--min-sum", action="store_true")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", metavar="FILE")
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--i", type=int, default=1, help="parallelism cut for sc-line-limited")
     p.add_argument("--p", type=int, default=0, help="codewords for sc-multi (0 = N-1)")
-    p.add_argument("--iters", type=int, default=1, help="iterations for bp-line")
+    p.add_argument("--iters", type=_positive_int, default=1, help="iterations for bp-line")
     p.add_argument("--ell", type=int, default=2, help="kernel size for general-line")
     p.add_argument("--kernel", metavar="FILE", help="kernel spec file for general-line")
     p.add_argument("--rate", type=float, default=0.5)
@@ -364,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", metavar="FILE", required=True)
     p.add_argument("--in", dest="infile", metavar="FILE", required=True)
     p.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
-    p.add_argument("--list-size", type=int, default=8)
-    p.add_argument("--iters", type=int, default=40)
+    p.add_argument("--list-size", type=_positive_int, default=8)
+    p.add_argument("--iters", type=_positive_int, default=40)
     p.add_argument("--min-sum", action="store_true")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_decode)

@@ -53,7 +53,7 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     core = sign * np.minimum(np.abs(a), np.abs(b))
     inf_a = np.isinf(a)
     inf_b = np.isinf(b)
-    mixed = inf_a.any() or inf_b.any()
+    mixed = (inf_a | inf_b).any()
     if not min_sum:
         # Every finite entry rounds as (core + A) - B, whatever its
         # neighbours hold. Infinite inputs are zeroed here so that inf - inf
@@ -62,13 +62,11 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
         core = core + np.log1p(np.exp(-np.abs(fa + fb))) - np.log1p(np.exp(-np.abs(fa - fb)))
     if not mixed:
         return core
-    # inf against anything collapses to +-other; sign*min already does this
-    # except where the finite side is 0 with an inf mate: sign()=0 kills it,
-    # which matches f_plus(inf, 0) = 0.
-    core = np.where(inf_a & ~inf_b, np.where(a > 0, b, -b), core)
-    core = np.where(inf_b & ~inf_a, np.where(b > 0, a, -a), core)
-    core = np.where(inf_a & inf_b, np.where(sign > 0, np.inf, -np.inf), core)
-    return core
+    # inf against anything collapses to +-other, as the scalar shortcuts do:
+    # f_plus(inf, 0) = 0 and two infinities give the product of their signs.
+    # Where both are infinite, the second line wins.
+    core = np.where(inf_b, np.where(b > 0, a, -a), core)
+    return np.where(inf_a, np.where(a > 0, b, -b), core)
 
 
 def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray | None = None) -> np.ndarray:

@@ -5,10 +5,12 @@ default_rng([seed, i]), so the tally is independent of how lanes are
 scheduled and a --jobs split reproduces the single-process result byte for
 byte. A lane draws its frames one at a time (payload, then channel noise)
 and decodes them all in one batched call: SC on the (u+v, v) kernel walks
-its recursion once for the whole lane, the other decoders loop over the
-rows. Decode failures (contradictory or degenerate evidence) come back as
-a per-frame mask and count as a frame error with every information bit
-wrong; they never abort a run.
+its recursion once for the whole lane, BP sweeps the lane's still-running
+frames together until each has stopped by its own rule, and SCL and
+general-kernel SC loop over the rows. Decode failures (contradictory or
+degenerate evidence) come back as a per-frame mask and count as a frame
+error with every information bit wrong; they never abort a run. BP never
+fails a frame: it flags contradictions and decides anyway.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def decode_frame(
 
     A batch of binary frames: llr is (B, N). It returns (u_hat, failed),
     where failed is a (B,) bool array marking the frames whose evidence
-    would have raised, and a failed frame's u_hat row is meaningless. SC on
-    the (u+v, v) kernel decodes the batch in one call; the other decoders
-    go row by row.
+    would have raised, and a failed frame's u_hat row is meaningless. SC
+    and BP on the (u+v, v) kernel decode the batch in one call (BP flags
+    contradictions and never fails a frame); SCL and general-kernel SC go
+    row by row.
 
     Likelihood rows are built only for the decoders that read them: SC on
     a kernel other than (u+v, v), and SCL.
@@ -89,6 +92,10 @@ def decode_frame(
     if decoder == "sc" and spec.kernel.is_arikan:
         res = decode_sc_arikan(spec, lam, min_sum=min_sum)
         return res.u_hat if res.failed is None else (res.u_hat, res.failed)
+    if decoder == "bp":
+        # contradictions are flags inside BP, so no frame ever fails
+        res = bp_decode(spec, lam, max_iters=iters, min_sum=min_sum)
+        return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
     if spec.kernel.q == 2 and lam.ndim == 2:
         u_hat = np.zeros(lam.shape, dtype=np.int64)
         failed = np.zeros(len(lam), dtype=bool)
@@ -98,8 +105,6 @@ def decode_frame(
             except (LlrContradiction, DegenerateEvidenceError):
                 failed[i] = True
         return u_hat, failed
-    if decoder == "bp":
-        return bp_decode(spec, lam, max_iters=iters, min_sum=min_sum).u_hat
     rows = likelihood_rows(lam) if lam.ndim == 2 else likelihood_rows_binary(lam)
     if decoder == "sc":
         return decode_sc_general(spec, rows).u_hat

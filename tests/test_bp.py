@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from polarbench.bp import (
     STOP_RULES,
@@ -13,7 +16,7 @@ from polarbench.bp import (
     _decisions,
 )
 from polarbench.channels import bec, transmit
-from polarbench.kernels import CodeSpec, encode, kernel_linear
+from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
@@ -236,3 +239,216 @@ def test_bp_decides_nan_as_sc(arikan):
         for res in (bp, line):
             assert np.array_equal(res.u_hat, sc.u_hat)
             assert res.x_hat.all()  # the channel belief is NaN too
+
+
+# full-precision message pins ----------------------------------------------
+#
+# sha256 prefixes of the float64 bytes of u_msg, x_out and every mu_v[d]
+# (and the contradiction flag) after 1, 2 and 3 sweeps. The hwsim pins print
+# messages at six significant digits; these catch a last-ulp drift of the
+# scalar base step or of the vector node updates.
+
+PIN_KINDS = ("gauss", "pm", "inf")
+PIN_SIZES = (2, 4, 8, 16, 32, 64, 128)
+
+
+def _pin_case(kind, n):
+    m = n.bit_length() - 1
+    rng = np.random.default_rng([n, PIN_KINDS.index(kind)])
+    frozen = rng.choice(n, size=n // 2, replace=False)
+    spec = CodeSpec(kernel_arikan(), m, {int(i): int(rng.integers(0, 2)) for i in frozen})
+    if kind == "gauss":
+        lam = rng.normal(0.0, 2.0, n)
+    elif kind == "pm":  # BSC-like: one magnitude, random signs
+        lam = np.where(rng.integers(0, 2, n) == 0, 1.1, -1.1)
+    else:  # +-inf-heavy: Gaussian values, about 45% replaced by +-inf
+        lam = rng.normal(0.0, 2.0, n)
+        hard = rng.random(n) < 0.45
+        lam[hard] = np.where(rng.integers(0, 2, n) == 0, np.inf, -np.inf)[hard]
+    return spec, lam
+
+
+def _message_digest(st, row=None):
+    # one frame's bytes: the whole state, or one row of a batch state
+    h = hashlib.sha256()
+    for arr in (st.u_msg, st.x_out, *st.mu_v):
+        h.update(np.ascontiguousarray(arr if row is None else arr[row]).tobytes())
+    h.update(bytes([bool(st.contradiction if row is None else st.contradiction[row])]))
+    return h.hexdigest()[:16]
+
+
+def _pin_digests(kind, n, min_sum):
+    spec, lam = _pin_case(kind, n)
+    st = bp_state(spec, min_sum=min_sum)
+    out = []
+    for _ in range(3):
+        bp_iteration(st, channel_llr(spec, lam))
+        out.append(_message_digest(st))
+    return tuple(out)
+
+
+# recorded before the batched sweep landed; (min_sum, kind, N) -> digests
+BP_PINS = {
+    (False, "gauss", 2): ('4dd97c79c0c189dc', '4dd97c79c0c189dc', '4dd97c79c0c189dc'),
+    (False, "gauss", 4): ('a7ffd0f109d87848', 'f34823bc6a9e2450', 'f34823bc6a9e2450'),
+    (False, "gauss", 8): ('a1bf157d44c3aa96', '0339b612f285b37e', '0339b612f285b37e'),
+    (False, "gauss", 16): ('d8325fe750a2a155', '96588af0f372851b', 'df242470bc7cc460'),
+    (False, "gauss", 32): ('3f00701aa20e5054', '5b9d62b87b2faaf3', '831215c4dc1bc093'),
+    (False, "gauss", 64): ('890fbdc3976f26ae', '9704afdcc42a899b', '898c42034cbf5834'),
+    (False, "gauss", 128): ('213f1d257a009bab', '2a0a9cac4f06f997', 'ebb930caa6b58b10'),
+    (False, "pm", 2): ('65de49b4071bf3e5', '65de49b4071bf3e5', '65de49b4071bf3e5'),
+    (False, "pm", 4): ('79e505ae53495e13', 'a6ee5bbdbb657033', 'a6ee5bbdbb657033'),
+    (False, "pm", 8): ('5052d1c2abb0e8d4', '7ff09bd954656f67', '7144cfb605854ba1'),
+    (False, "pm", 16): ('a36d53c56d9d473c', '69f1a97b93b3cdf2', 'e34cc989d36acb97'),
+    (False, "pm", 32): ('6e72f21fceb905b9', 'd25a177a00506fc3', '97ca2b5be2549462'),
+    (False, "pm", 64): ('50e254c899c3f3e2', '9cc0c3499e04d1dd', '67f822076bff680e'),
+    (False, "pm", 128): ('01780b55cf671812', '4bea7ca3054cc8ee', '4b6d3af14a3529c2'),
+    (False, "inf", 2): ('c887f88785338a51', 'c887f88785338a51', 'c887f88785338a51'),
+    (False, "inf", 4): ('5fead2197c7bcb2e', 'aa38d938ca4bc1b1', 'aa38d938ca4bc1b1'),
+    (False, "inf", 8): ('3287dace9c51803b', '1236aca85f35a17c', 'f788242bc2539e42'),
+    (False, "inf", 16): ('f9b3fc2f1720433a', '05889c988c240227', 'bcb6aa605fa0eb72'),
+    (False, "inf", 32): ('d58b1df87749765d', '3f600d30d21e6b72', '443cbea22d1b82bc'),
+    (False, "inf", 64): ('cb69af8c934e2ed5', '4e878b39561f7aaf', '8e6c3802fcb7d6b3'),
+    (False, "inf", 128): ('54aac538abb2092f', 'fb8ec3fa2854f09b', '0c424c9826e7041c'),
+    (True , "gauss", 2): ('4dd97c79c0c189dc', '4dd97c79c0c189dc', '4dd97c79c0c189dc'),
+    (True , "gauss", 4): ('806424934973866a', '5ef4b4f893aa3e2d', '5ef4b4f893aa3e2d'),
+    (True , "gauss", 8): ('ead39ced92846a63', '8869814ab075fa1e', '8869814ab075fa1e'),
+    (True , "gauss", 16): ('c6c14caf0e186b0f', '2db842035a03b8ca', '81ce71ee5496ad40'),
+    (True , "gauss", 32): ('a3cb04ec89bd92c7', '6e3b9050414e0713', 'ba939f14078078f9'),
+    (True , "gauss", 64): ('158ccb6fe045c920', '8a1816ce5ca95765', 'eac60a727a3f2656'),
+    (True , "gauss", 128): ('aa4cf65be4b8ad28', '578415b1485fe6c2', '0f51e0b9a9caf4e2'),
+    (True , "pm", 2): ('f5e3fccb9d9ba25d', 'f5e3fccb9d9ba25d', 'f5e3fccb9d9ba25d'),
+    (True , "pm", 4): ('30fda5545d9a307e', '30fda5545d9a307e', '30fda5545d9a307e'),
+    (True , "pm", 8): ('fa4384e9e0dd844c', 'c0ad922aff1667b2', 'c0ad922aff1667b2'),
+    (True , "pm", 16): ('c908f3c7dd25a887', '195d54a4f8eb1d47', '195d54a4f8eb1d47'),
+    (True , "pm", 32): ('b50593935dabf7e2', '868af5ec3a2ff42e', '868af5ec3a2ff42e'),
+    (True , "pm", 64): ('dc249b3f82bf4604', '73ac0072d8eff8b3', '404eaa484a72f30c'),
+    (True , "pm", 128): ('1b0bccc77f7a1ab5', '174827ce9c58dd0d', 'c2d7ac93d7816f84'),
+    (True , "inf", 2): ('c887f88785338a51', 'c887f88785338a51', 'c887f88785338a51'),
+    (True , "inf", 4): ('aa38d938ca4bc1b1', 'aa38d938ca4bc1b1', 'aa38d938ca4bc1b1'),
+    (True , "inf", 8): ('fbbad79f01beb9a5', '7c5b7c63eeb30963', '7c5b7c63eeb30963'),
+    (True , "inf", 16): ('b1964b94db124243', 'e7a8e9c445eea77e', '3c1c610bd31950ff'),
+    (True , "inf", 32): ('f756d7c4dc1a25d8', '3bbcb21fadcb2ac6', '48b02277b2837df7'),
+    (True , "inf", 64): ('2c8afe1c62287b27', '44fe7e782ee31d88', 'f548cecaaf58e3fe'),
+    (True , "inf", 128): ('42782b61e209aa2f', 'f9d1ea2112c7ddce', '145b07c01f4984e4'),
+}
+
+
+@pytest.mark.parametrize("min_sum,kind,n", sorted(BP_PINS))
+def test_bp_messages_pinned_at_full_precision(min_sum, kind, n):
+    want = BP_PINS[(min_sum, kind, n)]
+    assert _pin_digests(kind, n, min_sum) == want
+    # the same frame as the middle row of a batch leaves the same bytes
+    spec, lam = _pin_case(kind, n)
+    others = [_pin_case(k, n)[1] for k in PIN_KINDS if k != kind]
+    batch = channel_llr(spec, np.stack([others[0], lam, others[1]]))
+    st = bp_state(spec, min_sum=min_sum, batch=3)
+    for it in range(3):
+        bp_iteration(st, batch)
+        assert _message_digest(st, row=1) == want[it], it
+
+
+# batch contract --------------------------------------------------------------
+
+
+def _batch_rows(data, n, b):
+    rows = []
+    for _ in range(b):
+        kind = data.draw(hs.sampled_from(("gauss", "pm", "inf")))
+        if kind == "gauss":
+            seed = data.draw(hs.integers(0, 2**32 - 1))
+            rows.append(np.random.default_rng(seed).normal(0.0, 2.0, n))
+        else:
+            entries = [1.1, -1.1] if kind == "pm" else [np.inf, -np.inf, np.inf, -np.inf, 0.0, 1.5, -0.25]
+            rows.append(data.draw(hs.lists(hs.sampled_from(entries), min_size=n, max_size=n)))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(1, 5), hs.data())
+def test_bp_batch_rows_match_single_calls(m, data):
+    # each row of a (B, N) decode equals the (N,) decode of that row, with
+    # its own stopping: decisions, iterations, convergence and contradiction
+    n = 2**m
+    frozen = data.draw(hs.dictionaries(hs.integers(0, n - 1), hs.integers(0, 1)))
+    spec = CodeSpec(kernel_arikan(), m, frozen)
+    b = data.draw(hs.integers(1, 6))
+    lam = _batch_rows(data, n, b)
+    stop = data.draw(hs.sampled_from(STOP_RULES))
+    min_sum = data.draw(hs.booleans())
+    iters = data.draw(hs.integers(1, 8))
+    res = bp_decode(spec, lam, max_iters=iters, stop=stop, min_sum=min_sum)
+    assert res.u_hat.shape == res.x_hat.shape == (b, n)
+    assert res.iterations.shape == res.converged.shape == res.contradiction.shape == (b,)
+    for i in range(b):
+        one = bp_decode(spec, lam[i], max_iters=iters, stop=stop, min_sum=min_sum)
+        assert np.array_equal(res.u_hat[i], one.u_hat), i
+        assert np.array_equal(res.x_hat[i], one.x_hat), i
+        assert (res.iterations[i], res.converged[i], res.contradiction[i]) == (
+            one.iterations, one.converged, one.contradiction), i
+        assert isinstance(one.iterations, int) and isinstance(one.contradiction, bool)
+
+
+def test_bp_batch_stops_frames_separately(arikan, rng):
+    # a clean frame meets its frozen values at once, a noisy one never does
+    spec = CodeSpec(arikan, 4, {i: 0 for i in range(8)})
+    u = spec.assemble(rng.integers(0, 2, 8))
+    clean = np.where(encode(spec, u) == 0, 8.0, -8.0)
+    noisy = np.random.default_rng(0).normal(0.0, 1.0, 16)
+    res = bp_decode(spec, np.stack([clean, noisy, clean]), max_iters=12, stop="frozen")
+    assert res.iterations.tolist() == [1, 12, 1]
+    assert res.converged.tolist() == [True, False, True]
+    assert np.array_equal(res.u_hat[0], u)
+
+
+def test_bp_batch_message_updates_sum_single_sweeps(arikan, rng):
+    # every swept row counts, and a frame left out of a sweep keeps exactly
+    # the state its own calls would leave
+    spec = CodeSpec(arikan, 4, {0: 0, 3: 1, 5: 0})
+    # the all -inf row is the codeword of u = e_15, so u_3 = 0 defies its pin
+    lam = np.stack([rng.normal(0.0, 2.0, 16), np.full(16, -np.inf), rng.normal(0.0, 2.0, 16)])
+    singles = [bp_state(spec) for _ in lam]
+    st = bp_state(spec, batch=3)
+    bp_iteration(st, lam)
+    for one, row in zip(singles, lam):
+        bp_iteration(one, row)
+    active = np.array([0, 2])
+    sub = st.take(active)
+    bp_iteration(sub, lam[active])
+    st.put(active, sub)
+    for i in active:
+        bp_iteration(singles[i], lam[i])
+    assert st.message_updates == sum(one.message_updates for one in singles)
+    for i, one in enumerate(singles):
+        for d in range(spec.m):
+            assert np.array_equal(st.mu_v[d][i], one.mu_v[d]), (i, d)
+            assert np.array_equal(st.mu_u[d][i], one.mu_u[d]), (i, d)
+        assert np.array_equal(st.u_msg[i], one.u_msg), i
+        assert np.array_equal(st.x_out[i], one.x_out), i
+        assert st.contradiction[i] == one.contradiction, i
+    assert st.contradiction[1]  # the +-inf row contradicts its frozen pins
+
+
+def test_bp_batch_rejects_tick_and_mismatched_shapes(arikan):
+    spec = spec_all_free(arikan, 2)
+    st = bp_state(spec, batch=2)
+    with pytest.raises(ValueError):
+        bp_iteration(st, np.zeros((2, 4)), tick=lambda *args: None)
+    with pytest.raises(ValueError):
+        bp_iteration(st, np.zeros(4))
+    with pytest.raises(ValueError):
+        bp_iteration(bp_state(spec), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        run_bp_line(spec, np.zeros((2, 4)))
+    for bad in (np.zeros((2, 5)), np.zeros((1, 2, 4)), np.zeros((0, 4))):
+        with pytest.raises(ValueError):
+            bp_decode(spec, bad)
+
+
+def test_bp_rejects_non_positive_iterations(arikan):
+    spec = spec_all_free(arikan, 2)
+    for iters in (0, -1):
+        with pytest.raises(ValueError):
+            bp_decode(spec, np.zeros(4), max_iters=iters)
+        with pytest.raises(ValueError):
+            bp_decode(spec, np.zeros((3, 4)), max_iters=iters)

@@ -304,6 +304,41 @@ def test_decode_scl_and_bp(tmp_path, capsys, small_code):
         assert [int(t) for t in out.split()] == [0] * 8
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("simulate", "--decoder", "scl", "--list-size", "0"), "--list-size"),
+    (("simulate", "--trials", "0"), "--trials"),
+    (("simulate", "--decoder", "bp", "--iters", "0"), "--iters"),
+    (("simulate", "--decoder", "bp", "--iters", "-3"), "--iters"),
+    (("decode", "--decoder", "scl", "--list-size", "0"), "--list-size"),
+    (("decode", "--decoder", "bp", "--iters", "0"), "--iters"),
+    (("hwsim", "--arch", "bp-line", "--iters", "0"), "--iters"),
+])
+def test_non_positive_count_usage_error(tmp_path, capsys, small_code, argv, flag):
+    # a count below 1 is refused before any work: exit 2, no output, no traceback
+    llrfile = tmp_path / "llr.txt"
+    llrfile.write_text(" ".join(["3.0"] * 8))
+    where = {
+        "simulate": ("--N", "8", "--rate", "0.5"),
+        "decode": ("--code", str(small_code), "--in", str(llrfile)),
+        "hwsim": ("--N", "8"),
+    }[argv[0]]
+    code, out, err = run_cli(capsys, *argv, *where)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_encode_symbol_outside_alphabet_usage_error(tmp_path, capsys, small_code):
+    infile = tmp_path / "info.txt"
+    for text in ("1 0 2 1", "0 0 0 0 0 0 -1 0"):  # info word, full word
+        infile.write_text(text)
+        code, out, err = run_cli(capsys, "encode", "--code", str(small_code), "--in", str(infile))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {infile}: symbols out of range for q=2"]
+
+
 def test_decode_contradiction_exit1(tmp_path, capsys):
     codefile = tmp_path / "code.txt"
     codefile.write_text("kernel ell=2 q=2\nm 1\nfrozen 0\n")

@@ -87,7 +87,7 @@ def test_run_lane_validation():
         run_lane(CodeSpec(kernel=k, m=2, frozen={}), bec(0.1), "sc", 5, 0)
 
 
-def _lane_reference(spec, ch, decoder, count, rng, min_sum=False):
+def _lane_reference(spec, ch, decoder, count, rng, min_sum=False, iters=40):
     # run_lane's RNG order, one (N,) decode per frame, failures caught
     k = spec.k_info
     info = spec.info_indices()
@@ -96,7 +96,7 @@ def _lane_reference(spec, ch, decoder, count, rng, min_sum=False):
         u = spec.assemble(rng.integers(0, 2, k))
         lam = transmit(ch, encode(spec, u), rng)
         try:
-            u_hat = decode_frame(spec, decoder, lam, min_sum=min_sum)
+            u_hat = decode_frame(spec, decoder, lam, iters=iters, min_sum=min_sum)
         except LlrContradiction:
             failures += 1
             frames += 1
@@ -123,10 +123,30 @@ def test_run_lane_matches_per_frame_reference(ch, min_sum, count):
 
 def test_run_lane_row_loop_decoders_match_reference():
     spec = construct_bec(3, 0.5, 0.5)
-    for dec in ("scl", "bp"):
-        got = run_lane(spec, bec(0.5), dec, 40, np.random.default_rng(4))
-        want, _ = _lane_reference(spec, bec(0.5), dec, 40, np.random.default_rng(4))
-        assert got == want, dec
+    got = run_lane(spec, bec(0.5), "scl", 40, np.random.default_rng(4))
+    want, _ = _lane_reference(spec, bec(0.5), "scl", 40, np.random.default_rng(4))
+    assert got == want
+
+
+@pytest.mark.parametrize("ch,min_sum", [
+    (bec(0.5), False), (bsc(0.08), False), (biawgn(0.8), False), (biawgn(0.8), True),
+])
+@pytest.mark.parametrize("count", [1, 7, LANE_SIZE])
+def test_run_lane_bp_matches_per_frame_reference(ch, min_sum, count):
+    # the whole lane in one BP call, each frame stopping on its own
+    spec = construct_bec(4, 0.5, 0.5)
+    got = run_lane(spec, ch, "bp", count, np.random.default_rng(count), iters=12, min_sum=min_sum)
+    want, failures = _lane_reference(spec, ch, "bp", count, np.random.default_rng(count), min_sum, 12)
+    assert got == want
+    assert failures == 0  # BP flags contradictions and never fails a frame
+
+
+@pytest.mark.parametrize("ch", [bec(0.5), biawgn(0.8)])
+def test_run_trials_bp_jobs_agree(ch):
+    spec = construct_bec(4, 0.5, 0.5)
+    one = run_trials(spec, ch, "bp", 2 * LANE_SIZE + 9, seed=13, iters=12, jobs=1)
+    two = run_trials(spec, ch, "bp", 2 * LANE_SIZE + 9, seed=13, iters=12, jobs=2)
+    assert one == two
 
 
 def test_decode_failures_counted_not_raised():
@@ -163,7 +183,8 @@ def test_run_trials_jobs_agree_on_batched_lanes(ch):
 
 
 def test_decode_frame_batch_of_row_loop_decoders():
-    # SCL and BP decode a batch row by row and mark failures per row
+    # SCL decodes a batch row by row and BP in one call; both mark failures
+    # per row (BP never fails a frame: it flags the contradiction instead)
     spec = CodeSpec(construct_bec(1, 0.5, 0.5).kernel, 1, {0: 0})
     lam = np.array([[3.0, 3.0], [-np.inf, np.inf], [0.5, -2.0]])
     for dec in ("scl", "bp"):
