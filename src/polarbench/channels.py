@@ -3,9 +3,9 @@
 Binary decoders consume one float LLR per output position,
 lambda = ln W(y|0)/W(y|1), with +-inf for erased-to-certainty symbols.
 Non-binary decoders consume per-position likelihood rows; likelihood_rows
-builds them from an (N, q) array of LLRs against symbol 0, and
-likelihood_rows_binary is its q = 2 case. check_likelihood_rows is the
-input check of every decoder that reads rows.
+builds them from an (N, q) array of LLRs against symbol 0, or from a batch
+of such arrays, and likelihood_rows_binary is its q = 2 case.
+check_likelihood_rows is the input check of every decoder that reads rows.
 """
 
 from __future__ import annotations
@@ -85,51 +85,65 @@ def transmit(ch: ChannelModel, x: np.ndarray, rng) -> np.ndarray:
     return 2.0 * y / (ch.param**2)
 
 
-def likelihood_rows(llr: np.ndarray) -> np.ndarray:
-    """Per-position likelihood rows from LLR rows llr[i, t] = ln W(y_i|0)/W(y_i|t).
+def _position(i: int, n: int, batched: bool) -> str:
+    """Name flat row i of rows that hold n positions per frame."""
+    frame, pos = divmod(i, n)
+    return f"frame {frame}, position {pos}" if batched else f"position {pos}"
 
-    Output shape (N, q); each row is rescaled so its max entry is 1
+
+def likelihood_rows(llr: np.ndarray) -> np.ndarray:
+    """Per-position likelihood rows from LLR rows llr[..., i, t] = ln W(y_i|0)/W(y_i|t).
+
+    Input shape (N, q), or (..., N, q) with leading frame axes; the output
+    has the same shape. Each row is rescaled so its max entry is 1
     (common positive factor per position, harmless to any decoder), so a
     row may be offset by any constant, column 0 need not be 0. +inf kills
     a symbol; -inf entries concentrate all of the row's mass on themselves.
-    A NaN entry is a ValueError and a row with no support a
+    Every row is converted on its own, so a batch gives what per-frame
+    calls give. A NaN entry is a ValueError and a row with no support a
     DegenerateEvidenceError, each naming the first such position.
     """
     vals = np.asarray(llr, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[1] < 2:
-        raise ValueError("llr rows must have shape (N, q) with q >= 2")
-    # W(y|t) prop exp(-vals[t])
-    surely = vals == -np.inf
-    finite = np.isfinite(vals)
-    nan = np.isnan(vals).any(axis=1)
+    if vals.ndim < 2 or vals.shape[-1] < 2:
+        raise ValueError("llr rows must have shape (N, q) or (..., N, q) with q >= 2")
+    flat = vals.reshape(-1, vals.shape[-1])
+    # W(y|t) prop exp(-flat[t])
+    surely = flat == -np.inf
+    finite = np.isfinite(flat)
+    nan = np.isnan(flat).any(axis=1)
     void = ~finite.any(axis=1) & ~surely.any(axis=1)
     if (nan | void).any():
         i = int(np.argmax(nan | void))
+        where = _position(i, vals.shape[-2], vals.ndim > 2)
         if nan[i]:
-            raise ValueError(f"position {i}: NaN evidence")
-        raise DegenerateEvidenceError(f"position {i}: no symbol has support")
-    shift = np.where(finite, vals, np.inf).min(axis=1, keepdims=True)
+            raise ValueError(f"{where}: NaN evidence")
+        raise DegenerateEvidenceError(f"{where}: no symbol has support")
+    shift = np.where(finite, flat, np.inf).min(axis=1, keepdims=True)
     shift[np.isinf(shift)] = 0.0  # no finite entry: the row has a -inf, set below
-    out = np.where(finite, np.exp(-(vals - shift)), 0.0)
+    out = np.where(finite, np.exp(-(flat - shift)), 0.0)
     sure = surely.any(axis=1)
     out[sure] = surely[sure]
-    return out
+    return out.reshape(vals.shape)
 
 
-def check_likelihood_rows(rows, n: int, q: int) -> np.ndarray:
-    """rows as a float64 (n, q) array; a ValueError names the first position
-    holding an entry that is not finite and nonnegative."""
+def check_likelihood_rows(rows, n: int, q: int, batch: bool = False) -> np.ndarray:
+    """rows as a float64 (n, q) array, or with batch also (B, n, q) with B >= 1.
+
+    A ValueError names the first position holding an entry that is not
+    finite and nonnegative.
+    """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (n, q):
-        raise ValueError(f"rows must have shape ({n}, {q})")
-    bad = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=1)
+    frames_ok = rows.ndim == 2 or (batch and rows.ndim == 3 and len(rows) > 0)
+    if rows.shape[-2:] != (n, q) or not frames_ok:
+        raise ValueError(f"rows must have shape ({n}, {q})" + (f" or (B, {n}, {q})" if batch else ""))
+    bad = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=-1)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"position {i}: likelihoods must be finite and nonnegative")
+        where = _position(int(np.argmax(bad)), n, rows.ndim == 3)
+        raise ValueError(f"{where}: likelihoods must be finite and nonnegative")
     return rows
 
 
 def likelihood_rows_binary(llr: np.ndarray) -> np.ndarray:
-    """Shape (N, 2) likelihood rows from binary LLRs, max-normalized."""
+    """Shape (..., N, 2) likelihood rows from binary LLRs of shape (..., N), max-normalized."""
     lam = np.asarray(llr, dtype=np.float64)
-    return likelihood_rows(np.stack([np.zeros_like(lam), lam], axis=1))
+    return likelihood_rows(np.stack([np.zeros_like(lam), lam], axis=-1))

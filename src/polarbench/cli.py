@@ -53,13 +53,32 @@ def _parse_channel(text: str) -> ChannelModel:
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        kind = "positive" if low == 1 else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _rate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
 
 
@@ -228,6 +247,11 @@ def cmd_hwsim(args) -> int:
     spec = _hwsim_spec(args, arch, n)
     want_trace = bool(args.trace)
 
+    if arch == "sc_limited" and args.i > spec.m:
+        raise SystemExit(f"error: --i must be at most log2 N = {spec.m}")
+    if arch == "sc_multi" and args.p > n - 1:
+        raise SystemExit(f"error: --p must be at most N-1 = {n - 1}")
+
     if arch in ("sc_pipeline", "sc_line", "sc_limited"):
         run = hwsim.run_sc(spec, rng.normal(0, 2, n), arch=arch, i_param=args.i, trace=want_trace)
         report, trace = run.report, run.trace
@@ -329,10 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="code length (power of 2, Arikan kernel)")
     p.add_argument("--kernel", metavar="FILE", help="kernel spec file (needs --m)")
     p.add_argument("--m", type=int, help="recursion depth for --kernel")
-    p.add_argument("--rate", type=float, required=True)
+    p.add_argument("--rate", type=_rate, required=True)
     p.add_argument("--channel", type=_parse_channel, default=ChannelModel("bec", 0.5),
                    help="kind:param, e.g. bec:0.5 bsc:0.1 biawgn:0.8")
-    p.add_argument("--mc-trials", type=int, default=0,
+    p.add_argument("--mc-trials", type=_non_negative_int, default=0,
                    help="genie-aided construction trials; 0 = analytic erasure profile")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", metavar="FILE")
@@ -341,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo BER/FER, CSV output")
     p.add_argument("--code", metavar="FILE", help="code spec file (else --N/--rate)")
     p.add_argument("--N", type=int)
-    p.add_argument("--rate", type=float)
+    p.add_argument("--rate", type=_rate)
     p.add_argument("--channel", type=_parse_channel, default=ChannelModel("bec", 0.5))
     p.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
     p.add_argument("--list-size", type=_positive_int, default=8)
@@ -349,19 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sum", action="store_true")
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("hwsim", help="run one architecture model, print its report")
     p.add_argument("--arch", choices=sorted(ARCH_NAMES), required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--i", type=int, default=1, help="parallelism cut for sc-line-limited")
-    p.add_argument("--p", type=int, default=0, help="codewords for sc-multi (0 = N-1)")
+    p.add_argument("--i", type=_positive_int, default=1,
+                   help="parallelism cut for sc-line-limited, at most log2 N")
+    p.add_argument("--p", type=_non_negative_int, default=0,
+                   help="codewords for sc-multi, at most N-1 (0 = N-1)")
     p.add_argument("--iters", type=_positive_int, default=1, help="iterations for bp-line")
     p.add_argument("--ell", type=int, default=2, help="kernel size for general-line")
     p.add_argument("--kernel", metavar="FILE", help="kernel spec file for general-line")
-    p.add_argument("--rate", type=float, default=0.5)
+    p.add_argument("--rate", type=_rate, default=0.5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check-formulas", action="store_true",
                    help="exit 1 if any counted value disagrees with its closed form")

@@ -6,11 +6,13 @@ scheduled and a --jobs split reproduces the single-process result byte for
 byte. A lane draws its frames one at a time (payload, then channel noise)
 and decodes them all in one batched call: SC on the (u+v, v) kernel walks
 its recursion once for the whole lane, BP sweeps the lane's still-running
-frames together until each has stopped by its own rule, and SCL and
-general-kernel SC loop over the rows. Decode failures (contradictory or
-degenerate evidence) come back as a per-frame mask and count as a frame
-error with every information bit wrong; they never abort a run. BP never
-fails a frame: it flags contradictions and decides anyway.
+frames together until each has stopped by its own rule, SCL walks its list
+recursion once for the whole lane (a long code's lane in a few slices, see
+SCL_CELLS), and only general-kernel SC loops over the rows. Decode
+failures (contradictory or degenerate evidence) come back as a per-frame
+mask and count as a frame error with every information bit wrong; they
+never abort a run. BP never fails a frame: it flags contradictions and
+decides anyway.
 """
 
 from __future__ import annotations
@@ -21,19 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import bp_decode
-from .channels import (
-    ChannelModel,
-    DegenerateEvidenceError,
-    likelihood_rows,
-    likelihood_rows_binary,
-    transmit,
-)
+from .channels import ChannelModel, likelihood_rows, likelihood_rows_binary, transmit
 from .kernels import CodeSpec, encode
 from .llrops import LlrContradiction
 from .sc import decode_sc_arikan, decode_sc_general
 from .scl import decode_scl
 
 LANE_SIZE = 512
+# frames * list size * N per decode_scl call: its list state holds a few
+# float arrays of q * frames * list size * N/2 entries, so a long code's
+# lane is decoded in slices that keep them to a few tens of MB
+SCL_CELLS = 1 << 20
 DECODERS = ("sc", "scl", "bp")
 
 
@@ -79,9 +79,9 @@ def decode_frame(
     A batch of binary frames: llr is (B, N). It returns (u_hat, failed),
     where failed is a (B,) bool array marking the frames whose evidence
     would have raised, and a failed frame's u_hat row is meaningless. SC
-    and BP on the (u+v, v) kernel decode the batch in one call (BP flags
-    contradictions and never fails a frame); SCL and general-kernel SC go
-    row by row.
+    and BP on the (u+v, v) kernel and SCL on any binary kernel decode the
+    batch in one call (BP flags contradictions and never fails a frame);
+    general-kernel SC goes row by row.
 
     Likelihood rows are built only for the decoders that read them: SC on
     a kernel other than (u+v, v), and SCL.
@@ -89,6 +89,7 @@ def decode_frame(
     if decoder not in DECODERS:
         raise ValueError(f"decoder must be one of {DECODERS}")
     lam = np.asarray(llr, dtype=np.float64)
+    batch = spec.kernel.q == 2 and lam.ndim == 2
     if decoder == "sc" and spec.kernel.is_arikan:
         res = decode_sc_arikan(spec, lam, min_sum=min_sum)
         return res.u_hat if res.failed is None else (res.u_hat, res.failed)
@@ -96,19 +97,23 @@ def decode_frame(
         # contradictions are flags inside BP, so no frame ever fails
         res = bp_decode(spec, lam, max_iters=iters, min_sum=min_sum)
         return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
-    if spec.kernel.q == 2 and lam.ndim == 2:
-        u_hat = np.zeros(lam.shape, dtype=np.int64)
-        failed = np.zeros(len(lam), dtype=bool)
-        for i, row in enumerate(lam):
-            try:
-                u_hat[i] = decode_frame(spec, decoder, row, list_size, iters, min_sum)
-            except (LlrContradiction, DegenerateEvidenceError):
-                failed[i] = True
-        return u_hat, failed
-    rows = likelihood_rows(lam) if lam.ndim == 2 else likelihood_rows_binary(lam)
-    if decoder == "sc":
+    rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
+    if decoder == "scl":
+        if not batch:
+            return decode_scl(spec, rows, list_size).u_hat
+        step = max(1, SCL_CELLS // (list_size * spec.n))
+        res = [decode_scl(spec, rows[s : s + step], list_size) for s in range(0, len(rows), step)]
+        return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
+    if not batch:
         return decode_sc_general(spec, rows).u_hat
-    return decode_scl(spec, rows, list_size).u_hat
+    u_hat = np.zeros(lam.shape, dtype=np.int64)
+    failed = np.zeros(len(lam), dtype=bool)
+    for i, frame_rows in enumerate(rows):
+        try:
+            u_hat[i] = decode_sc_general(spec, frame_rows).u_hat
+        except LlrContradiction:
+            failed[i] = True
+    return u_hat, failed
 
 
 def run_lane(

@@ -1,24 +1,36 @@
 """Successive-cancellation list decoding over the recursive construction.
 
-The list state is a likelihood matrix per candidate: Pi[b, i, j] is the
-(rescaled) likelihood that output position j of the current node carries
-symbol b, under candidate i's conditioning. A node recursion returns, per
-surviving candidate, the source candidate it extends, the decoded input
-block, and the partial codeword; parents re-prepare evidence for the next
-outer code conditioned on those partial codewords.
+The list state is a likelihood array per frame and candidate:
+Pi[b, f, i, j] is the (rescaled) likelihood that output position j of the
+current node carries symbol b in frame f, under candidate i's conditioning.
+One frame is a batch of one, so a single frame and a whole batch walk the
+same recursion. Every frame holds the same number of candidates, because
+that number depends only on the frozen set and the list size. A node
+recursion returns, per frame and surviving candidate, the source candidate
+it extends, the decoded input block, and the partial codeword; parents
+re-prepare evidence for the next outer code conditioned on those partial
+codewords.
 
 Selection happens at base nodes (one kernel block): each candidate splits
 over the free values of a glue group, and the min(candidates, M) best
-splits survive. Every prepared evidence matrix is rescaled by a per-column
-factor common to all candidates, so comparisons between candidates are
+splits survive, ties going to the lower candidate, then the lower value.
+Every prepared evidence matrix is rescaled by a per-column factor common
+to all candidates of a frame, so comparisons between candidates are
 unaffected. The final ranking re-scores each survivor against the original
 channel evidence, which absorbs any frozen-group likelihood the selection
 steps skipped.
+
+Batch contract of decode_scl: one frame, rows of shape (N, q), raises
+LlrContradiction when no list path stays possible; a batch, shape
+(B, N, q), never raises for that but marks the frame in SclResult.failed,
+and every other frame's result equals a single-frame call on its rows.
+A failed frame's evidence is replaced by ones from then on, so it never
+puts a NaN or a warning into the rest of the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,22 +70,35 @@ class Crc:
 
 @dataclass
 class SclResult:
-    """Survivors ordered best-first by exact full-evidence log score."""
+    """Survivors ordered best-first by exact full-evidence log score.
+
+    Shapes are for one frame; a batch of B frames puts a leading B axis on
+    u_list, x_list, log_scores, probs and best.
+    """
 
     u_list: np.ndarray  # (rho, N)
     x_list: np.ndarray  # (rho, N)
     log_scores: np.ndarray  # (rho,)
     probs: np.ndarray  # softmax of log_scores over the list
-    best: int  # row index after CRC filtering (0 without CRC)
-    ops: int
+    best: int | np.ndarray  # row index after CRC filtering (0 without CRC)
+    ops: int  # per frame
+    # (B,) for batch input: True where no list path stayed possible, and
+    # that frame's other fields are meaningless; None for one frame
+    failed: np.ndarray | None = None
 
     @property
     def u_hat(self) -> np.ndarray:
-        return self.u_list[self.best]
+        return _pick(self.u_list, self.best)
 
     @property
     def x_hat(self) -> np.ndarray:
-        return self.x_list[self.best]
+        return _pick(self.x_list, self.best)
+
+
+def _pick(lists: np.ndarray, best) -> np.ndarray:
+    """Row best of a (rho, N) list, or row best[f] of frame f of a (B, rho, N) list."""
+    idx = np.asarray(best)[..., None, None]
+    return np.take_along_axis(lists, idx, axis=-2)[..., 0, :]
 
 
 @dataclass
@@ -82,24 +107,69 @@ class _Ctx:
     m_list: int
     mask: np.ndarray
     vals: np.ndarray
+    failed: np.ndarray | None = None  # (B,) for a batch; None raises instead
     ops: int = 0
+    # per glue group: the (q**w, w) symbols of each group value t, and
+    # which values the group's frozen pins allow in each kernel block
+    symbols: list = field(init=False)
+    allowed: list = field(init=False)
+
+    def __post_init__(self):
+        q, ell = self.kernel.q, self.kernel.ell
+        self.symbols, self.allowed = [], []
+        for grp in self.kernel.glue:
+            c, w = grp[0], len(grp)
+            syms = np.array([_unpack(t, q, w) for t in range(q**w)], dtype=np.int64)
+            pins = self.mask.reshape(-1, ell)[:, None, c : c + w]
+            pinned = self.vals.reshape(-1, ell)[:, None, c : c + w]
+            self.symbols.append(syms)
+            self.allowed.append(((syms == pinned) | ~pins).all(axis=2))
+
+    def fail(self, dead: np.ndarray, msg: str) -> None:
+        """Frames `dead` (B,) lost every path: raise for one frame, mark a batch."""
+        if self.failed is None:
+            raise LlrContradiction(msg)
+        self.failed |= dead
 
 
-def _normalize_columns(p: np.ndarray) -> np.ndarray:
-    """Divide each output column by its max over (symbol, candidate)."""
-    peak = p.max(axis=(0, 1))
-    if (peak <= 0.0).any():
-        raise LlrContradiction("every list path is impossible at some position")
-    return p / peak[None, None, :]
+def _normalize_columns(ctx: _Ctx, p: np.ndarray) -> np.ndarray:
+    """Divide each output column by its max over (symbol, candidate), per frame.
+
+    p: (q, B, rho, Nd), freshly computed (a dead frame is overwritten).
+    """
+    peak = p.max(axis=(0, 2))
+    dead = (peak <= 0.0).any(axis=1)
+    if dead.any():
+        ctx.fail(dead, "every list path is impossible at some position")
+        p[:, dead] = 1.0
+        peak[dead] = 1.0
+    return p / peak[None, :, None, :]
+
+
+def _gather(a: np.ndarray, sel: np.ndarray | None, axis: int = 1) -> np.ndarray:
+    """The candidates sel, (B, rho), of each frame f: a[f, sel[f]] when the
+    candidate axis is 1, a[:, f, sel[f]] when it is 2; None keeps them all."""
+    if sel is None:
+        return a
+    frames = np.arange(len(sel))[:, None]
+    return a[frames, sel] if axis == 1 else a[:, frames, sel]
+
+
+def _chain(src: np.ndarray | None, sel: np.ndarray | None) -> np.ndarray | None:
+    """The candidate map src followed by the selection sel; None keeps every candidate."""
+    if sel is None:
+        return src
+    return sel if src is None else _gather(src, sel)
 
 
 def _prep_outer_list(
-    ctx: _Ctx, pi: np.ndarray, src: np.ndarray, xcols: np.ndarray, r: int
+    ctx: _Ctx, pi: np.ndarray, src: np.ndarray | None, xcols: np.ndarray, r: int
 ) -> np.ndarray:
-    """Evidence for outer code r, per candidate, from the node evidence pi.
+    """Evidence for outer code r, per frame and candidate, from the node evidence pi.
 
-    pi: (q, n_in, Nd) where n_in covers this node's incoming candidates.
-    src: current candidate -> incoming candidate. xcols: (rho, Nd/ell, r)
+    pi: (q, B, n_in, Nd) where n_in covers this node's incoming candidates.
+    src: (B, rho), current candidate -> incoming candidate, or None when
+    the candidates are the incoming ones. xcols: (B, rho, Nd/ell, r)
     partial codewords of outer codes 0..r-1, already reindexed to current
     candidates. Scores carry a 1/q prior for the prepared symbol, then get
     rescaled per column.
@@ -107,93 +177,86 @@ def _prep_outer_list(
     kernel = ctx.kernel
     q = kernel.q
     ell = kernel.ell
-    rho = len(src)
-    blk = pi.shape[2] // ell
+    a = _gather(pi, src, axis=2)
+    nb, rho, blk = a.shape[1], a.shape[2], a.shape[3] // ell
     if kernel.is_arikan:
-        a = pi[:, src, :]
-        e, o = a[:, :, 0::2], a[:, :, 1::2]
+        e, o = a[..., 0::2], a[..., 1::2]
         if r == 0:
             out = 0.5 * np.stack([e[0] * o[0] + e[1] * o[1], e[1] * o[0] + e[0] * o[1]])
         else:
-            x0 = xcols[:, :, 0]
+            x0 = xcols[..., 0]
             exb = np.where(x0 == 0, e[0], e[1])  # evidence at even slot for x0 ^ b = x0
             exb1 = np.where(x0 == 0, e[1], e[0])
             out = 0.5 * np.stack([exb * o[0], exb1 * o[1]])
         ctx.ops += 4 * rho * blk
-        return _normalize_columns(out)
+        return _normalize_columns(ctx, out)
 
-    a = np.moveaxis(pi[:, src, :], 0, 2).reshape(rho * blk, ell, q)
-    scores = conditioned_scores(kernel, a, xcols.reshape(rho * blk, r), r)
+    # every (frame, candidate, column) is one kernel instance
+    a = a.transpose(1, 2, 3, 0).reshape(nb * rho * blk, ell, q)
+    scores = conditioned_scores(kernel, a, xcols.reshape(nb * rho * blk, r), r)
     ctx.ops += rho * blk * q ** (ell - r) * ell
-    out = np.moveaxis(scores.reshape(rho, blk, q), 2, 0)
-    return _normalize_columns(out / q)
+    out = scores.reshape(nb, rho, blk, q).transpose(3, 0, 1, 2)
+    return _normalize_columns(ctx, out / q)
 
 
 def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
-    """Joint decode of one kernel block, glue group by glue group."""
+    """Joint decode of one kernel block per frame, glue group by glue group."""
     kernel = ctx.kernel
     q = kernel.q
     ell = kernel.ell
-    u_blk = np.zeros((rho, ell), dtype=np.int64)
-    src = np.arange(rho)
-    for grp in kernel.glue:
+    nb = pi.shape[1]
+    u_blk = np.zeros((nb, rho, ell), dtype=np.int64)
+    src = None
+    for grp, syms, allowed in zip(kernel.glue, ctx.symbols, ctx.allowed):
         c, width = grp[0], len(grp)
-        pins = {
-            d: int(ctx.vals[off + c + d])
-            for d in range(width)
-            if ctx.mask[off + c + d]
-        }
-        cand_ts = [
-            t
-            for t in range(q**width)
-            if all(_unpack(t, q, width)[d] == v for d, v in pins.items())
-        ]
-        if len(cand_ts) == 1:
-            for d, sym in enumerate(_unpack(cand_ts[0], q, width)):
-                u_blk[:, c + d] = sym
+        cand = np.flatnonzero(allowed[off // ell])
+        if len(cand) == 1:
+            u_blk[..., c : c + width] = syms[cand[0]]
             continue
-        rows = np.moveaxis(pi, 0, 2)  # (rho, ell, q)
-        scores = conditioned_scores(kernel, rows, u_blk[:, :c], c)[:, cand_ts]
-        ctx.ops += rho * len(cand_ts)
-        if scores.max() <= 0.0:
-            raise LlrContradiction("no surviving list path at a selection step")
-        new_rho = min(rho * len(cand_ts), ctx.m_list)
-        ranked = sorted(
-            ((-scores[i, k], i, cand_ts[k]) for i in range(rho) for k in range(len(cand_ts))),
-        )[:new_rho]
-        pick_i = np.array([i for (_, i, _) in ranked])
-        pick_t = [t for (_, _, t) in ranked]
-        u_blk = u_blk[pick_i]
-        for row, t in enumerate(pick_t):
-            for d, sym in enumerate(_unpack(t, q, width)):
-                u_blk[row, c + d] = sym
-        pi = pi[:, pick_i, :]
-        src = src[pick_i]
-        rho = new_rho
+        rows = _gather(pi, src, axis=2).transpose(1, 2, 3, 0).reshape(nb * rho, ell, q)
+        scores = conditioned_scores(kernel, rows, u_blk[..., :c].reshape(nb * rho, c), c)
+        # per frame, candidates flattened in (i, ascending t) order: a stable
+        # sort keeps that order among equal scores
+        scores = scores[:, cand].reshape(nb, rho * len(cand))
+        ctx.ops += rho * len(cand)
+        dead = scores.max(axis=1) <= 0.0
+        if dead.any():
+            ctx.fail(dead, "no surviving list path at a selection step")
+            scores[dead] = 1.0
+        rho = min(rho * len(cand), ctx.m_list)
+        pick_i, pick_k = np.divmod(np.argsort(-scores, axis=1, kind="stable")[:, :rho], len(cand))
+        u_blk = _gather(u_blk, pick_i)
+        u_blk[..., c : c + width] = syms[cand[pick_k]]
+        src = _chain(src, pick_i)
     packed = u_blk @ (q ** np.arange(ell - 1, -1, -1, dtype=np.int64))
-    x_blk = kernel.table[packed]
-    return src, u_blk, x_blk, rho
+    return src, u_blk, kernel.table[packed], rho
 
 
 def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
+    """Decode the node at `off` from its evidence pi, (q, B, rho, Nd).
+
+    Returns src, (B, rho') surviving candidate -> incoming candidate (None
+    when every incoming candidate survives in place), the decoded inputs
+    and the node codeword, each (B, rho', Nd), and rho'.
+    """
     kernel = ctx.kernel
     ell = kernel.ell
-    nd = pi.shape[2]
+    nb, nd = pi.shape[1], pi.shape[3]
     if nd == ell:
         return _base_node(ctx, pi, off, rho)
     blk = nd // ell
-    src = np.arange(rho)
-    xcols = np.empty((rho, blk, ell), dtype=np.int64)  # outer codeword r in [..., r]
-    u_node = np.empty((rho, nd), dtype=np.int64)
+    src = None
+    xcols = np.empty((nb, rho, blk, ell), dtype=np.int64)  # outer codeword r in [..., r]
+    u_node = np.empty((nb, rho, nd), dtype=np.int64)
     for r in range(ell):
-        p_r = _prep_outer_list(ctx, pi, src, xcols[:, :, :r], r)
+        p_r = _prep_outer_list(ctx, pi, src, xcols[..., :r], r)
         s_r, u_r, x_r, rho = _rec_list(ctx, p_r, off + r * blk, rho)
-        xcols = xcols[s_r]
-        u_node = u_node[s_r]
-        src = src[s_r]
-        xcols[:, :, r] = x_r
-        u_node[:, r * blk : (r + 1) * blk] = u_r
-    x_node = kernel.map_columns(xcols.reshape(-1, ell)).reshape(rho, nd)
+        xcols = _gather(xcols, s_r)
+        u_node = _gather(u_node, s_r)
+        src = _chain(src, s_r)
+        xcols[..., r] = x_r
+        u_node[..., r * blk : (r + 1) * blk] = u_r
+    x_node = kernel.map_columns(xcols.reshape(-1, ell)).reshape(nb, rho, nd)
     return src, u_node, x_node, rho
 
 
@@ -203,48 +266,69 @@ def decode_scl(
     list_size: int,
     crc: Crc | None = None,
 ) -> SclResult:
-    """List decoding from per-position likelihood rows of shape (N, q)."""
+    """List decoding from likelihood rows of shape (N, q), or (B, N, q) for B frames.
+
+    Outputs take the shape of the input (see SclResult); ops counts the
+    work of one frame. Rows must be finite and nonnegative (a ValueError
+    names the first bad position). Evidence that leaves no list path
+    possible raises LlrContradiction for one frame and is marked in
+    SclResult.failed for a batch (see the module docstring).
+    """
     kernel = spec.kernel
     q = kernel.q
     n = spec.n
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
-    rows = check_likelihood_rows(rows, n, q)
+    if crc is not None and q != 2:
+        raise ValueError("CRC filtering needs a binary alphabet")
+    rows = check_likelihood_rows(rows, n, q, batch=True)
     if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
         raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
-    peak = rows.max(axis=1)
-    if (peak <= 0.0).any():
-        raise LlrContradiction("evidence rules out every symbol at some position")
-    rows = rows / peak[:, None]
+    single = rows.ndim == 2
+    if single:
+        rows = rows[None]
+    nb = len(rows)
 
     mask, vals = spec.frozen_arrays()
-    ctx = _Ctx(kernel=kernel, m_list=list_size, mask=mask, vals=vals)
-    pi0 = np.ascontiguousarray(rows.T)[:, None, :]  # (q, 1, N)
-    s, u_list, x_list, rho = _rec_list(ctx, pi0, 0, 1)
+    ctx = _Ctx(kernel, list_size, mask, vals, None if single else np.zeros(nb, dtype=bool))
+    peak = rows.max(axis=2)
+    dead = (peak <= 0.0).any(axis=1)
+    if dead.any():
+        ctx.fail(dead, "evidence rules out every symbol at some position")
+        rows = np.where(dead[:, None, None], 1.0, rows)
+        peak[dead] = 1.0
+    rows = rows / peak[:, :, None]
+
+    pi0 = np.ascontiguousarray(np.moveaxis(rows, 2, 0))[:, :, None, :]  # (q, B, 1, N)
+    _, u_list, x_list, rho = _rec_list(ctx, pi0, 0, 1)
 
     # exact full-evidence scores; selection-time rescaling cancels here
     with np.errstate(divide="ignore"):
-        logrows = np.log(rows)
-    log_scores = logrows[np.arange(n)[None, :], x_list].sum(axis=1)
-    order = np.argsort(-log_scores, kind="stable")
-    u_list, x_list, log_scores = u_list[order], x_list[order], log_scores[order]
+        logrows = np.log(rows).reshape(nb, 1, n * q)
+    log_scores = np.take_along_axis(logrows, x_list + q * np.arange(n), axis=2).sum(axis=2)
+    order = np.argsort(-log_scores, axis=1, kind="stable")
+    u_list, x_list, log_scores = (_gather(a, order) for a in (u_list, x_list, log_scores))
 
-    top = log_scores.max()
-    if top == -np.inf:
-        raise LlrContradiction("every surviving path has zero likelihood")
-    w = np.exp(log_scores - top)
-    probs = w / w.sum()
+    top = log_scores.max(axis=1)
+    dead = top == -np.inf
+    if dead.any():
+        ctx.fail(dead, "every surviving path has zero likelihood")
+        top[dead] = 0.0
+    w = np.exp(log_scores - top[:, None])
+    w[dead] = 1.0
+    probs = w / w.sum(axis=1, keepdims=True)
 
-    best = 0
+    best = np.zeros(nb, dtype=np.int64)
     if crc is not None:
-        if q != 2:
-            raise ValueError("CRC filtering needs a binary alphabet")
         info = spec.info_indices()
-        for i in range(rho):
-            if crc.check(u_list[i, info]):
-                best = i
-                break
-    return SclResult(u_list, x_list, log_scores, probs, best, ctx.ops)
+        for b in range(nb):
+            for i in range(rho):
+                if crc.check(u_list[b, i, info]):
+                    best[b] = i
+                    break
+    if single:
+        return SclResult(u_list[0], x_list[0], log_scores[0], probs[0], int(best[0]), ctx.ops)
+    return SclResult(u_list, x_list, log_scores, probs, best, ctx.ops, ctx.failed)
 
 
 def decode_scl_arikan(
@@ -253,6 +337,7 @@ def decode_scl_arikan(
     list_size: int,
     crc: Crc | None = None,
 ) -> SclResult:
+    """decode_scl from binary LLRs of shape (N,), or (B, N) for B frames."""
     if not spec.kernel.is_arikan:
         raise ValueError("decode_scl_arikan requires the (u+v, v) kernel")
     return decode_scl(spec, likelihood_rows_binary(llr), list_size, crc=crc)

@@ -87,7 +87,8 @@ def test_transmit_accepts_seed_or_generator():
 
 def test_likelihood_rows_validation():
     assert likelihood_rows(np.zeros((3, 4))).shape == (3, 4)
-    for bad in (np.zeros(4), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+    assert likelihood_rows(np.zeros((2, 3, 4))).shape == (2, 3, 4)  # a batch of two frames
+    for bad in (np.zeros(4), np.zeros((3, 1)), np.zeros((2, 3, 1))):
         with pytest.raises(ValueError):
             likelihood_rows(bad)
     # LLRs against symbol 0 may carry any per-row offset
@@ -152,3 +153,31 @@ def test_binary_rows_are_the_q2_case():
     rows = likelihood_rows_binary(llr)
     assert np.array_equal(rows, likelihood_rows(np.stack([np.zeros(7), llr], axis=1)))
     assert list(rows[3]) == [1.0, 0.0] and list(rows[4]) == [0.0, 1.0]
+
+
+def test_likelihood_rows_batch_matches_per_frame_calls():
+    # leading frame axes are converted row by row: each frame's rows are
+    # what a call on that frame alone gives, bit for bit
+    rng = np.random.default_rng(21)
+    picks = np.array([0.0, np.inf, -np.inf, 1.0])
+    for _ in range(200):
+        b, n, q = rng.integers(1, 5), rng.integers(1, 6), rng.integers(2, 5)
+        llr = rng.normal(0.0, 3.0, (b, n, q))
+        hit = rng.random((b, n, q)) < 0.3
+        llr[hit] = rng.choice(picks, hit.sum())
+        singles = []
+        for frame in llr:
+            try:
+                singles.append(likelihood_rows(frame))
+            except DegenerateEvidenceError:
+                singles.append(None)
+        if any(s is None for s in singles):
+            with pytest.raises(DegenerateEvidenceError, match=f"frame {singles.index(None)}, position"):
+                likelihood_rows(llr)
+            continue
+        got = likelihood_rows(llr)
+        assert np.array_equal(got, np.array(singles))
+        assert np.array_equal(likelihood_rows_binary(llr[..., 1]), np.array(
+            [likelihood_rows_binary(frame) for frame in llr[..., 1]]))
+    with pytest.raises(ValueError, match="frame 1, position 2: NaN"):
+        likelihood_rows_binary(np.array([[0.0, 1.0, 2.0], [0.0, 1.0, math.nan]]))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -327,6 +332,41 @@ def test_non_positive_count_usage_error(tmp_path, capsys, small_code, argv, flag
     assert out == ""
     assert f"argument {flag}: must be a positive integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("hwsim", "--arch", "sc-multi", "--N", "8", "--p", "-1"),
+     "argument --p: must be a non-negative integer"),
+    (("hwsim", "--arch", "sc-multi", "--N", "8", "--p", "8"), "error: --p must be at most N-1 = 7"),
+    (("hwsim", "--arch", "sc-line-limited", "--N", "8", "--i", "0"),
+     "argument --i: must be a positive integer"),
+    (("hwsim", "--arch", "sc-line-limited", "--N", "8", "--i", "4"),
+     "error: --i must be at most log2 N = 3"),
+    (("simulate", "--N", "8", "--rate", "1.5"), "argument --rate: must be in [0, 1]"),
+    (("simulate", "--N", "8", "--rate", "-0.5"), "argument --rate: must be in [0, 1]"),
+    (("construct", "--N", "8", "--rate", "0.5", "--mc-trials", "-5"),
+     "argument --mc-trials: must be a non-negative integer"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--jobs", "0"),
+     "argument --jobs: must be a positive integer"),
+])
+def test_out_of_range_parameter_usage_error(capsys, argv, message):
+    # refused before any work: exit 2 and one error line, no output, no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "polarbench", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: polarbench")
+    assert "simulate" in done.stdout
 
 
 def test_encode_symbol_outside_alphabet_usage_error(tmp_path, capsys, small_code):

@@ -1,10 +1,11 @@
 """Seeded `polarbench simulate` rows, pinned byte for byte.
 
-Every row was recorded before the SC Monte-Carlo lanes were batched; the
-first is the README example. Each case runs with --jobs 1 and --jobs 2,
-and the cases of more than LANE_SIZE trials span two or three lanes, so a
-change to the draw order, the lane split or any decision shows here. SCL
-and BP decode frame by frame, so their cases use N = 4 to stay quick.
+Every row was recorded while its decoder still went frame by frame: the
+first seventeen before the SC Monte-Carlo lanes were batched, the last
+three (SCL at N = 64 and 128, lists of 4 and 8) before SCL was. The first
+row is the README example. Each case runs with --jobs 1 and --jobs 2, and
+the cases of more than LANE_SIZE trials span two or three lanes, so a
+change to the draw order, the lane split or any decision shows here.
 """
 
 import pytest
@@ -46,6 +47,12 @@ CASES = [
      "sc,biawgn,0.8,64,0.5,1,0,1100,0.0396875,0.14909091,3"),
     ("--decoder sc --min-sum --channel biawgn:0.8 --N 64 --rate 0.5 --trials 1100 --seed 3",
      "sc,biawgn,0.8,64,0.5,1,0,1100,0.039090909,0.14363636,3"),
+    ("--decoder scl --list-size 8 --channel bsc:0.08 --N 128 --rate 0.5 --trials 160 --seed 5",
+     "scl,bsc,0.08,128,0.5,8,0,160,0.086328125,0.38125,5"),
+    ("--decoder scl --list-size 8 --channel bec:0.4 --N 64 --rate 0.5 --trials 520 --seed 5",
+     "scl,bec,0.4,64,0.5,8,0,520,0.050901442,0.16346154,5"),
+    ("--decoder scl --list-size 4 --channel biawgn:0.8 --N 64 --rate 0.5 --trials 520 --seed 5",
+     "scl,biawgn,0.8,64,0.5,4,0,520,0.029326923,0.10576923,5"),
 ]
 
 

@@ -87,7 +87,7 @@ def test_run_lane_validation():
         run_lane(CodeSpec(kernel=k, m=2, frozen={}), bec(0.1), "sc", 5, 0)
 
 
-def _lane_reference(spec, ch, decoder, count, rng, min_sum=False, iters=40):
+def _lane_reference(spec, ch, decoder, count, rng, min_sum=False, iters=40, list_size=8):
     # run_lane's RNG order, one (N,) decode per frame, failures caught
     k = spec.k_info
     info = spec.info_indices()
@@ -96,7 +96,7 @@ def _lane_reference(spec, ch, decoder, count, rng, min_sum=False, iters=40):
         u = spec.assemble(rng.integers(0, 2, k))
         lam = transmit(ch, encode(spec, u), rng)
         try:
-            u_hat = decode_frame(spec, decoder, lam, iters=iters, min_sum=min_sum)
+            u_hat = decode_frame(spec, decoder, lam, list_size, iters, min_sum)
         except LlrContradiction:
             failures += 1
             frames += 1
@@ -121,11 +121,19 @@ def test_run_lane_matches_per_frame_reference(ch, min_sum, count):
         assert failures > 20  # the batch really holds contradicting frames
 
 
-def test_run_lane_row_loop_decoders_match_reference():
-    spec = construct_bec(3, 0.5, 0.5)
-    got = run_lane(spec, bec(0.5), "scl", 40, np.random.default_rng(4))
-    want, _ = _lane_reference(spec, bec(0.5), "scl", 40, np.random.default_rng(4))
+@pytest.mark.parametrize("ch", [bec(0.6), bsc(0.08), biawgn(0.8)])
+@pytest.mark.parametrize("list_size", [2, 8])
+@pytest.mark.parametrize("count", [1, 7, LANE_SIZE])
+def test_run_lane_row_loop_decoders_match_reference(ch, list_size, count):
+    # SCL decodes the whole lane in one list recursion; the tally is that
+    # of one call per frame, failed frames included
+    spec = construct_bec(5, 0.5, 0.5)
+    got = run_lane(spec, ch, "scl", count, np.random.default_rng(count), list_size=list_size)
+    want, failures = _lane_reference(spec, ch, "scl", count, np.random.default_rng(count),
+                                     list_size=list_size)
     assert got == want
+    if ch.kind == "bec" and list_size == 2 and count == LANE_SIZE:
+        assert failures > 10  # the batch really holds contradicting frames
 
 
 @pytest.mark.parametrize("ch,min_sum", [
@@ -183,8 +191,8 @@ def test_run_trials_jobs_agree_on_batched_lanes(ch):
 
 
 def test_decode_frame_batch_of_row_loop_decoders():
-    # SCL decodes a batch row by row and BP in one call; both mark failures
-    # per row (BP never fails a frame: it flags the contradiction instead)
+    # SCL and BP decode a batch in one call; both mark failures per row
+    # (BP never fails a frame: it flags the contradiction instead)
     spec = CodeSpec(construct_bec(1, 0.5, 0.5).kernel, 1, {0: 0})
     lam = np.array([[3.0, 3.0], [-np.inf, np.inf], [0.5, -2.0]])
     for dec in ("scl", "bp"):
@@ -199,6 +207,27 @@ def test_decode_frame_batch_of_row_loop_decoders():
         for b, one in enumerate(singles):
             if one is not None:
                 assert np.array_equal(u_hat[b], one), (dec, b)
+
+
+def test_decode_frame_scl_lane_in_one_call(monkeypatch):
+    # a lane is one decode_scl call, or slices of at most SCL_CELLS frames
+    # * list size * N for a long code, with the same decisions either way
+    spec = construct_bec(4, 0.5, 0.5)
+    lam = np.random.default_rng(3).normal(1.0, 1.5, (30, 16))
+    calls = []
+
+    def counting(spec, rows, list_size, crc=None):
+        calls.append(rows.shape)
+        return decode_scl(spec, rows, list_size, crc)
+
+    monkeypatch.setattr(mc, "decode_scl", counting)
+    whole = decode_frame(spec, "scl", lam, list_size=8)
+    assert calls == [(30, 16, 2)]
+    calls.clear()
+    monkeypatch.setattr(mc, "SCL_CELLS", 4 * 8 * 16)
+    sliced = decode_frame(spec, "scl", lam, list_size=8)
+    assert [shape[0] for shape in calls] == [4] * 7 + [2]
+    assert np.array_equal(whole[0], sliced[0]) and np.array_equal(whole[1], sliced[1])
 
 
 def test_run_trials_deterministic_across_jobs():

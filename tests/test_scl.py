@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from polarbench.channels import bsc, likelihood_rows_binary, transmit
-from polarbench.kernels import CodeSpec, encode, kernel_linear
+from polarbench.channels import bec, biawgn, bsc, likelihood_rows, likelihood_rows_binary, transmit
+from polarbench.construction import construct_bec
+from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.oracle import ml_decode
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan
@@ -219,13 +224,150 @@ def test_scl_prep_columns_independent(G, q):
     k = kernel_linear(G, q=q)
     rng = np.random.default_rng(q + 10)
     ell, blk = k.ell, 20
-    pi = np.exp(rng.normal(0.0, 2.0, (q, 3, blk * ell)))
+    pi = np.exp(rng.normal(0.0, 2.0, (q, 1, 3, blk * ell)))
     ctx = _Ctx(kernel=k, m_list=4, mask=np.zeros(0, bool), vals=np.zeros(0, np.int64))
-    for src in (np.array([1]), np.array([0, 2, 2])):
-        xcols = rng.integers(0, q, (len(src), blk, ell))
+    for src in (np.array([[1]]), np.array([[0, 2, 2]])):
+        xcols = rng.integers(0, q, (1, src.shape[1], blk, ell))
         for r in range(ell):
-            got = _prep_outer_list(ctx, pi, src, xcols[:, :, :r], r)
+            got = _prep_outer_list(ctx, pi, src, xcols[..., :r], r)
             for b in range(blk):
-                alone = _prep_outer_list(ctx, pi[:, :, b * ell : (b + 1) * ell], src,
-                                         xcols[:, b : b + 1, :r], r)
-                assert np.array_equal(got[:, :, b], alone[:, :, 0]), (len(src), r, b)
+                alone = _prep_outer_list(ctx, pi[..., b * ell : (b + 1) * ell], src,
+                                         xcols[:, :, b : b + 1, :r], r)
+                assert np.array_equal(got[..., b], alone[..., 0]), (src.shape[1], r, b)
+
+
+# batch contract --------------------------------------------------------------
+
+# sha256 prefixes over 200 frames of (u_list, log_scores, ops) bytes,
+# recorded frame by frame before decode_scl took a frame axis
+SCL_PINS = [
+    ("bsc", 0.08, 7, 8, "78f117962e46c269"),
+    ("bec", 0.4, 6, 8, "1797da8d4a76cce3"),
+    ("biawgn", 0.8, 7, 4, "7eb8a1626143f72a"),
+]
+
+
+@pytest.mark.parametrize("kind,param,m,list_size,want", SCL_PINS)
+def test_scl_batch_pinned_to_frame_by_frame_decodes(kind, param, m, list_size, want):
+    ch = {"bsc": bsc, "bec": bec, "biawgn": biawgn}[kind](param)
+    spec = construct_bec(m, param if kind == "bec" else 0.5, 0.5)
+    rng = np.random.default_rng([m, list_size])
+    lam = np.array([
+        transmit(ch, encode(spec, spec.assemble(rng.integers(0, 2, spec.k_info))), rng)
+        for _ in range(200)
+    ])
+    res = decode_scl_arikan(spec, lam, list_size)
+    h = hashlib.sha256()
+    for b in range(len(lam)):
+        if res.failed[b]:
+            h.update(b"failed")
+            continue
+        h.update(res.u_list[b].tobytes())
+        h.update(res.log_scores[b].tobytes())
+        h.update(str(res.ops).encode())
+    assert h.hexdigest()[:16] == want
+
+
+SCL_KERNELS = {
+    "uv": (kernel_arikan(), 5),
+    "g4": (kernel_linear(G4), 2),
+    "gf3": (kernel_linear([[1, 0, 0], [1, 1, 0], [1, 2, 1]], q=3), 2),
+    "gf4": (kernel_linear([[1, 0], [1, 1]], q=4), 3),
+    "glued": (kernel_linear(G4, glue=[(0, 1), (2,), (3,)]), 1),
+}
+
+
+def _scl_batch_rows(data, n, q, b):
+    rows = []
+    for _ in range(b):
+        kind = data.draw(hs.sampled_from(("gauss", "inf", "zero")))
+        rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+        if kind == "gauss":
+            rows.append(np.exp(rng.normal(0.0, 2.0, (n, q))))
+        elif kind == "inf":
+            # LLRs against symbol 0, most of them +-inf: killed symbols and
+            # certain ones
+            llr = rng.choice([np.inf, -np.inf, np.inf, -np.inf, 0.0, 1.5, -0.25], (n, q))
+            llr[:, 0] = 0.0
+            rows.append(likelihood_rows(llr))
+        else:
+            w = rng.random((n, q))
+            w[rng.random((n, q)) < 0.6] = 0.0
+            rows.append(w)
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs.sampled_from(sorted(SCL_KERNELS)), hs.data())
+def test_scl_batch_rows_match_single_calls(name, data):
+    # a frame fails in the batch exactly when its own call raises, and every
+    # other frame equals its own call in every field; no failing frame puts
+    # a floating-point warning into the batch
+    kernel, max_m = SCL_KERNELS[name]
+    q = kernel.q
+    m = data.draw(hs.integers(1, max_m))
+    n = kernel.ell**m
+    frozen = data.draw(hs.dictionaries(hs.integers(0, n - 1), hs.integers(0, q - 1)))
+    spec = CodeSpec(kernel, m, frozen)
+    list_size = data.draw(hs.integers(1, 8))
+    crc = data.draw(hs.sampled_from([None, Crc(2, 0x3), Crc(3, 0x5)])) if q == 2 else None
+    b = data.draw(hs.integers(1, 6))
+    rows = _scl_batch_rows(data, n, q, b)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        res = decode_scl(spec, rows, list_size, crc=crc)
+    assert res.failed.shape == res.best.shape == (b,)
+    for i in range(b):
+        try:
+            one = decode_scl(spec, rows[i], list_size, crc=crc)
+        except LlrContradiction:
+            assert res.failed[i], i
+            continue
+        assert not res.failed[i], i
+        for field in ("u_list", "x_list", "log_scores", "probs"):
+            assert np.array_equal(getattr(res, field)[i], getattr(one, field)), (field, i)
+        assert (res.best[i], res.ops) == (one.best, one.ops), i
+        assert np.array_equal(res.u_hat[i], one.u_hat) and np.array_equal(res.x_hat[i], one.x_hat)
+        assert isinstance(one.best, int) and one.failed is None
+
+
+@pytest.mark.parametrize("m,frozen,list_size,bad,message", [
+    (1, {}, 2, [[0.0, 0.0], [1.0, 1.0]], "evidence rules out every symbol"),
+    (1, {0: 1}, 2, [-np.inf, -np.inf], "no surviving list path at a selection step"),
+    (2, {0: 1, 1: 1, 3: 0}, 1, [-np.inf] * 4, "every list path is impossible"),
+    (1, {1: 0}, 1, [-np.inf, -np.inf], "every surviving path has zero likelihood"),
+])
+def test_scl_batch_marks_each_kind_of_failure(arikan, rng, m, frozen, list_size, bad, message):
+    # a frame whose own call raises at the root, at a selection step, while
+    # preparing a column or at the final ranking is marked in a batch, and
+    # the frames around it keep their single-call results
+    spec = CodeSpec(arikan, m, frozen)
+    bad = np.array(bad) if np.ndim(bad) == 2 else likelihood_rows_binary(np.array(bad))
+    with pytest.raises(LlrContradiction, match=message):
+        decode_scl(spec, bad, list_size)
+    clean = likelihood_rows_binary(rng.normal(0.0, 2.0, (2, 2**m)))
+    rows = np.stack([clean[0], bad, clean[1]])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        res = decode_scl(spec, rows, list_size)
+    assert res.failed.tolist() == [False, True, False]
+    for i in (0, 2):
+        one = decode_scl(spec, rows[i], list_size)
+        assert np.array_equal(res.u_list[i], one.u_list)
+        assert np.array_equal(res.log_scores[i], one.log_scores)
+        assert np.array_equal(res.probs[i], one.probs)
+
+
+def test_scl_batch_shapes_and_validation(arikan, rng):
+    spec = CodeSpec(arikan, 3, {0: 0, 1: 0, 2: 0, 4: 0})
+    res = decode_scl_arikan(spec, rng.normal(0.0, 2.0, (5, 8)), 4)
+    assert res.u_list.shape == res.x_list.shape == (5, 4, 8)
+    assert res.log_scores.shape == res.probs.shape == (5, 4)
+    assert res.u_hat.shape == res.x_hat.shape == (5, 8)
+    assert res.failed.tolist() == [False] * 5
+    with pytest.raises(ValueError, match=r"\(B, 8, 2\)"):
+        decode_scl(spec, np.ones((0, 8, 2)), 4)
+    with pytest.raises(ValueError):
+        decode_scl(spec, np.ones((2, 2, 8, 2)), 4)
+    bad = np.ones((3, 8, 2))
+    bad[2, 5, 1] = np.nan
+    with pytest.raises(ValueError, match="frame 2, position 5"):
+        decode_scl(spec, bad, 4)
