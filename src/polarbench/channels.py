@@ -2,6 +2,8 @@
 
 Binary decoders consume one float LLR per output position,
 lambda = ln W(y|0)/W(y|1), with +-inf for erased-to-certainty symbols.
+transmit sends one frame: draw_noise draws its channel noise and
+apply_noise turns bits into LLRs under it, for one frame or a batch.
 Non-binary decoders consume per-position likelihood rows; likelihood_rows
 builds them from an (N, q) array of LLRs against symbol 0, or from a batch
 of such arrays, and likelihood_rows_binary is its q = 2 case.
@@ -62,27 +64,43 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def transmit(ch: ChannelModel, x: np.ndarray, rng) -> np.ndarray:
-    """Send bits x, return the received LLR vector lambda(1) per position."""
-    rng = _as_rng(rng)
-    x = np.asarray(x, dtype=np.int64)
-    n = len(x)
+def draw_noise(ch: ChannelModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One frame's channel draw for n positions.
+
+    Uniforms for bec and bsc, Gaussians of deviation sigma for biawgn. A
+    noiseless bsc (p = 0) draws nothing from rng and returns zeros.
+    """
+    if ch.kind == "biawgn":
+        return rng.normal(0.0, ch.param, size=n)
+    if ch.kind == "bsc" and ch.param == 0.0:
+        return np.zeros(n)
+    return rng.random(n)
+
+
+def apply_noise(ch: ChannelModel, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Received LLRs lambda(1) of bits x under draw_noise's noise, both of shape (..., N).
+
+    bec erases where the uniform is below epsilon, bsc flips where it is
+    below p, and biawgn sends 0 -> +1, 1 -> -1 and adds the Gaussian.
+    """
     if ch.kind == "bec":
         llr = np.where(x == 0, np.inf, -np.inf)
-        erased = rng.random(n) < ch.param
-        return np.where(erased, 0.0, llr)
+        return np.where(noise < ch.param, 0.0, llr)
     if ch.kind == "bsc":
         p = ch.param
         if p == 0.0:
             return np.where(x == 0, np.inf, -np.inf)
-        flips = rng.random(n) < p
-        y = x ^ flips.astype(np.int64)
+        y = x ^ (noise < p)
         mag = math.log((1.0 - p) / p)
         return np.where(y == 0, mag, -mag)
-    # biawgn: 0 -> +1, 1 -> -1
-    s = 1.0 - 2.0 * x
-    y = s + rng.normal(0.0, ch.param, size=n)
+    y = (1.0 - 2.0 * x) + noise
     return 2.0 * y / (ch.param**2)
+
+
+def transmit(ch: ChannelModel, x: np.ndarray, rng) -> np.ndarray:
+    """Send bits x of one frame, return the received LLR vector lambda(1) per position."""
+    x = np.asarray(x, dtype=np.int64)
+    return apply_noise(ch, x, draw_noise(ch, len(x), _as_rng(rng)))
 
 
 def _position(i: int, n: int, batched: bool) -> str:

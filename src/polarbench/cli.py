@@ -83,7 +83,10 @@ def _rate(text: str) -> float:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("POLARBENCH_SEED", "0"))
+    try:
+        return _non_negative_int(os.environ.get("POLARBENCH_SEED", "0"))
+    except argparse.ArgumentTypeError as e:
+        raise SystemExit(f"error: POLARBENCH_SEED: {e}")
 
 
 def _pow2_m(n: int) -> int:
@@ -352,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a code and write its spec file")
     p.add_argument("--N", type=int, help="code length (power of 2, Arikan kernel)")
     p.add_argument("--kernel", metavar="FILE", help="kernel spec file (needs --m)")
-    p.add_argument("--m", type=int, help="recursion depth for --kernel")
+    p.add_argument("--m", type=_positive_int, help="recursion depth for --kernel")
     p.add_argument("--rate", type=_rate, required=True)
     p.add_argument("--channel", type=_parse_channel, default=ChannelModel("bec", 0.5),
                    help="kind:param, e.g. bec:0.5 bsc:0.1 biawgn:0.8")
     p.add_argument("--mc-trials", type=_non_negative_int, default=0,
                    help="genie-aided construction trials; 0 = analytic erasure profile")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_construct)
 
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int, default=40)
     p.add_argument("--min-sum", action="store_true")
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_simulate)
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=2, help="kernel size for general-line")
     p.add_argument("--kernel", metavar="FILE", help="kernel spec file for general-line")
     p.add_argument("--rate", type=_rate, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--check-formulas", action="store_true",
                    help="exit 1 if any counted value disagrees with its closed form")
     p.add_argument("--trace", metavar="FILE", help="write per-cycle activity log")

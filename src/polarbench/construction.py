@@ -2,19 +2,20 @@
 
 Two selectors: exact erasure-probability evolution for the (u+v, v) kernel
 on a BEC, and genie-aided Monte-Carlo estimation that works for any binary
-kernel and channel model. The Monte-Carlo selector draws its frames one at
-a time and, on the (u+v, v) kernel, decodes them in chunks of at most
-LANE_SIZE frames, one batched genie call per chunk.
+kernel and channel model. The Monte-Carlo selector takes its frames in
+chunks of at most LANE_SIZE from montecarlo.draw_frames, the frame source
+of the simulation lanes, and on the (u+v, v) kernel decodes each chunk in
+one batched genie call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelModel, likelihood_rows_binary, transmit
-from .kernels import CodeSpec, Kernel, encode_unchecked, kernel_arikan
+from .channels import ChannelModel, likelihood_rows_binary
+from .kernels import CodeSpec, Kernel, kernel_arikan
 from .llrops import LlrContradiction
-from .montecarlo import LANE_SIZE
+from .montecarlo import LANE_SIZE, draw_frames
 from .sc import decode_sc_arikan, decode_sc_general
 
 
@@ -70,15 +71,9 @@ def montecarlo_error_profile(
         raise ValueError("Monte-Carlo construction needs a binary kernel")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     free = CodeSpec(kernel=kernel, m=m, frozen={})
-    n = free.n
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(free.n, dtype=np.int64)
     for start in range(0, trials, LANE_SIZE):
-        count = min(LANE_SIZE, trials - start)
-        u = np.empty((count, n), dtype=np.int64)
-        llr = np.empty((count, n))
-        for i in range(count):
-            u[i] = rng.integers(0, 2, size=n)
-            llr[i] = transmit(channel, encode_unchecked(kernel, u[i]), rng)
+        u, llr = draw_frames(free, channel, min(LANE_SIZE, trials - start), rng)
         if kernel.is_arikan:
             res = decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u)
             if res.failed.any():

@@ -44,13 +44,7 @@ def _arikan_gmat(kernel, width: int) -> np.ndarray:
     """Rows of the width x width encode matrix, used as update indicators."""
     mat = _ARIKAN_GMAT.get(width)
     if mat is None:
-        rows = []
-        for i in range(width):
-            e = np.zeros(width, dtype=np.int64)
-            e[i] = 1
-            rows.append(encode_unchecked(kernel, e))
-        mat = np.stack(rows)
-        _ARIKAN_GMAT[width] = mat
+        mat = _ARIKAN_GMAT[width] = encode_unchecked(kernel, np.eye(width, dtype=np.int64))
     return mat
 
 

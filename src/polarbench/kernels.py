@@ -107,9 +107,9 @@ class Kernel:
         return tuple(int(v) for v in self.table[_pack(u, self.q)])
 
     def map_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Apply g to each row of cols (shape (n, ell)) at once."""
+        """Apply g to each row of cols (shape (..., ell)) at once."""
         radix = self.q ** np.arange(self.ell - 1, -1, -1, dtype=np.int64)
-        return self.table[cols @ radix]
+        return np.take(self.table, cols @ radix, axis=0)
 
     def group_at(self, boundary: int) -> tuple[int, ...]:
         """The glue group starting at input coordinate `boundary`."""
@@ -169,7 +169,10 @@ def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
 class CodeSpec:
     """A code: kernel, recursion depth m, and frozen coordinates.
 
-    frozen maps input index -> pinned symbol value.
+    frozen maps input index -> pinned symbol value. The information
+    indices and the frozen mask and values are computed once, at
+    construction, as read-only arrays, so frozen must not be mutated
+    afterwards: build a new CodeSpec instead.
     """
 
     kernel: Kernel
@@ -180,11 +183,24 @@ class CodeSpec:
         if self.m < 1:
             raise ValueError("m must be >= 1")
         n = self.n
+        mask = np.zeros(n, dtype=bool)
+        vals = np.zeros(n, dtype=np.int64)
         for i, v in self.frozen.items():
             if not (0 <= i < n):
                 raise ValueError(f"frozen index {i} out of range for N={n}")
             if not (0 <= v < self.kernel.q):
                 raise ValueError(f"frozen value {v} not a field symbol")
+            mask[i] = True
+            vals[i] = v
+        self._info = np.flatnonzero(~mask)
+        self._mask, self._vals = mask, vals
+        for a in (self._info, mask, vals):
+            a.setflags(write=False)
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writable: build them again
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def n(self) -> int:
@@ -198,86 +214,81 @@ class CodeSpec:
     def rate(self) -> float:
         return self.k_info / self.n
 
-    def info_indices(self) -> list[int]:
-        return [i for i in range(self.n) if i not in self.frozen]
+    def info_indices(self) -> np.ndarray:
+        """Information coordinates in increasing order (read-only)."""
+        return self._info
 
     def frozen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.zeros(self.n, dtype=bool)
-        vals = np.zeros(self.n, dtype=np.int64)
-        for i, v in self.frozen.items():
-            mask[i] = True
-            vals[i] = v
-        return mask, vals
+        """(mask, values) over all N coordinates; values are 0 off the mask (read-only)."""
+        return self._mask, self._vals
 
     def assemble(self, info_symbols) -> np.ndarray:
-        """Full input word from the information payload (frozen pinned)."""
-        u = np.zeros(self.n, dtype=np.int64)
-        idx = self.info_indices()
+        """Full input words from (..., k) information payloads (frozen pinned)."""
         info_symbols = np.asarray(info_symbols, dtype=np.int64)
-        if len(info_symbols) != len(idx):
+        if info_symbols.shape[-1:] != self._info.shape:
             raise ValueError("payload length does not match information size")
-        u[idx] = info_symbols
-        for i, v in self.frozen.items():
-            u[i] = v
+        u = np.empty(info_symbols.shape[:-1] + (self.n,), dtype=np.int64)
+        u[...] = self._vals
+        u[..., self._info] = info_symbols
         return u
 
 
 def _encode_rec(kernel: Kernel, u: np.ndarray) -> np.ndarray:
-    n = len(u)
+    n = u.shape[-1]
     ell = kernel.ell
     if n == ell:
-        return kernel.table[_pack(u, kernel.q)].copy()
+        return kernel.map_columns(u)
     blk = n // ell
-    parts = np.stack([_encode_rec(kernel, u[r * blk : (r + 1) * blk]) for r in range(ell)], axis=1)
-    return kernel.map_columns(parts).reshape(-1)
+    parts = np.stack([_encode_rec(kernel, u[..., r * blk : (r + 1) * blk]) for r in range(ell)], axis=-1)
+    return kernel.map_columns(parts).reshape(u.shape)
 
 
 def _encode_arikan(u: np.ndarray) -> np.ndarray:
     # iterative butterflies, small spans first: the top-level combine acts
     # on already-encoded halves
     x = u.copy()
-    n = len(x)
+    n = x.shape[-1]
     span = 2
     while span <= n:
         half = span // 2
-        x2 = x.reshape(-1, span)
-        v = x2[:, :half] ^ x2[:, half:]
-        w = x2[:, half:].copy()
-        x2[:, 0::2] = v
-        x2[:, 1::2] = w
+        x2 = x.reshape(x.shape[:-1] + (-1, span))
+        v = x2[..., :half] ^ x2[..., half:]
+        w = x2[..., half:].copy()
+        x2[..., 0::2] = v
+        x2[..., 1::2] = w
         span *= 2
     return x
 
 
 def encode(spec: CodeSpec, u) -> np.ndarray:
-    """Codeword for input u. u must honor the frozen pins."""
+    """Codeword for an (N,) input u, or codewords for a (B, N) batch.
+
+    u must honor the frozen pins: the first mismatch is a FrozenMismatchError.
+    """
     u = np.asarray(u, dtype=np.int64)
-    if u.shape != (spec.n,):
+    if u.ndim not in (1, 2) or u.shape[-1] != spec.n:
         raise ValueError(f"u must have length {spec.n}")
     spec.kernel.alph.check_symbols(u)
-    for i, v in spec.frozen.items():
-        if u[i] != v:
-            raise FrozenMismatchError(f"u[{i}]={u[i]} but coordinate is pinned to {v}")
+    mask, vals = spec.frozen_arrays()
+    bad = np.argwhere(mask & (u != vals))
+    if len(bad):
+        *frame, i = bad[0]
+        where = f"frame {frame[0]}: " if frame else ""
+        raise FrozenMismatchError(f"{where}u[{i}]={u[(*frame, i)]} but coordinate is pinned to {vals[i]}")
     return encode_unchecked(spec.kernel, u)
 
 
-def encode_unchecked(kernel: Kernel, u: np.ndarray) -> np.ndarray:
-    if kernel.is_arikan:
-        return _encode_arikan(np.asarray(u, dtype=np.int64))
-    return _encode_rec(kernel, np.asarray(u, dtype=np.int64))
+def encode_unchecked(kernel: Kernel, u) -> np.ndarray:
+    """Codewords of the (..., N) input words u, over the last axis, unchecked."""
+    u = np.asarray(u, dtype=np.int64)
+    return _encode_arikan(u) if kernel.is_arikan else _encode_rec(kernel, u)
 
 
 def encode_matrix(spec: CodeSpec) -> np.ndarray:
     """Matrix M with encode(u) = u.M over the field (linear kernels only)."""
     if spec.kernel.generator is None:
         raise InvalidKernelError("encode_matrix requires a linear kernel")
-    n = spec.n
-    M = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        M[i] = encode_unchecked(spec.kernel, e)
-    return M
+    return encode_unchecked(spec.kernel, np.eye(spec.n, dtype=np.int64))
 
 
 # text serialization --------------------------------------------------------

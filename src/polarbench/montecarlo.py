@@ -3,16 +3,18 @@
 Trials are grouped into fixed-size lanes; lane i draws from
 default_rng([seed, i]), so the tally is independent of how lanes are
 scheduled and a --jobs split reproduces the single-process result byte for
-byte. A lane draws its frames one at a time (payload, then channel noise)
-and decodes them all in one batched call: SC on the (u+v, v) kernel walks
-its recursion once for the whole lane, BP sweeps the lane's still-running
-frames together until each has stopped by its own rule, SCL walks its list
-recursion once for the whole lane (a long code's lane in a few slices, see
-SCL_CELLS), and only general-kernel SC loops over the rows. Decode
-failures (contradictory or degenerate evidence) come back as a per-frame
-mask and count as a frame error with every information bit wrong; they
-never abort a run. BP never fails a frame: it flags contradictions and
-decides anyway.
+byte. One frame source, draw_frames, serves every lane and the Monte-Carlo
+construction: it draws each frame's payload and channel noise from rng in
+per-frame order, then assembles, encodes and applies the noise to the
+whole lane as (B, N) arrays. A lane's frames are decoded in one batched
+call: SC on the (u+v, v) kernel walks its recursion once for the whole
+lane, BP sweeps the lane's still-running frames together until each has
+stopped by its own rule, SCL walks its list recursion once for the whole
+lane (a long code's lane in a few slices, see SCL_CELLS), and only
+general-kernel SC loops over the rows. Decode failures (contradictory or
+degenerate evidence) come back as a per-frame mask and count as a frame
+error with every information bit wrong; they never abort a run. BP never
+fails a frame: it flags contradictions and decides anyway.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import bp_decode
-from .channels import ChannelModel, likelihood_rows, likelihood_rows_binary, transmit
+from .channels import ChannelModel, apply_noise, draw_noise, likelihood_rows, likelihood_rows_binary
 from .kernels import CodeSpec, encode
 from .llrops import LlrContradiction
 from .sc import decode_sc_arikan, decode_sc_general
@@ -116,6 +118,24 @@ def decode_frame(
     return u_hat, failed
 
 
+def draw_frames(spec: CodeSpec, ch: ChannelModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """`count` frames from rng as (count, N) input words u and received LLRs.
+
+    rng is drawn frame by frame in the order of per-frame transmission,
+    a payload rng.integers(0, 2, k) and then that frame's channel draw, so
+    the result is what spec.assemble, encode and transmit give one frame
+    at a time. Assembly, encoding and the noise then act on whole arrays.
+    """
+    k, n = spec.k_info, spec.n
+    payload = np.empty((count, k), dtype=np.int64)
+    noise = np.empty((count, n))
+    for i in range(count):
+        payload[i] = rng.integers(0, 2, k)
+        noise[i] = draw_noise(ch, n, rng)
+    u = spec.assemble(payload)
+    return u, apply_noise(ch, encode(spec, u), noise)
+
+
 def run_lane(
     spec: CodeSpec,
     ch: ChannelModel,
@@ -130,12 +150,8 @@ def run_lane(
     if spec.kernel.q != 2:
         raise ValueError("channel trials need a binary-alphabet kernel")
     k = spec.k_info
-    info_idx = np.array(spec.info_indices(), dtype=np.int64)
-    u = np.empty((count, spec.n), dtype=np.int64)
-    lam = np.empty((count, spec.n))
-    for i in range(count):
-        u[i] = spec.assemble(rng.integers(0, 2, k))
-        lam[i] = transmit(ch, encode(spec, u[i]), rng)
+    info_idx = spec.info_indices()
+    u, lam = draw_frames(spec, ch, count, rng)
     u_hat, failed = decode_frame(spec, decoder, lam, list_size, iters, min_sum)
     errs = (u_hat[:, info_idx] != u[:, info_idx]).sum(axis=1)
     errs[failed] = k

@@ -6,9 +6,11 @@ import pytest
 from polarbench.channels import (
     ChannelModel,
     DegenerateEvidenceError,
+    apply_noise,
     bec,
     biawgn,
     bsc,
+    draw_noise,
     likelihood_rows,
     likelihood_rows_binary,
     transmit,
@@ -83,6 +85,26 @@ def test_transmit_accepts_seed_or_generator():
     a = transmit(biawgn(0.8), x, 42)
     b = transmit(biawgn(0.8), x, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ch,draw", [
+    (bec(0.4), lambda rng, n: rng.random(n)),
+    (bsc(0.08), lambda rng, n: rng.random(n)),
+    (bsc(0.0), lambda rng, n: None),  # noiseless: no draw at all
+    (biawgn(0.8), lambda rng, n: rng.normal(0.0, 0.8, size=n)),
+], ids=["bec", "bsc", "bsc0", "biawgn"])
+def test_transmit_draws_one_frame_of_noise(ch, draw):
+    # the RNG contract of every seeded row: one documented draw per frame
+    x = np.array([0, 1, 1, 0, 1])
+    got, want = np.random.default_rng(8), np.random.default_rng(8)
+    llr = transmit(ch, x, got)
+    draw(want, len(x))
+    assert got.bit_generator.state == want.bit_generator.state
+    # the batched noise step gives each row what transmit gives that frame
+    noise = np.stack([draw_noise(ch, len(x), np.random.default_rng(8)) for _ in range(3)])
+    rows = apply_noise(ch, np.stack([x, 1 - x, x]), noise)
+    assert np.array_equal(rows[0], llr) and np.array_equal(rows[2], llr)
+    assert np.array_equal(rows[1], transmit(ch, 1 - x, np.random.default_rng(8)))
 
 
 def test_likelihood_rows_validation():

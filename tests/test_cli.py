@@ -348,6 +348,12 @@ def test_non_positive_count_usage_error(tmp_path, capsys, small_code, argv, flag
      "argument --mc-trials: must be a non-negative integer"),
     (("simulate", "--N", "8", "--rate", "0.5", "--jobs", "0"),
      "argument --jobs: must be a positive integer"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--seed", "-1"),
+     "argument --seed: must be a non-negative integer"),
+    (("construct", "--N", "8", "--rate", "0.5", "--mc-trials", "5", "--seed", "-3"),
+     "argument --seed: must be a non-negative integer"),
+    (("hwsim", "--arch", "sc-line", "--N", "8", "--seed", "-2"),
+     "argument --seed: must be a non-negative integer"),
 ])
 def test_out_of_range_parameter_usage_error(capsys, argv, message):
     # refused before any work: exit 2 and one error line, no output, no traceback
@@ -356,6 +362,34 @@ def test_out_of_range_parameter_usage_error(capsys, argv, message):
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_construct_kernel_depth_usage_error(tmp_path, capsys, m):
+    kfile = tmp_path / "k.txt"
+    kfile.write_text("kernel ell=2 q=2\nG 1 0\nG 1 1\n")
+    code, out, err = run_cli(capsys, "construct", "--kernel", str(kfile), "--m", m,
+                             "--rate", "0.5", "--mc-trials", "10")
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --m: must be a positive integer" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--N", "8", "--rate", "0.5", "--trials", "5"),
+    ("construct", "--N", "8", "--rate", "0.5", "--mc-trials", "5"),
+    ("hwsim", "--arch", "sc-line", "--N", "8"),
+])
+def test_env_seed_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("POLARBENCH_SEED", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: POLARBENCH_SEED: ")
     assert "Traceback" not in err
 
 

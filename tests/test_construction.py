@@ -137,11 +137,12 @@ def test_mc_profile_contradicting_evidence_raises(arikan, monkeypatch):
     # genie profile raises rather than counting a meaningless frame
     import polarbench.construction as construction
 
-    def lying(channel, x, rng):
-        llr = np.where(x == 0, np.inf, -np.inf)
-        llr[0] = -llr[0]  # certain, and wrong, about one bit
-        return llr
+    def lying(spec, channel, count, rng):
+        u = np.zeros((count, spec.n), dtype=np.int64)
+        llr = np.full((count, spec.n), np.inf)
+        llr[:, 0] = -np.inf  # certain, and wrong, about one bit
+        return u, llr
 
-    monkeypatch.setattr(construction, "transmit", lying)
+    monkeypatch.setattr(construction, "draw_frames", lying)
     with pytest.raises(LlrContradiction):
         montecarlo_error_profile(arikan, 3, bec(0.5), 10, rng=0)

@@ -6,6 +6,11 @@ three (SCL at N = 64 and 128, lists of 4 and 8) before SCL was. The first
 row is the README example. Each case runs with --jobs 1 and --jobs 2, and
 the cases of more than LANE_SIZE trials span two or three lanes, so a
 change to the draw order, the lane split or any decision shows here.
+
+The code-file rows (the length-4 kernel G4, and an Arikan code with frozen
+pins of value 1), the noiseless bsc:0 rows and the `construct --mc-trials`
+spec files were recorded while every lane still drew, assembled, encoded
+and transmitted its frames one at a time.
 """
 
 import pytest
@@ -62,3 +67,64 @@ def test_simulate_row_pinned(capsys, args, row, jobs):
     assert main(["simulate", *args.split(), "--jobs", jobs]) == 0
     out = capsys.readouterr().out
     assert out == "decoder,channel,param,N,rate,list_size,iters,trials,ber,fer,seed\n" + row + "\n"
+
+
+G4_KERNEL = "kernel ell=4 q=2\nG 1 0 0 0\nG 1 1 0 0\nG 1 0 1 0\nG 1 1 1 1\n"
+CODE_FILES = {
+    "g4": G4_KERNEL + "m 2\nfrozen 0 1 2=1 3 4 8=1 5\n",
+    "pin1": "kernel ell=2 q=2\nm 3\nfrozen 0 1=1 2 4=1\n",
+}
+
+FILE_CASES = [
+    ("g4", "--decoder sc --channel bec:0.3 --trials 520 --seed 5",
+     "sc,bec,0.3,16,0.5625,1,0,520,0.06025641,0.13653846,5"),
+    ("g4", "--decoder sc --channel biawgn:0.8 --trials 520 --seed 5",
+     "sc,biawgn,0.8,16,0.5625,1,0,520,0.072008547,0.18269231,5"),
+    ("g4", "--decoder scl --list-size 4 --channel bsc:0.08 --trials 520 --seed 5",
+     "scl,bsc,0.08,16,0.5625,4,0,520,0.10790598,0.25769231,5"),
+    ("pin1", "--decoder sc --channel bec:0.4 --trials 520 --seed 5",
+     "sc,bec,0.4,8,0.5,1,0,520,0.075961538,0.13846154,5"),
+    ("pin1", "--decoder scl --list-size 4 --channel biawgn:0.8 --trials 520 --seed 5",
+     "scl,biawgn,0.8,8,0.5,4,0,520,0.027403846,0.053846154,5"),
+    ("pin1", "--decoder bp --iters 20 --channel bsc:0.08 --trials 520 --seed 5",
+     "bp,bsc,0.08,8,0.5,1,20,520,0.075480769,0.14423077,5"),
+    (None, "--decoder sc --channel bsc:0 --N 8 --rate 0.5 --trials 520 --seed 5",
+     "sc,bsc,0,8,0.5,1,0,520,0,0,5"),
+    (None, "--decoder bp --iters 20 --channel bsc:0 --N 8 --rate 0.5 --trials 520 --seed 5",
+     "bp,bsc,0,8,0.5,1,20,520,0,0,5"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("code,args,row", FILE_CASES, ids=[f"{c}:{a}" for c, a, _ in FILE_CASES])
+def test_simulate_code_file_row_pinned(tmp_path, capsys, code, args, row, jobs):
+    where = []
+    if code:
+        path = tmp_path / f"{code}.txt"
+        path.write_text(CODE_FILES[code])
+        where = ["--code", str(path)]
+    assert main(["simulate", *where, *args.split(), "--jobs", jobs]) == 0
+    out = capsys.readouterr().out
+    assert out == "decoder,channel,param,N,rate,list_size,iters,trials,ber,fer,seed\n" + row + "\n"
+
+
+ARIKAN_HEAD = "kernel ell=2 q=2\nG 1 0\nG 1 1\nm 5\n"
+CONSTRUCT_CASES = [
+    ("--N 32 --rate 0.5 --channel bec:0.4 --mc-trials 100 --seed 6",
+     ARIKAN_HEAD + "frozen 0 1 2 3 4 5 6 7 8 9 10 11 12 16 17 18\n"),
+    ("--N 32 --rate 0.375 --channel bsc:0.15 --mc-trials 600 --seed 6",
+     ARIKAN_HEAD + "frozen 0 1 2 3 4 5 6 7 8 9 10 11 12 14 16 17 18 19 20 24\n"),
+    ("--N 32 --rate 0.5 --channel biawgn:0.9 --mc-trials 600 --seed 5",
+     ARIKAN_HEAD + "frozen 0 1 2 3 4 5 6 8 9 10 12 16 17 18 20 24\n"),
+    ("--kernel G4 --m 2 --rate 0.5 --channel bsc:0.2 --mc-trials 100 --seed 6",
+     G4_KERNEL + "m 2\nfrozen 0 1 2 4 5 8 9 10\n"),
+]
+
+
+@pytest.mark.parametrize("args,text", CONSTRUCT_CASES, ids=[a for a, _ in CONSTRUCT_CASES])
+def test_construct_mc_spec_pinned(tmp_path, capsys, args, text):
+    kernel = tmp_path / "g4.txt"
+    kernel.write_text(G4_KERNEL)
+    argv = [str(kernel) if a == "G4" else a for a in args.split()]
+    assert main(["construct", *argv]) == 0
+    assert capsys.readouterr().out == text

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,61 @@ def test_encode_equals_matrix_small_kernels():
             assert np.array_equal(encode(spec, u), a.matvec(u, gmat))
 
 
+def _encode_by_definition(kernel, u):
+    # output position ell*i+j is g_j of column i of the ell partial codewords
+    n, ell = len(u), kernel.ell
+    if n == ell:
+        return list(kernel.map(u))
+    blk = n // ell
+    parts = [_encode_by_definition(kernel, u[r * blk : (r + 1) * blk]) for r in range(ell)]
+    return [s for i in range(blk) for s in kernel.map([p[i] for p in parts])]
+
+
+@pytest.mark.parametrize("kernel", [
+    kernel_arikan(), kernel_linear(G4), kernel_linear([[1, 0], [1, 1]], q=3),
+], ids=["arikan", "g4", "gf3"])
+def test_encode_unchecked_batch_matches_rows(kernel):
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 3):
+        u = rng.integers(0, kernel.q, (9, kernel.ell**m))
+        before = u.copy()
+        got = encode_unchecked(kernel, u)
+        assert got.shape == u.shape and np.array_equal(u, before)
+        for row, x in zip(u, got):
+            assert list(x) == _encode_by_definition(kernel, list(row))
+            assert np.array_equal(x, encode_unchecked(kernel, row))
+    # a one-frame codeword is a new array, not a view of the kernel table
+    x = encode_unchecked(kernel, np.zeros(kernel.ell, dtype=np.int64))
+    x[:] = 1
+    assert not kernel.table[0].any()
+
+
+def test_encode_batch_checks_every_frame(arikan):
+    spec = CodeSpec(arikan, 3, {0: 0, 5: 1})
+    u = spec.assemble(np.random.default_rng(2).integers(0, 2, (6, spec.k_info)))
+    assert np.array_equal(encode(spec, u), np.stack([encode(spec, row) for row in u]))
+    u[4, 5] = 0
+    with pytest.raises(FrozenMismatchError, match=r"frame 4: u\[5\]=0 but coordinate is pinned to 1"):
+        encode(spec, u)
+    with pytest.raises(FrozenMismatchError, match=r"^u\[5\]=0 but"):
+        encode(spec, u[4])
+    u[4, 5] = 2
+    with pytest.raises(ValueError, match="symbols out of range"):
+        encode(spec, u)
+
+
+def test_assemble_batch_matches_rows(arikan):
+    spec = CodeSpec(arikan, 3, {1: 1, 2: 0, 6: 1})
+    payload = np.random.default_rng(5).integers(0, 2, (4, 3, spec.k_info))
+    u = spec.assemble(payload)
+    assert u.shape == (4, 3, spec.n)
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(u[idx], spec.assemble(payload[idx]))
+    assert list(u[0, 0, [1, 2, 6]]) == [1, 0, 1]
+    with pytest.raises(ValueError, match="payload length"):
+        spec.assemble(payload[..., 1:])
+
+
 def test_encode_matrix_requires_linear():
     k = kernel_from_table([[1, 1], [1, 0], [0, 0], [0, 1]], q=2)
     spec = spec_all_free(k, 2)
@@ -209,11 +266,16 @@ def test_codespec_properties(arikan):
     assert spec.n == 8
     assert spec.k_info == 5
     assert spec.rate == pytest.approx(5 / 8)
-    assert spec.info_indices() == [3, 4, 5, 6, 7]
+    assert list(spec.info_indices()) == [3, 4, 5, 6, 7]
     mask, vals = spec.frozen_arrays()
     assert list(np.flatnonzero(mask)) == [0, 1, 2]
     assert list(vals[:3]) == [0, 0, 1]
     assert not vals[3:].any()
+    # computed once and shared by every caller, so read-only, also after a pickle
+    again = pickle.loads(pickle.dumps(spec))
+    for s in (spec, again):
+        assert not any(a.flags.writeable for a in (s.info_indices(), *s.frozen_arrays()))
+    assert list(again.info_indices()) == [3, 4, 5, 6, 7]
     u = spec.assemble([1, 0, 1, 1, 0])
     assert list(u) == [0, 0, 1, 1, 0, 1, 1, 0]
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarbench.montecarlo as mc
 from polarbench.bp import bp_decode
@@ -13,7 +15,7 @@ from polarbench.channels import (
     transmit,
 )
 from polarbench.construction import construct_bec
-from polarbench.kernels import CodeSpec, encode, kernel_linear
+from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import (
     CSV_HEADER,
@@ -22,6 +24,7 @@ from polarbench.montecarlo import (
     _lane_counts,
     csv_row,
     decode_frame,
+    draw_frames,
     run_lane,
     run_trials,
 )
@@ -347,3 +350,39 @@ def test_decode_frame_glued_uv_kernel(monkeypatch):
     assert np.array_equal(decode_frame(spec, "sc", llr), res.u_hat)
     with pytest.raises(ValueError):
         decode_frame(spec, "bp", llr)
+
+
+def _frames_per_frame(spec, ch, count, rng):
+    # the reference frame source: assemble, encode and transmit, one frame at a time
+    u, lam = [], []
+    for _ in range(count):
+        u.append(spec.assemble(rng.integers(0, 2, spec.k_info)))
+        lam.append(transmit(ch, encode(spec, u[-1]), rng))
+    return np.array(u), np.array(lam)
+
+
+FRAME_KERNELS = [kernel_arikan(), kernel_linear(G4)]
+FRAME_CHANNELS = [bec(0.0), bec(0.4), bec(1.0), bsc(0.0), bsc(0.08), biawgn(0.8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_draw_frames_matches_per_frame(data):
+    kernel = data.draw(st.sampled_from(FRAME_KERNELS))
+    m = data.draw(st.integers(1, 3 if kernel.ell == 2 else 2))
+    n = kernel.ell**m
+    which = data.draw(st.one_of(
+        st.just([True] * n), st.just([False] * n),  # k = 0 and k = N
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+    values = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    spec = CodeSpec(kernel, m, {i: v for i, (f, v) in enumerate(zip(which, values)) if f})
+    ch = data.draw(st.sampled_from(FRAME_CHANNELS))
+    count = data.draw(st.one_of(st.just(1), st.just(LANE_SIZE), st.integers(1, LANE_SIZE)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    u, lam = draw_frames(spec, ch, count, got_rng)
+    u_ref, lam_ref = _frames_per_frame(spec, ch, count, want_rng)
+    assert np.array_equal(u, u_ref)
+    assert lam.shape == lam_ref.shape == (count, n)
+    assert np.array_equal(lam.view(np.uint64), lam_ref.view(np.uint64))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
