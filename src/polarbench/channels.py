@@ -58,12 +58,6 @@ def biawgn(sigma: float) -> ChannelModel:
     return ChannelModel("biawgn", sigma)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def draw_noise(ch: ChannelModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """One frame's channel draw for n positions.
 
@@ -100,7 +94,7 @@ def apply_noise(ch: ChannelModel, x: np.ndarray, noise: np.ndarray) -> np.ndarra
 def transmit(ch: ChannelModel, x: np.ndarray, rng) -> np.ndarray:
     """Send bits x of one frame, return the received LLR vector lambda(1) per position."""
     x = np.asarray(x, dtype=np.int64)
-    return apply_noise(ch, x, draw_noise(ch, len(x), _as_rng(rng)))
+    return apply_noise(ch, x, draw_noise(ch, len(x), np.random.default_rng(rng)))
 
 
 def _position(i: int, n: int, batched: bool) -> str:

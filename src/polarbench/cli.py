@@ -157,6 +157,13 @@ def _load_file(path: str, loader):
         raise SystemExit(f"error: {path}: {e}")
 
 
+def _check_code(spec: CodeSpec, decoder: str, channel: bool) -> None:
+    """Refuse a decoder the code's kernel cannot take; channel trials also need a binary kernel."""
+    if channel and spec.kernel.q != 2:
+        raise SystemExit("error: channel trials need a binary-alphabet kernel")
+    if decoder == "bp" and not spec.kernel.is_arikan:
+        raise SystemExit("error: bp decoding needs the binary (u+v, v) kernel")
+
 
 def cmd_construct(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
@@ -167,6 +174,8 @@ def cmd_construct(args) -> int:
         m = args.m
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
+        if kernel.q != 2:
+            raise SystemExit("error: Monte-Carlo construction needs a binary kernel")
         spec = construct_montecarlo(
             kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
         )
@@ -200,6 +209,7 @@ def cmd_simulate(args) -> int:
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
+    _check_code(spec, args.decoder, channel=True)
     stats = run_trials(
         spec,
         args.channel,
@@ -314,6 +324,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     spec = _load_file(args.code, load_codespec)
+    _check_code(spec, args.decoder, channel=False)
     q = spec.kernel.q
     n = spec.n
     vals = _read_numbers(args.infile, float)
@@ -329,10 +340,6 @@ def cmd_decode(args) -> int:
             raise SystemExit(f"error: expected {n * (q - 1)} llr values ({q - 1} per position)")
         # column 0 is symbol 0 against itself
         llr = np.hstack([np.zeros((n, 1)), np.reshape(vals, (n, q - 1))])
-    if args.decoder == "bp" and not spec.kernel.is_arikan:
-        sys.stderr.write("bp decoding needs the binary (u+v, v) kernel\n")
-        return 2
-
     try:
         u_hat = decode_frame(spec, args.decoder, llr, args.list_size, args.iters, args.min_sum)
     except (LlrContradiction, DegenerateEvidenceError) as e:

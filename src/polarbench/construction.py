@@ -4,8 +4,9 @@ Two selectors: exact erasure-probability evolution for the (u+v, v) kernel
 on a BEC, and genie-aided Monte-Carlo estimation that works for any binary
 kernel and channel model. The Monte-Carlo selector takes its frames in
 chunks of at most LANE_SIZE from montecarlo.draw_frames, the frame source
-of the simulation lanes, and on the (u+v, v) kernel decodes each chunk in
-one batched genie call.
+of the simulation lanes, and decodes each chunk in one batched genie
+call, of the (u+v, v) recursion on that kernel and of the general-kernel
+recursion on any other.
 """
 
 from __future__ import annotations
@@ -69,19 +70,18 @@ def montecarlo_error_profile(
     """
     if kernel.q != 2:
         raise ValueError("Monte-Carlo construction needs a binary kernel")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     counts = np.zeros(free.n, dtype=np.int64)
     for start in range(0, trials, LANE_SIZE):
         u, llr = draw_frames(free, channel, min(LANE_SIZE, trials - start), rng)
         if kernel.is_arikan:
             res = decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u)
-            if res.failed.any():
-                raise LlrContradiction("channel evidence contradicts the transmitted word")
-            counts += res.genie_errors.sum(axis=0)
         else:
-            for u_i, llr_i in zip(u, llr):
-                counts += decode_sc_general(free, likelihood_rows_binary(llr_i), genie_u=u_i).genie_errors
+            res = decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u)
+        if res.failed.any():
+            raise LlrContradiction("channel evidence contradicts the transmitted word")
+        counts += res.genie_errors.sum(axis=0)
     return counts / trials
 
 

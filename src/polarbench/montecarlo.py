@@ -10,11 +10,12 @@ whole lane as (B, N) arrays. A lane's frames are decoded in one batched
 call: SC on the (u+v, v) kernel walks its recursion once for the whole
 lane, BP sweeps the lane's still-running frames together until each has
 stopped by its own rule, SCL walks its list recursion once for the whole
-lane (a long code's lane in a few slices, see SCL_CELLS), and only
-general-kernel SC loops over the rows. Decode failures (contradictory or
-degenerate evidence) come back as a per-frame mask and count as a frame
-error with every information bit wrong; they never abort a run. BP never
-fails a frame: it flags contradictions and decides anyway.
+lane (a long code's lane in a few slices, see SCL_CELLS), and SC on any
+other kernel walks the general recursion once for the whole lane. Decode
+failures (contradictory or degenerate evidence) come back as a per-frame
+mask and count as a frame error with every information bit wrong; they
+never abort a run. BP never fails a frame: it flags contradictions and
+decides anyway.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .bp import bp_decode
 from .channels import ChannelModel, apply_noise, draw_noise, likelihood_rows, likelihood_rows_binary
 from .kernels import CodeSpec, encode
-from .llrops import LlrContradiction
 from .sc import decode_sc_arikan, decode_sc_general
 from .scl import decode_scl
 
@@ -78,12 +78,12 @@ def decode_frame(
     symbol 0 for a q-ary kernel. It returns u_hat; contradictory or
     degenerate evidence raises LlrContradiction or DegenerateEvidenceError.
 
-    A batch of binary frames: llr is (B, N). It returns (u_hat, failed),
-    where failed is a (B,) bool array marking the frames whose evidence
-    would have raised, and a failed frame's u_hat row is meaningless. SC
-    and BP on the (u+v, v) kernel and SCL on any binary kernel decode the
-    batch in one call (BP flags contradictions and never fails a frame);
-    general-kernel SC goes row by row.
+    A batch: llr is (B, N), or (B, N, q) for a q-ary kernel. It returns
+    (u_hat, failed), where failed is a (B,) bool array marking the frames
+    whose evidence would have raised, and a failed frame's u_hat row is
+    meaningless. Every decoder takes the batch in one call (BP flags
+    contradictions and never fails a frame), SCL on a long code in slices
+    of at most SCL_CELLS.
 
     Likelihood rows are built only for the decoders that read them: SC on
     a kernel other than (u+v, v), and SCL.
@@ -91,31 +91,23 @@ def decode_frame(
     if decoder not in DECODERS:
         raise ValueError(f"decoder must be one of {DECODERS}")
     lam = np.asarray(llr, dtype=np.float64)
-    batch = spec.kernel.q == 2 and lam.ndim == 2
-    if decoder == "sc" and spec.kernel.is_arikan:
-        res = decode_sc_arikan(spec, lam, min_sum=min_sum)
-        return res.u_hat if res.failed is None else (res.u_hat, res.failed)
     if decoder == "bp":
         # contradictions are flags inside BP, so no frame ever fails
         res = bp_decode(spec, lam, max_iters=iters, min_sum=min_sum)
         return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
-    rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
-    if decoder == "scl":
-        if not batch:
-            return decode_scl(spec, rows, list_size).u_hat
-        step = max(1, SCL_CELLS // (list_size * spec.n))
-        res = [decode_scl(spec, rows[s : s + step], list_size) for s in range(0, len(rows), step)]
-        return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
-    if not batch:
-        return decode_sc_general(spec, rows).u_hat
-    u_hat = np.zeros(lam.shape, dtype=np.int64)
-    failed = np.zeros(len(lam), dtype=bool)
-    for i, frame_rows in enumerate(rows):
-        try:
-            u_hat[i] = decode_sc_general(spec, frame_rows).u_hat
-        except LlrContradiction:
-            failed[i] = True
-    return u_hat, failed
+    if decoder == "sc" and spec.kernel.is_arikan:
+        res = decode_sc_arikan(spec, lam, min_sum=min_sum)
+    else:
+        rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
+        if decoder == "sc":
+            res = decode_sc_general(spec, rows)
+        elif rows.ndim == 2 or len(rows) * list_size * spec.n <= SCL_CELLS:
+            res = decode_scl(spec, rows, list_size)
+        else:
+            step = max(1, SCL_CELLS // (list_size * spec.n))
+            res = [decode_scl(spec, rows[s : s + step], list_size) for s in range(0, len(rows), step)]
+            return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
+    return res.u_hat if res.failed is None else (res.u_hat, res.failed)
 
 
 def draw_frames(spec: CodeSpec, ch: ChannelModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:

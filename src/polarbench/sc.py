@@ -1,17 +1,18 @@
 """Successive-cancellation decoding over the recursive construction.
 
 Two entry points: decode_sc_arikan walks the binary (u+v, v) recursion on
-scalar LLRs, for one frame or a batch of frames at once; decode_sc_general
-works for any kernel, carrying per-position likelihood rows of shape (N, q)
-and marginalizing undecided kernel inputs exactly. Both support a genie
-mode (feed back true inputs, record which decisions would have been wrong)
-used by Monte-Carlo code construction.
+scalar LLRs; decode_sc_general works for any kernel, carrying
+per-position likelihood rows of shape (N, q) and marginalizing undecided
+kernel inputs exactly. Each takes one frame or a batch of frames through
+the same recursion. Both support a genie mode (feed back true inputs,
+record which decisions would have been wrong) used by Monte-Carlo code
+construction.
 
-Batch contract of decode_sc_arikan: one frame, shape (N,), raises
-LlrContradiction when its +-inf evidence contradicts itself; a batch,
-shape (B, N), never raises for that but marks the frame in
-ScResult.failed, and every other frame's result equals a single-frame
-call on its row.
+Batch contract of both: one frame, LLRs of shape (N,) or rows of shape
+(N, q), raises LlrContradiction when its evidence contradicts itself; a
+batch, shape (B, N) or (B, N, q), never raises for that but marks the
+frame in the result's failed array, and every other frame's result
+equals a single-frame call on its row.
 
 decode_sc_arikan is also the recursion of the hardware SC models: an
 optional schedule hook sees every step the walk takes, in order,
@@ -26,7 +27,7 @@ where width is the node's length and every array keeps the batch axis
 The hook counts cycles and resources and may raise to abort the decode;
 it never changes a value. decode_sc_general is in the same way the
 recursion of the general-kernel line model, through the hook described in
-its docstring.
+its docstring; that hook observes one frame.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import check_likelihood_rows
-from .kernels import CodeSpec, Kernel, _pack, _unpack
+from .kernels import CodeSpec, Kernel, _unpack
 from .llrops import LlrContradiction, f_equal_vec, f_plus_vec
 
 
@@ -62,6 +63,10 @@ class ScGeneralResult:
     # (input index, group width, LLR vector) per decision, in decode order
     decisions: list | None = None
     genie_errors: np.ndarray | None = None
+    # (B,) for batch input: True where the frame's evidence ruled out
+    # every value somewhere, and that row's other fields are meaningless;
+    # None for (N, q)
+    failed: np.ndarray | None = None
 
 
 # binary Arikan path ---------------------------------------------------------
@@ -199,16 +204,40 @@ def conditioned_scores(kernel: Kernel, w: np.ndarray, prefix: np.ndarray, bounda
     return np.take(w, tab).prod(axis=3).cumsum(axis=2)[..., -1]
 
 
-def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int) -> np.ndarray:
+def glue_values(kernel: Kernel, mask: np.ndarray, vals: np.ndarray) -> list:
+    """Per glue group, in order: its first input c, its width w, the
+    (q**w, w) symbols of each group value t, and the (N/ell, q**w) table of
+    the values its frozen pins allow in each kernel block, from a code's
+    frozen mask and values over N inputs."""
+    q, ell = kernel.q, kernel.ell
+    out = []
+    for grp in kernel.glue:
+        c, w = grp[0], len(grp)
+        syms = np.array([_unpack(t, q, w) for t in range(q**w)], dtype=np.int64)
+        pins = mask.reshape(-1, ell)[:, None, c : c + w]
+        pinned = vals.reshape(-1, ell)[:, None, c : c + w]
+        out.append((c, w, syms, ((syms == pinned) | ~pins).all(axis=2)))
+    return out
+
+
+def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int, failed=None) -> np.ndarray:
     """Evidence rows for outer code r given decided outer codewords 0..r-1.
 
     w_blk: (ncol, ell, q) likelihood rows grouped by kernel instance.
     decided: (ncol, r) symbols already fixed on each instance's inputs.
+    An instance whose evidence rules out every symbol raises
+    LlrContradiction. With a (B,) bool array `failed`, the instances being
+    B frames' worth in frame order, it marks its frame there instead and
+    its rows become ones.
     """
     out = conditioned_scores(kernel, w_blk, decided, r)
     peak = out.max(axis=1)
-    if (peak <= 0.0).any():
-        raise LlrContradiction("evidence rules out every symbol at some position")
+    dead = peak <= 0.0
+    if dead.any():
+        if failed is None:
+            raise LlrContradiction("evidence rules out every symbol at some position")
+        failed |= dead.reshape(len(failed), -1).any(axis=1)
+        out[dead] = peak[dead] = 1.0
     return out / peak[:, None]
 
 
@@ -220,12 +249,21 @@ def decode_sc_general(
     *,
     hook=None,
 ) -> ScGeneralResult:
-    """SC decoding of one frame from likelihood rows of shape (N, q).
+    """SC decoding of one frame, rows of shape (N, q), or of a batch, (B, N, q).
 
     Rows must be finite and nonnegative (a ValueError names the first bad
-    position). Evidence that rules out every value raises LlrContradiction.
+    position). The recursion runs over every frame of a batch at once, and
+    each frame's decisions equal those of a single-frame call on its rows.
+    Outputs take the shape of the frames: u_hat and x_hat, and
+    genie_errors when genie_u (shape (N,) or (B, N)) is given.
 
-    hook, if given, is told of every step of the walk, in order:
+    Evidence that rules out every value raises LlrContradiction for one
+    frame. In a batch the call goes on: failed, a (B,) bool array, marks
+    each such frame, whose other rows are then meaningless.
+
+    trace (the decision list) and hook observe one frame only; with a
+    batch either is a ValueError. hook, if given, is told of every step of
+    the walk, in order:
 
       hook.prep(off, width, r, w_r)  stage r of the node at `off` prepared
                                      w_r, the (width/ell, q) evidence rows
@@ -240,75 +278,87 @@ def decode_sc_general(
     a value.
     """
     kernel = spec.kernel
-    q = kernel.q
-    ell = kernel.ell
-    n = spec.n
-    rows = check_likelihood_rows(rows, n, q)
+    q, ell, n = kernel.q, kernel.ell, spec.n
+    rows = check_likelihood_rows(rows, n, q, batch=True)
+    frames = rows.shape[:-1]  # (N,) for one frame, (B, N) for a batch
+    if len(frames) == 2 and (trace or hook is not None):
+        raise ValueError("trace and hook observe one frame; give rows of shape (N, q)")
+    if genie_u is not None:
+        genie_u = np.asarray(genie_u, dtype=np.int64)
+        if genie_u.shape != frames:
+            raise ValueError("genie_u must have the shape of the frames")
+        genie_u = genie_u.reshape(-1, n)
+    if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
+        raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     # Scale each row by a power of two so that its peak lies in [1, 2).
     # That is exact: products and ratios keep every bit unless they would
     # have over- or underflowed, and huge finite rows no longer overflow
     # to inf and report false certainty. All-zero rows are left as they are.
-    peak = rows.max(axis=1)
-    rows = np.ldexp(rows, np.where(peak > 0.0, 1 - np.frexp(peak)[1], 0)[:, None])
-    if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
-        raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
+    peak = rows.max(axis=-1)
+    rows = np.ldexp(rows, np.where(peak > 0.0, 1 - np.frexp(peak)[1], 0)[..., None]).reshape(-1, n, q)
+    nb = len(rows)
 
     mask, vals = spec.frozen_arrays()
+    groups = glue_values(kernel, mask, vals)
+    failed = None if len(frames) == 1 else np.zeros(nb, dtype=bool)
     decisions = [] if trace else None
-    errs = np.zeros(n, dtype=bool) if genie_u is not None else None
-    u_hat = np.empty(n, dtype=np.int64)
-
+    errs = np.zeros((nb, n), dtype=bool) if genie_u is not None else None
+    u_hat = np.empty((nb, n), dtype=np.int64)
+    every = np.arange(nb)
+    radix = q ** np.arange(ell - 1, -1, -1, dtype=np.int64)
     # flat position in one instance's (ell, q) rows of output j's symbol
     out_pos = kernel.table + q * np.arange(ell)
 
-    def base_block(w_rows: np.ndarray, off: int) -> np.ndarray:
-        u = u_hat[off : off + ell]
-        # likelihood of every kernel input word; input 0 is the most
-        # significant digit, so a glue group's totals given the decided
-        # prefix are a pairwise sum over one contiguous suffix row
-        joint = np.take(w_rows, out_pos).prod(axis=1)
-        for grp in kernel.glue:
-            c, width = grp[0], len(grp)
-            scores = joint.reshape(q**c, q**width, -1)[_pack(u[:c], q)].sum(axis=1)
-            llr_vec = scores_to_llr(scores)  # raises if nothing is possible
-            if trace:
-                decisions.append((off + c, width, llr_vec))
+    def base_block(w_blk: np.ndarray, off: int) -> np.ndarray:
+        # likelihood of every kernel input word, per frame; input 0 is the
+        # most significant digit, so the words left once a glue group is
+        # decided are one contiguous run, and the next group's totals are a
+        # pairwise sum over each of its suffix rows
+        rest = np.take(w_blk.reshape(nb, ell * q), out_pos, axis=1).prod(axis=2)
+        for c, width, syms, allowed in groups:
+            at = slice(off + c, off + c + width)
+            rest = rest.reshape(nb, q**width, -1)
+            scores = rest.sum(axis=2)
+            if trace or hook is not None:
+                llr_vec = scores_to_llr(scores[0])  # one frame: raises if nothing is possible
+            else:
+                peak = scores.max(axis=1)
+                if not peak.all():  # scores are nonnegative: some frame's are all zero
+                    if failed is None:
+                        raise LlrContradiction("no candidate value has positive likelihood")
+                    failed[peak == 0.0] = True
             if genie_u is not None:
-                hat = _unpack(int(np.argmax(scores)), q, width)
-                for d in range(width):
-                    truth = int(genie_u[off + c + d])
-                    errs[off + c + d] = hat[d] != truth
-                    u[c + d] = truth
+                errs[:, at] = syms[scores.argmax(axis=1)] != genie_u[:, at]
+                t = genie_u[:, at] @ radix[ell - width :]
             else:
                 # the most likely value that honours the group's frozen pins
-                pins = [(d, vals[off + c + d]) for d in range(width) if mask[off + c + d]]
-                best_t = -1
-                best_s = -1.0
-                for t, s_t in enumerate(scores.tolist()):
-                    if s_t > best_s and all(_unpack(t, q, width)[d] == v for d, v in pins):
-                        best_t, best_s = t, s_t
-                u[c : c + width] = _unpack(best_t, q, width)
+                t = np.where(allowed[off // ell], scores, -1.0).argmax(axis=1)
+            u_hat[:, at] = syms[t]
+            rest = rest[every, t]
+            if trace:
+                decisions.append((off + c, width, llr_vec))
             if hook is not None:
-                hook.decide(off + c, u[c : c + width], llr_vec)
-        return kernel.table[_pack(u, q)].copy()
+                hook.decide(off + c, u_hat[0, at], llr_vec)
+        return kernel.table[u_hat[:, off : off + ell] @ radix]
 
     def rec(w_d: np.ndarray, off: int) -> np.ndarray:
-        # returns the re-encoded codeword of this node; decisions go to u_hat
-        nd = w_d.shape[0]
+        # w_d: (nb, nd, q); returns the re-encoded (nb, nd) codewords of
+        # this node; decisions go to u_hat
+        nd = w_d.shape[1]
         if nd == ell:
             x = base_block(w_d, off)
         else:
             blk = nd // ell
-            w_blk = w_d.reshape(blk, ell, q)
-            cols = np.empty((blk, ell), dtype=np.int64)  # outer codeword r in column r
+            w_blk = w_d.reshape(nb * blk, ell, q)
+            cols = np.empty((nb * blk, ell), dtype=np.int64)  # outer codeword r in column r
             for r in range(ell):
-                w_r = _prep_outer(kernel, w_blk, cols[:, :r], r)
+                w_r = _prep_outer(kernel, w_blk, cols[:, :r], r, failed)
                 if hook is not None:
                     hook.prep(off, nd, r, w_r)
-                cols[:, r] = rec(w_r, off + r * blk)
-            x = kernel.map_columns(cols).reshape(-1)
+                cols[:, r] = rec(w_r.reshape(nb, blk, q), off + r * blk).reshape(-1)
+            x = kernel.map_columns(cols).reshape(nb, nd)
         if hook is not None:
-            hook.node(off, x)
+            hook.node(off, x[0])
         return x
 
     try:
@@ -317,4 +367,5 @@ def decode_sc_general(
         # rec refers to itself; dropping it frees its arrays and the hook
         # now rather than at some later cycle collection
         del rec
-    return ScGeneralResult(u_hat, x_hat, decisions, errs)
+    errs = None if errs is None else errs.reshape(frames)
+    return ScGeneralResult(u_hat.reshape(frames), x_hat.reshape(frames), decisions, errs, failed)

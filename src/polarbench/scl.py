@@ -30,14 +30,14 @@ puts a NaN or a warning into the rest of the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import check_likelihood_rows, likelihood_rows_binary
-from .kernels import CodeSpec, Kernel, _unpack
+from .kernels import CodeSpec, Kernel
 from .llrops import LlrContradiction
-from .sc import UnsupportedCodeError, conditioned_scores
+from .sc import UnsupportedCodeError, conditioned_scores, glue_values
 
 
 @dataclass(frozen=True)
@@ -105,25 +105,9 @@ def _pick(lists: np.ndarray, best) -> np.ndarray:
 class _Ctx:
     kernel: Kernel
     m_list: int
-    mask: np.ndarray
-    vals: np.ndarray
+    groups: list  # sc.glue_values of the code
     failed: np.ndarray | None = None  # (B,) for a batch; None raises instead
     ops: int = 0
-    # per glue group: the (q**w, w) symbols of each group value t, and
-    # which values the group's frozen pins allow in each kernel block
-    symbols: list = field(init=False)
-    allowed: list = field(init=False)
-
-    def __post_init__(self):
-        q, ell = self.kernel.q, self.kernel.ell
-        self.symbols, self.allowed = [], []
-        for grp in self.kernel.glue:
-            c, w = grp[0], len(grp)
-            syms = np.array([_unpack(t, q, w) for t in range(q**w)], dtype=np.int64)
-            pins = self.mask.reshape(-1, ell)[:, None, c : c + w]
-            pinned = self.vals.reshape(-1, ell)[:, None, c : c + w]
-            self.symbols.append(syms)
-            self.allowed.append(((syms == pinned) | ~pins).all(axis=2))
 
     def fail(self, dead: np.ndarray, msg: str) -> None:
         """Frames `dead` (B,) lost every path: raise for one frame, mark a batch."""
@@ -207,8 +191,7 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     nb = pi.shape[1]
     u_blk = np.zeros((nb, rho, ell), dtype=np.int64)
     src = None
-    for grp, syms, allowed in zip(kernel.glue, ctx.symbols, ctx.allowed):
-        c, width = grp[0], len(grp)
+    for c, width, syms, allowed in ctx.groups:
         cand = np.flatnonzero(allowed[off // ell])
         if len(cand) == 1:
             u_blk[..., c : c + width] = syms[cand[0]]
@@ -289,8 +272,8 @@ def decode_scl(
         rows = rows[None]
     nb = len(rows)
 
-    mask, vals = spec.frozen_arrays()
-    ctx = _Ctx(kernel, list_size, mask, vals, None if single else np.zeros(nb, dtype=bool))
+    groups = glue_values(kernel, *spec.frozen_arrays())
+    ctx = _Ctx(kernel, list_size, groups, None if single else np.zeros(nb, dtype=bool))
     peak = rows.max(axis=2)
     dead = (peak <= 0.0).any(axis=1)
     if dead.any():

@@ -468,6 +468,28 @@ def test_decode_bp_needs_arikan(tmp_path, capsys):
     )
     assert code == 2
     assert "kernel" in err
+    assert err.startswith("error: ")
+
+
+GF3_CODE = "kernel ell=2 q=3\nG 1 0\nG 1 1\nm 2\nfrozen 0\n"
+G4_CODE = "kernel ell=4 q=2\nG 1 0 0 0\nG 1 1 0 0\nG 1 0 1 0\nG 1 1 1 1\nm 2\nfrozen 0 1 2 4 8\n"
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    (GF3_CODE, ("simulate", "--code", "{f}", "--trials", "5"),
+     "channel trials need a binary-alphabet kernel"),
+    (GF3_CODE, ("construct", "--kernel", "{f}", "--m", "2", "--mc-trials", "5", "--rate", "0.5"),
+     "Monte-Carlo construction needs a binary kernel"),
+    (G4_CODE, ("simulate", "--code", "{f}", "--decoder", "bp", "--trials", "5"),
+     "bp decoding needs the binary (u+v, v) kernel"),
+])
+def test_kernel_the_command_cannot_take_usage_error(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(a.format(f=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_decode_nonbinary_llr_layout(tmp_path, capsys):

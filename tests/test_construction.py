@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarbench.channels import bec, biawgn, bsc, transmit
+from polarbench.channels import bec, biawgn, bsc, likelihood_rows_binary, transmit
 from polarbench.construction import (
     bec_erasure_profile,
     construct_bec,
@@ -9,10 +9,10 @@ from polarbench.construction import (
     freeze_worst,
     montecarlo_error_profile,
 )
-from polarbench.kernels import CodeSpec, encode_unchecked, kernel_linear
+from polarbench.kernels import CodeSpec, encode_unchecked, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import LANE_SIZE
-from polarbench.sc import decode_sc_arikan
+from polarbench.sc import decode_sc_arikan, decode_sc_general
 
 from conftest import G4
 
@@ -110,25 +110,30 @@ def test_construct_montecarlo_general_kernel():
 
 
 def _genie_profile_per_frame(kernel, m, channel, trials, rng, min_sum=False):
-    # the genie loop one (N,) decode at a time, in the same draw order
+    # the genie loop one (N,) or (N, q) decode at a time, in the same draw order
     rng = np.random.default_rng(rng)
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     counts = np.zeros(free.n, dtype=np.int64)
     for _ in range(trials):
         u = rng.integers(0, 2, size=free.n)
         llr = transmit(channel, encode_unchecked(kernel, u), rng)
-        counts += decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u).genie_errors
+        if kernel.is_arikan:
+            counts += decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u).genie_errors
+        else:
+            counts += decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u).genie_errors
     return counts / trials
 
 
 @pytest.mark.parametrize("channel,min_sum", [
     (bec(0.5), False), (bsc(0.08), False), (bsc(0.0), False), (biawgn(0.8), True),
 ])
-def test_mc_profile_batched_matches_per_frame(arikan, channel, min_sum):
-    # LANE_SIZE + 5 trials: one full chunk and one partial chunk
+@pytest.mark.parametrize("kernel,m", [(kernel_arikan(), 4), (kernel_linear(G4), 2)], ids=["arikan", "g4"])
+def test_mc_profile_batched_matches_per_frame(kernel, m, channel, min_sum):
+    # LANE_SIZE + 5 trials: one full chunk and one partial chunk, each one
+    # batched genie call of the (u+v, v) or the general-kernel recursion
     trials = LANE_SIZE + 5
-    got = montecarlo_error_profile(arikan, 4, channel, trials, rng=6, min_sum=min_sum)
-    want = _genie_profile_per_frame(arikan, 4, channel, trials, 6, min_sum)
+    got = montecarlo_error_profile(kernel, m, channel, trials, rng=6, min_sum=min_sum)
+    want = _genie_profile_per_frame(kernel, m, channel, trials, 6, min_sum)
     assert np.array_equal(got, want)
 
 

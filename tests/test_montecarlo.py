@@ -14,7 +14,7 @@ from polarbench.channels import (
     likelihood_rows_binary,
     transmit,
 )
-from polarbench.construction import construct_bec
+from polarbench.construction import construct_bec, construct_montecarlo
 from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import (
@@ -111,12 +111,17 @@ def _lane_reference(spec, ch, decoder, count, rng, min_sum=False, iters=40, list
     return TrialStats(count, bits, frames, k), failures
 
 
+# rate 1/2 at N = 64, frozen by the genie-aided construction on bec 0.5
+G4_CODE = construct_montecarlo(kernel_linear(G4), 3, bec(0.5), 0.5, LANE_SIZE, rng=1)
+
+
 @pytest.mark.parametrize("ch,min_sum", [
     (bec(0.6), False), (bec(0.4), True), (bsc(0.08), False), (biawgn(0.8), False), (biawgn(0.8), True),
 ])
 @pytest.mark.parametrize("count", [1, 7, LANE_SIZE])
-def test_run_lane_matches_per_frame_reference(ch, min_sum, count):
-    spec = construct_bec(5, 0.5, 0.5)
+@pytest.mark.parametrize("spec", [construct_bec(5, 0.5, 0.5), G4_CODE], ids=["arikan", "g4"])
+def test_run_lane_matches_per_frame_reference(spec, ch, min_sum, count):
+    # SC decodes the whole lane in one recursion, (u+v, v) or general-kernel
     got = run_lane(spec, ch, "sc", count, np.random.default_rng(count), min_sum=min_sum)
     want, failures = _lane_reference(spec, ch, "sc", count, np.random.default_rng(count), min_sum)
     assert got == want
@@ -194,11 +199,15 @@ def test_run_trials_jobs_agree_on_batched_lanes(ch):
 
 
 def test_decode_frame_batch_of_row_loop_decoders():
-    # SCL and BP decode a batch in one call; both mark failures per row
-    # (BP never fails a frame: it flags the contradiction instead)
-    spec = CodeSpec(construct_bec(1, 0.5, 0.5).kernel, 1, {0: 0})
-    lam = np.array([[3.0, 3.0], [-np.inf, np.inf], [0.5, -2.0]])
-    for dec in ("scl", "bp"):
+    # general-kernel SC, SCL and BP decode a batch in one call; each marks
+    # failures per row (BP never fails a frame: it flags the contradiction
+    # instead)
+    arikan = CodeSpec(construct_bec(1, 0.5, 0.5).kernel, 1, {0: 0})
+    g4 = CodeSpec(kernel_linear(G4), 1, {0: 0})
+    lam2 = np.array([[3.0, 3.0], [-np.inf, np.inf], [0.5, -2.0]])
+    # the second G4 row is certain of the word u = (1, 0, 0, 0), against the pin u0 = 0
+    lam4 = np.array([[3.0, 3.0, 3.0, 3.0], [-np.inf, np.inf, np.inf, np.inf], [0.5, -2.0, 1.0, 0.25]])
+    for spec, dec, lam in ((arikan, "scl", lam2), (arikan, "bp", lam2), (g4, "sc", lam4)):
         u_hat, failed = decode_frame(spec, dec, lam, list_size=2, iters=5)
         singles = []
         for row in lam:
@@ -210,6 +219,7 @@ def test_decode_frame_batch_of_row_loop_decoders():
         for b, one in enumerate(singles):
             if one is not None:
                 assert np.array_equal(u_hat[b], one), (dec, b)
+    assert failed.tolist() == [False, True, False]
 
 
 def test_decode_frame_scl_lane_in_one_call(monkeypatch):
@@ -231,6 +241,9 @@ def test_decode_frame_scl_lane_in_one_call(monkeypatch):
     sliced = decode_frame(spec, "scl", lam, list_size=8)
     assert [shape[0] for shape in calls] == [4] * 7 + [2]
     assert np.array_equal(whole[0], sliced[0]) and np.array_equal(whole[1], sliced[1])
+    for bad in (lam[0], lam):  # the slice size never divides by a bad list size
+        with pytest.raises(ValueError, match="list_size"):
+            decode_frame(spec, "scl", bad, list_size=0)
 
 
 def test_run_trials_deterministic_across_jobs():

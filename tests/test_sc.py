@@ -452,6 +452,82 @@ def test_general_input_validation(arikan):
         decode_sc_general(spec, -np.ones((4, 2)))
 
 
+def _general_or_none(spec, rows, **kw):
+    try:
+        return decode_sc_general(spec, rows, **kw)
+    except LlrContradiction:
+        return None
+
+
+# (kernel, depths): the (u+v, v) table through the general path, G4,
+# (u+v, v) over GF(3) and GF(4), and G4 with inputs 0 and 1 glued
+GENERAL_KERNELS = [
+    (kernel_arikan(), (1, 2, 3, 4)),
+    (kernel_linear(G4), (1, 2)),
+    (kernel_linear([[1, 0], [1, 1]], q=3), (1, 2, 3)),
+    (kernel_linear([[1, 0], [1, 1]], q=4), (1, 2)),
+    (kernel_linear(G4, glue=[(0, 1), (2,), (3,)]), (1,)),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_general_batch_failed_rows_match_single_calls(data):
+    # a (B, N, q) call marks exactly the frames whose (N, q) call raises,
+    # and every other frame equals its single call, genie mode included
+    kernel, depths = data.draw(st.sampled_from(GENERAL_KERNELS))
+    m = data.draw(st.sampled_from(depths))
+    q = kernel.q
+    n = kernel.ell**m
+    frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, q - 1)))
+    spec = CodeSpec(kernel, m, frozen)
+    b = data.draw(st.integers(1, 6))
+    # zero-heavy rows, so that whole rows and conditioned totals vanish
+    entries = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 3.0, 1e-300])
+    rows = np.reshape(data.draw(st.lists(entries, min_size=b * n * q, max_size=b * n * q)), (b, n, q))
+    genie = np.reshape(data.draw(st.lists(st.integers(0, q - 1), min_size=b * n, max_size=b * n)), (b, n))
+    batch = decode_sc_general(spec, rows)
+    batch_genie = decode_sc_general(spec, rows, genie_u=genie)
+    assert batch.failed.shape == batch_genie.failed.shape == (b,)
+    assert batch.u_hat.shape == batch.x_hat.shape == batch_genie.genie_errors.shape == (b, n)
+    for i in range(b):
+        one = _general_or_none(spec, rows[i])
+        assert batch.failed[i] == (one is None), i
+        if one is not None:
+            assert np.array_equal(batch.u_hat[i], one.u_hat), i
+            assert np.array_equal(batch.x_hat[i], one.x_hat), i
+        one = _general_or_none(spec, rows[i], genie_u=genie[i])
+        assert batch_genie.failed[i] == (one is None), i
+        if one is not None:
+            assert np.array_equal(batch_genie.u_hat[i], one.u_hat), i
+            assert np.array_equal(batch_genie.x_hat[i], one.x_hat), i
+            assert np.array_equal(batch_genie.genie_errors[i], one.genie_errors), i
+
+
+def test_general_batch_observers_and_shapes(k4, rng):
+    spec = spec_all_free(k4, 2)
+    rows = rng.random((3, 16, 2))
+
+    class Hook:
+        def prep(self, *args):
+            pass
+
+        decide = node = prep
+
+    with pytest.raises(ValueError):
+        decode_sc_general(spec, rows, trace=True)
+    with pytest.raises(ValueError):
+        decode_sc_general(spec, rows, hook=Hook())
+    with pytest.raises(ValueError):
+        decode_sc_general(spec, rows, genie_u=np.zeros(16, dtype=np.int64))
+    with pytest.raises(ValueError):
+        decode_sc_general(spec, np.ones((0, 16, 2)))
+    assert decode_sc_general(spec, rows[0]).failed is None
+    res = decode_sc_general(spec, rows[:1])
+    assert res.failed.tolist() == [False]
+    assert np.array_equal(res.u_hat[0], decode_sc_general(spec, rows[0], hook=Hook()).u_hat)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_sc_noiseless_property(m, data):

@@ -225,7 +225,7 @@ def test_scl_prep_columns_independent(G, q):
     rng = np.random.default_rng(q + 10)
     ell, blk = k.ell, 20
     pi = np.exp(rng.normal(0.0, 2.0, (q, 1, 3, blk * ell)))
-    ctx = _Ctx(kernel=k, m_list=4, mask=np.zeros(0, bool), vals=np.zeros(0, np.int64))
+    ctx = _Ctx(kernel=k, m_list=4, groups=[])
     for src in (np.array([[1]]), np.array([[0, 2, 2]])):
         xcols = rng.integers(0, q, (1, src.shape[1], blk, ell))
         for r in range(ell):
