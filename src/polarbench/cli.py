@@ -21,6 +21,7 @@ from .construction import construct_bec, construct_montecarlo
 from .kernels import (
     FrozenMismatchError,
     CodeSpec,
+    Kernel,
     dump_codespec,
     encode,
     kernel_linear,
@@ -157,11 +158,13 @@ def _load_file(path: str, loader):
         raise SystemExit(f"error: {path}: {e}")
 
 
-def _check_code(spec: CodeSpec, decoder: str, channel: bool) -> None:
-    """Refuse a decoder the code's kernel cannot take; channel trials also need a binary kernel."""
-    if channel and spec.kernel.q != 2:
+def _check_kernel(kernel: Kernel, decoder: str, channel: bool) -> None:
+    """Refuse a kernel the command cannot take: channel trials (simulate and
+    Monte-Carlo construction) send binary words, and bp decodes the
+    (u+v, v) kernel only."""
+    if channel and kernel.q != 2:
         raise SystemExit("error: channel trials need a binary-alphabet kernel")
-    if decoder == "bp" and not spec.kernel.is_arikan:
+    if decoder == "bp" and not kernel.is_arikan:
         raise SystemExit("error: bp decoding needs the binary (u+v, v) kernel")
 
 
@@ -174,8 +177,7 @@ def cmd_construct(args) -> int:
         m = args.m
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
-        if kernel.q != 2:
-            raise SystemExit("error: Monte-Carlo construction needs a binary kernel")
+        _check_kernel(kernel, "sc", channel=True)  # the genie decoder is SC
         spec = construct_montecarlo(
             kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
         )
@@ -209,7 +211,7 @@ def cmd_simulate(args) -> int:
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
-    _check_code(spec, args.decoder, channel=True)
+    _check_kernel(spec.kernel, args.decoder, channel=True)
     stats = run_trials(
         spec,
         args.channel,
@@ -324,7 +326,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     spec = _load_file(args.code, load_codespec)
-    _check_code(spec, args.decoder, channel=False)
+    _check_kernel(spec.kernel, args.decoder, channel=False)
     q = spec.kernel.q
     n = spec.n
     vals = _read_numbers(args.infile, float)

@@ -6,7 +6,9 @@ kernel and channel model. The Monte-Carlo selector takes its frames in
 chunks of at most LANE_SIZE from montecarlo.draw_frames, the frame source
 of the simulation lanes, and decodes each chunk in one batched genie
 call, of the (u+v, v) recursion on that kernel and of the general-kernel
-recursion on any other.
+recursion on any other; a general-kernel chunk holds at most
+montecarlo.frames_per_call frames, which bounds its memory. The chunk
+size never changes the profile: draw_frames draws frame by frame.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .channels import ChannelModel, likelihood_rows_binary
 from .kernels import CodeSpec, Kernel, kernel_arikan
 from .llrops import LlrContradiction
-from .montecarlo import LANE_SIZE, draw_frames
+from .montecarlo import LANE_SIZE, draw_frames, frames_per_call
 from .sc import decode_sc_arikan, decode_sc_general
 
 
@@ -73,8 +75,9 @@ def montecarlo_error_profile(
     rng = np.random.default_rng(rng)
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     counts = np.zeros(free.n, dtype=np.int64)
-    for start in range(0, trials, LANE_SIZE):
-        u, llr = draw_frames(free, channel, min(LANE_SIZE, trials - start), rng)
+    step = LANE_SIZE if kernel.is_arikan else min(LANE_SIZE, frames_per_call(free, "sc"))
+    for start in range(0, trials, step):
+        u, llr = draw_frames(free, channel, min(step, trials - start), rng)
         if kernel.is_arikan:
             res = decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u)
         else:

@@ -10,8 +10,9 @@ whole lane as (B, N) arrays. A lane's frames are decoded in one batched
 call: SC on the (u+v, v) kernel walks its recursion once for the whole
 lane, BP sweeps the lane's still-running frames together until each has
 stopped by its own rule, SCL walks its list recursion once for the whole
-lane (a long code's lane in a few slices, see SCL_CELLS), and SC on any
-other kernel walks the general recursion once for the whole lane. Decode
+lane, and SC on any other kernel walks the general recursion once for the
+whole lane; those two take a long code's or a large kernel's lane in a
+few slices (see frames_per_call), to bound their memory. Decode
 failures (contradictory or degenerate evidence) come back as a per-frame
 mask and count as a frame error with every information bit wrong; they
 never abort a run. BP never fails a frame: it flags contradictions and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,10 +34,15 @@ from .sc import decode_sc_arikan, decode_sc_general
 from .scl import decode_scl
 
 LANE_SIZE = 512
-# frames * list size * N per decode_scl call: its list state holds a few
-# float arrays of q * frames * list size * N/2 entries, so a long code's
-# lane is decoded in slices that keep them to a few tens of MB
+# Entries per call of the largest arrays of the decoders whose memory grows
+# faster than N per frame, so that a lane of a long code or a large kernel
+# is decoded in slices that keep them to a few tens of MB: SCL's list state
+# holds a few float arrays of q * list size * N/2 entries per frame, and
+# general-kernel SC's root stage a few int and float arrays of N * q**ell
+# (every input word of every kernel instance); 2^19 keeps a G4 lane at
+# N = 1024 below the peak RSS of decoding it frame by frame.
 SCL_CELLS = 1 << 20
+SC_CELLS = 1 << 19
 DECODERS = ("sc", "scl", "bp")
 
 
@@ -82,8 +89,8 @@ def decode_frame(
     (u_hat, failed), where failed is a (B,) bool array marking the frames
     whose evidence would have raised, and a failed frame's u_hat row is
     meaningless. Every decoder takes the batch in one call (BP flags
-    contradictions and never fails a frame), SCL on a long code in slices
-    of at most SCL_CELLS.
+    contradictions and never fails a frame), but SCL and SC on a kernel
+    other than (u+v, v) take it in slices of frames_per_call frames.
 
     Likelihood rows are built only for the decoders that read them: SC on
     a kernel other than (u+v, v), and SCL.
@@ -97,17 +104,26 @@ def decode_frame(
         return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
     if decoder == "sc" and spec.kernel.is_arikan:
         res = decode_sc_arikan(spec, lam, min_sum=min_sum)
-    else:
-        rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
-        if decoder == "sc":
-            res = decode_sc_general(spec, rows)
-        elif rows.ndim == 2 or len(rows) * list_size * spec.n <= SCL_CELLS:
-            res = decode_scl(spec, rows, list_size)
-        else:
-            step = max(1, SCL_CELLS // (list_size * spec.n))
-            res = [decode_scl(spec, rows[s : s + step], list_size) for s in range(0, len(rows), step)]
-            return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
-    return res.u_hat if res.failed is None else (res.u_hat, res.failed)
+        return res.u_hat if res.failed is None else (res.u_hat, res.failed)
+    rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
+    decode = partial(decode_sc_general, spec)
+    if decoder == "scl":
+        decode = partial(decode_scl, spec, list_size=list_size)
+    if rows.ndim == 2:
+        return decode(rows).u_hat
+    step = frames_per_call(spec, decoder, list_size)
+    res = [decode(rows[s : s + step]) for s in range(0, len(rows), step)]
+    return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
+
+
+def frames_per_call(spec: CodeSpec, decoder: str, list_size: int = 8) -> int:
+    """Most frames one decode_scl ("scl") or decode_sc_general ("sc") call
+    takes, at least one: as many as keep its largest arrays to SCL_CELLS or
+    SC_CELLS entries."""
+    if decoder == "scl":
+        # a bad list size is left to decode_scl's check
+        return max(1, SCL_CELLS // (max(1, list_size) * spec.n))
+    return max(1, SC_CELLS // (spec.n * spec.kernel.q**spec.kernel.ell))
 
 
 def draw_frames(spec: CodeSpec, ch: ChannelModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:

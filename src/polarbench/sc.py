@@ -199,8 +199,8 @@ def conditioned_scores(kernel: Kernel, w: np.ndarray, prefix: np.ndarray, bounda
     q, ell = kernel.q, kernel.ell
     radix = q ** np.arange(boundary - 1, -1, -1, dtype=np.int64)
     tab = kernel.marginal_view(boundary)[prefix @ radix]  # (M, q**width, q**n_suffix, ell)
-    # flat position of w[i, j, tab[i, t, s, j]]
-    tab = tab + q * np.arange(ell) + (q * ell * np.arange(len(w)))[:, None, None, None]
+    # flat position of w[i, j, tab[i, t, s, j]]; tab is a new array, so in place
+    tab += q * np.arange(ell) + (q * ell * np.arange(len(w)))[:, None, None, None]
     return np.take(w, tab).prod(axis=3).cumsum(axis=2)[..., -1]
 
 
@@ -319,14 +319,11 @@ def decode_sc_general(
             at = slice(off + c, off + c + width)
             rest = rest.reshape(nb, q**width, -1)
             scores = rest.sum(axis=2)
-            if trace or hook is not None:
-                llr_vec = scores_to_llr(scores[0])  # one frame: raises if nothing is possible
-            else:
-                peak = scores.max(axis=1)
-                if not peak.all():  # scores are nonnegative: some frame's are all zero
-                    if failed is None:
-                        raise LlrContradiction("no candidate value has positive likelihood")
-                    failed[peak == 0.0] = True
+            peak = scores.max(axis=1)
+            if not peak.all():  # scores are nonnegative: some frame's are all zero
+                if failed is None:
+                    raise LlrContradiction("no candidate value has positive likelihood")
+                failed[peak == 0.0] = True
             if genie_u is not None:
                 errs[:, at] = syms[scores.argmax(axis=1)] != genie_u[:, at]
                 t = genie_u[:, at] @ radix[ell - width :]
@@ -335,6 +332,8 @@ def decode_sc_general(
                 t = np.where(allowed[off // ell], scores, -1.0).argmax(axis=1)
             u_hat[:, at] = syms[t]
             rest = rest[every, t]
+            if trace or hook is not None:
+                llr_vec = scores_to_llr(scores[0])  # one frame
             if trace:
                 decisions.append((off + c, width, llr_vec))
             if hook is not None:

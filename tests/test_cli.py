@@ -479,7 +479,7 @@ G4_CODE = "kernel ell=4 q=2\nG 1 0 0 0\nG 1 1 0 0\nG 1 0 1 0\nG 1 1 1 1\nm 2\nfr
     (GF3_CODE, ("simulate", "--code", "{f}", "--trials", "5"),
      "channel trials need a binary-alphabet kernel"),
     (GF3_CODE, ("construct", "--kernel", "{f}", "--m", "2", "--mc-trials", "5", "--rate", "0.5"),
-     "Monte-Carlo construction needs a binary kernel"),
+     "channel trials need a binary-alphabet kernel"),
     (G4_CODE, ("simulate", "--code", "{f}", "--decoder", "bp", "--trials", "5"),
      "bp decoding needs the binary (u+v, v) kernel"),
 ])

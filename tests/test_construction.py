@@ -137,6 +137,27 @@ def test_mc_profile_batched_matches_per_frame(kernel, m, channel, min_sum):
     assert np.array_equal(got, want)
 
 
+def test_mc_profile_general_chunks_capped(monkeypatch):
+    # a general-kernel genie chunk holds at most frames_per_call frames;
+    # the chunk size never changes the profile
+    import polarbench.construction as construction
+    import polarbench.montecarlo as mc
+
+    k4 = kernel_linear(G4)
+    want = montecarlo_error_profile(k4, 2, bsc(0.08), 40, rng=9)
+    calls = []
+
+    def counting(spec, rows, **kw):
+        calls.append(len(rows))
+        return decode_sc_general(spec, rows, **kw)
+
+    monkeypatch.setattr(construction, "decode_sc_general", counting)
+    monkeypatch.setattr(mc, "SC_CELLS", 6 * 16 * 16)
+    got = montecarlo_error_profile(k4, 2, bsc(0.08), 40, rng=9)
+    assert calls == [6] * 6 + [4]
+    assert np.array_equal(got, want)
+
+
 def test_mc_profile_contradicting_evidence_raises(arikan, monkeypatch):
     # a channel cannot contradict the sent word; if the evidence does, the
     # genie profile raises rather than counting a meaningless frame

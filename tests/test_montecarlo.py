@@ -15,7 +15,7 @@ from polarbench.channels import (
     transmit,
 )
 from polarbench.construction import construct_bec, construct_montecarlo
-from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
+from polarbench.kernels import CodeSpec, encode, encode_unchecked, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import (
     CSV_HEADER,
@@ -25,6 +25,7 @@ from polarbench.montecarlo import (
     csv_row,
     decode_frame,
     draw_frames,
+    frames_per_call,
     run_lane,
     run_trials,
 )
@@ -244,6 +245,43 @@ def test_decode_frame_scl_lane_in_one_call(monkeypatch):
     for bad in (lam[0], lam):  # the slice size never divides by a bad list size
         with pytest.raises(ValueError, match="list_size"):
             decode_frame(spec, "scl", bad, list_size=0)
+
+
+def test_decode_frame_general_sc_in_slices(monkeypatch):
+    # a general-kernel SC lane is sliced at SC_CELLS frames * N * q**ell,
+    # with the same decisions and failures as one call
+    spec = G4_CODE
+    lam = np.random.default_rng(4).normal(1.0, 1.5, (30, spec.n))
+    # row 3 is certain of the input word of all ones, against the pins
+    lam[3] = np.where(encode_unchecked(spec.kernel, np.ones(spec.n, dtype=np.int64)) == 1, -np.inf, np.inf)
+    calls = []
+
+    def counting(spec, rows, **kw):
+        calls.append(rows.shape)
+        return decode_sc_general(spec, rows, **kw)
+
+    monkeypatch.setattr(mc, "decode_sc_general", counting)
+    whole = decode_frame(spec, "sc", lam)
+    assert calls == [(30, spec.n, 2)]
+    calls.clear()
+    monkeypatch.setattr(mc, "SC_CELLS", 4 * spec.n * 16)
+    sliced = decode_frame(spec, "sc", lam)
+    assert [shape[0] for shape in calls] == [4] * 7 + [2]
+    assert np.array_equal(whole[0], sliced[0]) and np.array_equal(whole[1], sliced[1])
+    assert whole[1].tolist() == [b == 3 for b in range(30)]
+
+
+def test_frames_per_call_bounds_memory():
+    # the largest arrays of one call hold at most about SC_CELLS or
+    # SCL_CELLS entries, and a call takes at least one frame
+    g4_1024 = CodeSpec(kernel_linear(G4), 5, {})
+    assert frames_per_call(g4_1024, "sc") == mc.SC_CELLS // (1024 * 16)
+    assert frames_per_call(G4_CODE, "sc") >= LANE_SIZE  # N = 64: a lane in one call
+    wide = CodeSpec(kernel_linear(np.eye(16, dtype=np.int64)), 1, {})  # q**ell = 2**16
+    assert frames_per_call(wide, "sc") == 1
+    arikan = construct_bec(7, 0.5, 0.5)
+    assert frames_per_call(arikan, "scl", 8) == mc.SCL_CELLS // (8 * 128)
+    assert frames_per_call(arikan, "scl", 0) == mc.SCL_CELLS // 128  # left to decode_scl
 
 
 def test_run_trials_deterministic_across_jobs():
