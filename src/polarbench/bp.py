@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import check_llr
 from .kernels import CodeSpec
 from .llrops import BP_CLIP, decide, f_plus, f_plus_minsum, f_plus_vec
 
@@ -237,9 +238,7 @@ def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
 def channel_llr(spec: CodeSpec, llr: np.ndarray) -> np.ndarray:
     """Channel LLRs as BP takes them: shape (N,) or (B, N), finite entries
     clamped to [-BP_CLIP, BP_CLIP], infinities passed through untouched."""
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.ndim not in (1, 2) or lam.shape[-1] != spec.n or lam.size == 0:
-        raise ValueError(f"llr must have shape ({spec.n},) or (B, {spec.n}) with B >= 1")
+    lam = check_llr(llr, spec.n)
     return np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
 
 

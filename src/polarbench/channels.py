@@ -138,6 +138,14 @@ def likelihood_rows(llr: np.ndarray) -> np.ndarray:
     return out.reshape(vals.shape)
 
 
+def check_llr(llr, n: int) -> np.ndarray:
+    """llr as a float64 (n,) array or (B, n) batch with B >= 1."""
+    lam = np.asarray(llr, dtype=np.float64)
+    if lam.ndim not in (1, 2) or lam.shape[-1] != n or lam.size == 0:
+        raise ValueError(f"llr must have shape ({n},) or (B, {n}) with B >= 1")
+    return lam
+
+
 def check_likelihood_rows(rows, n: int, q: int, batch: bool = False) -> np.ndarray:
     """rows as a float64 (n, q) array, or with batch also (B, n, q) with B >= 1.
 

@@ -22,6 +22,7 @@ from .kernels import (
     FrozenMismatchError,
     CodeSpec,
     Kernel,
+    code_depth,
     dump_codespec,
     encode,
     kernel_linear,
@@ -90,10 +91,11 @@ def _default_seed() -> int:
         raise SystemExit(f"error: POLARBENCH_SEED: {e}")
 
 
-def _pow2_m(n: int) -> int:
-    if n < 2 or n & (n - 1):
-        raise SystemExit(f"error: N={n} is not a power of 2 >= 2")
-    return n.bit_length() - 1
+def _depth(n: int, ell: int) -> int:
+    try:
+        return code_depth(n, ell)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -184,7 +186,7 @@ def cmd_construct(args) -> int:
     else:
         if args.N is None:
             raise SystemExit("error: give --N or --kernel")
-        m = _pow2_m(args.N)
+        m = _depth(args.N, 2)
         if args.mc_trials > 0:
             from .kernels import kernel_arikan
 
@@ -207,7 +209,7 @@ def cmd_simulate(args) -> int:
     else:
         if args.N is None or args.rate is None:
             raise SystemExit("error: give --code or both --N and --rate")
-        m = _pow2_m(args.N)
+        m = _depth(args.N, 2)
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
@@ -241,16 +243,11 @@ def _hwsim_spec(args, arch: str, n: int):
             kernel = kernel_linear(G4_DEFAULT)
         else:
             raise SystemExit("error: give --kernel for this ell")
-        m, size = 0, 1
-        while size < n:
-            size *= kernel.ell
-            m += 1
-        if size != n:
-            raise SystemExit(f"error: N={n} is not a power of ell={kernel.ell}")
+        m = _depth(n, kernel.ell)
         # frozen-set choice does not affect the cycle audit
         n_frozen = n - int(rate * n)
         return CodeSpec(kernel, m, {i: 0 for i in range(n_frozen)})
-    m = _pow2_m(n)
+    m = _depth(n, 2)
     return construct_bec(m, 0.5, rate)
 
 
@@ -428,16 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except SystemExit as e:
-        sys.stderr.write(f"{e}\n")
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
         return args.fn(args)
     except SystemExit as e:
-        # handlers raise SystemExit(message) for usage-level problems
+        # usage-level problems: --config and the handlers raise
+        # SystemExit(message); argparse exits with its own code
         if isinstance(e.code, str):
             sys.stderr.write(e.code + "\n")
             return 2

@@ -1,8 +1,16 @@
-"""GF(q) arithmetic backed by log/antilog tables, q = p^k <= 256."""
+"""GF(q) arithmetic as lookup tables, q = p^k <= 256.
+
+Symbol s stands for the polynomial over Z_p whose coefficients are the
+base-p digits of s, lowest digit = constant term. add_table, mul_table and
+neg_table hold every sum, product and negation; each is built by array
+arithmetic on those digit vectors. Products are reduced modulo the first
+monic degree-k polynomial, its k lower coefficients taken in
+itertools.product order (constant term most significant), that is not a
+product of two monic polynomials of lower degree.
+"""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,82 +42,44 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _poly_mul_mod(a: tuple, b: tuple, p: int, modulus: tuple) -> tuple:
-    # coefficient tuples, lowest degree first; modulus monic of degree k
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c == 0:
-            continue
-        prod[d] = 0
-        for j in range(k + 1):
-            prod[d - k + j] = (prod[d - k + j] - c * modulus[j]) % p
-    out = prod[:k] + [0] * max(0, k - len(prod))
-    return tuple(out[:k])
+def _digits(count: int, p: int, width: int) -> np.ndarray:
+    """(count, width) base-p digits of 0..count-1, lowest digit first."""
+    return np.arange(count)[:, None] // p ** np.arange(width) % p
 
 
-def _find_irreducible(p: int, k: int) -> tuple:
-    """Monic irreducible polynomial of degree k over Z_p, found by sieve."""
-    if k == 1:
-        return (0, 1)
-    # a poly of degree k is irreducible iff it has no irreducible factor of
-    # degree <= k//2; for the small k here, test by exhaustive root/factor scan
-    def poly_eval_set(poly):
-        # reducible iff divisible by some monic poly of degree 1..k//2
-        for d in range(1, k // 2 + 1):
-            for coeffs in itertools.product(range(p), repeat=d):
-                cand = coeffs + (1,)
-                if _poly_divides(cand, poly, p):
-                    return False
-        return True
-
-    for coeffs in itertools.product(range(p), repeat=k):
-        poly = coeffs + (1,)
-        if poly[0] == 0:
-            continue
-        if poly_eval_set(poly):
-            return poly
-    raise AlphabetError(f"no irreducible polynomial found for p={p}, k={k}")
+def _poly_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of a*b mod p, lowest first, over broadcast leading axes."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.int64)
+    for i in range(a.shape[-1]):
+        out[..., i : i + b.shape[-1]] += a[..., i, None] * b
+    return out % p
 
 
-def _poly_divides(d: tuple, a: tuple, p: int) -> bool:
-    rem = list(a)
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], p - 2, p) if p > 2 else d[-1]
-    while len(rem) - 1 >= dd:
-        if rem[-1] != 0:
-            f = (rem[-1] * inv_lead) % p
-            off = len(rem) - 1 - dd
-            for j in range(dd + 1):
-                rem[off + j] = (rem[off + j] - f * d[j]) % p
-        rem.pop()
-        while len(rem) > 1 and rem[-1] == 0 and len(rem) - 1 >= dd:
-            rem.pop()
-    return all(c == 0 for c in rem)
+def _modulus(p: int, k: int) -> np.ndarray:
+    """Lower k coefficients of the reduction polynomial (lowest first)."""
+    def monic(d):
+        return np.hstack([_digits(p**d, p, d), np.ones((p**d, 1), dtype=np.int64)])
+
+    # candidate index packs the lower coefficients, constant term first
+    radix = p ** np.arange(k - 1, -1, -1)
+    reducible = np.zeros(p**k, dtype=bool)
+    for d in range(1, k // 2 + 1):
+        prods = _poly_mul(monic(d)[:, None], monic(k - d)[None, :], p)
+        reducible[prods[..., :k] @ radix] = True
+    first = int(np.argmin(reducible))
+    return first // radix % p
 
 
 @dataclass(eq=False)
 class Alphabet:
-    """Finite field on symbols 0..q-1.
-
-    Symbols encode coefficient vectors base p (lowest digit = constant term).
-    Multiplication and division run through exp/log tables of a primitive
-    element; addition is digitwise mod p.
-    """
+    """Finite field on symbols 0..q-1, held as its add, mul and neg tables."""
 
     q: int
     p: int = field(init=False)
     k: int = field(init=False)
-    exp_table: np.ndarray = field(init=False, repr=False)
-    log_table: np.ndarray = field(init=False, repr=False)
     add_table: np.ndarray = field(init=False, repr=False)
+    mul_table: np.ndarray = field(init=False, repr=False)
     neg_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -117,64 +87,16 @@ class Alphabet:
             raise AlphabetError(f"q={self.q} exceeds table limit {MAX_Q}")
         self.p, self.k = _prime_power(self.q)
         p, k, q = self.p, self.k, self.q
-        modulus = _find_irreducible(p, k)
-
-        def to_sym(coeffs):
-            s = 0
-            for c in reversed(coeffs):
-                s = s * p + c
-            return s
-
-        def to_coeffs(s):
-            out = []
-            for _ in range(k):
-                out.append(s % p)
-                s //= p
-            return tuple(out)
-
-        # addition: digitwise mod p
-        add = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            ca = to_coeffs(a)
-            for b in range(q):
-                cb = to_coeffs(b)
-                add[a, b] = to_sym(tuple((x + y) % p for x, y in zip(ca, cb)))
-        self.add_table = add
-        self.neg_table = np.array(
-            [to_sym(tuple((-c) % p for c in to_coeffs(a))) for a in range(q)],
-            dtype=np.int64,
-        )
-
-        # find a primitive element, build exp/log
-        def mul_raw(a, b):
-            return to_sym(_poly_mul_mod(to_coeffs(a), to_coeffs(b), p, modulus))
-
-        prim = None
-        for g in range(2, q) if q > 2 else range(1, 2):
-            seen = set()
-            x = 1
-            for _ in range(q - 1):
-                seen.add(x)
-                x = mul_raw(x, g)
-            if len(seen) == q - 1:
-                prim = g
-                break
-        if prim is None:
-            if q == 2:
-                prim = 1
-            else:
-                raise AlphabetError(f"no primitive element found for q={q}")
-
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            exp[i + q - 1] = x
-            log[x] = i
-            x = mul_raw(x, prim)
-        self.exp_table = exp
-        self.log_table = log
+        digits = _digits(q, p, k)
+        radix = p ** np.arange(k)
+        prod = _poly_mul(digits[:, None], digits[None, :], p)
+        # x^k = -(lower terms of the modulus): fold degrees >= k down, top first
+        modulus = _modulus(p, k)
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[..., d - k : d] -= prod[..., d, None] * modulus
+        self.add_table = (digits[:, None] + digits[None, :]) % p @ radix
+        self.mul_table = prod[..., :k] % p @ radix
+        self.neg_table = -digits % p @ radix
 
     # scalar ops -----------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -187,37 +109,26 @@ class Alphabet:
         return int(self.add_table[a, self.neg_table[b]])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[self.log_table[a] + self.log_table[b]])
+        return int(self.mul_table[a, b])
 
     def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero symbol")
-        if a == 0:
-            return 0
-        return int(self.exp_table[self.log_table[a] - self.log_table[b] + self.q - 1])
+        return self.mul(a, self.inv(b))
 
     def inv(self, a: int) -> int:
-        return self.div(1, a)
+        if a == 0:
+            raise ZeroDivisionError("division by zero symbol")
+        return int(np.argmax(self.mul_table[a] == 1))
 
     # vector ops -----------------------------------------------------------
     def add_vec(self, a, b):
         return self.add_table[np.asarray(a), np.asarray(b)]
 
     def mul_vec(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)] if self.q > 2 else (a & b)
-        out = np.where((a == 0) | (b == 0), 0, out)
-        return out
+        return self.mul_table[np.asarray(a), np.asarray(b)]
 
     def scalar_row_mul(self, s: int, row):
         """s * row elementwise (used by coset/partial-encoding updates)."""
-        row = np.asarray(row)
-        if s == 0:
-            return np.zeros_like(row)
-        return self.mul_vec(np.full_like(row, s), row)
+        return self.mul_table[s, np.asarray(row)]
 
     def matvec(self, u, mat):
         """u . mat over the field, u length n, mat (n, m)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..kernels import code_depth
 from .bp_line import BpLineRun, run_bp_line
 from .core import (
     CycleReport,
@@ -35,12 +36,7 @@ def check_formulas(report: CycleReport) -> list[str]:
         want = formulas_bp_line(n, report.iterations)
     elif report.arch == "general_line":
         ell = report.extra["ell"]
-        m = 0
-        size = 1
-        while size < n:
-            size *= ell
-            m += 1
-        want = formulas_general_line(ell, m)
+        want = formulas_general_line(ell, code_depth(n, ell))
     else:
         raise ValueError(f"no closed forms for arch {report.arch!r}")
 

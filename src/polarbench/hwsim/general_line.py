@@ -52,10 +52,7 @@ class _GeneralLineEngine:
         self.ell = ell = kernel.ell
         self.add_table = alph.add_table
         # coset contribution s * G[r] of symbol s on input r, indexed [r, s]
-        self.gmul = np.stack([
-            np.stack([alph.scalar_row_mul(s, row) for s in range(kernel.q)])
-            for row in kernel.generator
-        ])
+        self.gmul = alph.mul_table[:, kernel.generator].swapaxes(0, 1)
         # the open base block's ell accumulators live in a Python list: a
         # decision updates a few symbols, too few to pay for a numpy call
         self.gmul_rows = self.gmul.tolist()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import Alphabet, alphabet
+from .gf import Alphabet, _digits, alphabet
 
 
 class InvalidKernelError(ValueError):
@@ -37,12 +37,16 @@ def _pack(symbols, q: int) -> int:
     return s
 
 
-def _unpack(idx: int, q: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(idx % q)
-        idx //= q
-    return tuple(reversed(out))
+def _words(q: int, width: int) -> np.ndarray:
+    """All q**width words as rows, in _pack order (first symbol most significant)."""
+    return _digits(q**width, q, width)[:, ::-1]
+
+
+def _check_size(q: int, ell: int) -> None:
+    if ell < 2:
+        raise InvalidKernelError("kernel dimension must be >= 2")
+    if q**ell > TABLE_LIMIT:
+        raise InvalidKernelError(f"q**ell = {q**ell} exceeds exhaustive-check limit {TABLE_LIMIT}")
 
 
 @dataclass(eq=False)
@@ -66,12 +70,7 @@ class Kernel:
 
     def __post_init__(self):
         q = self.alph.q
-        if self.ell < 2:
-            raise InvalidKernelError("kernel dimension must be >= 2")
-        if q**self.ell > TABLE_LIMIT:
-            raise InvalidKernelError(
-                f"q**ell = {q**self.ell} exceeds exhaustive-check limit {TABLE_LIMIT}"
-            )
+        _check_size(q, self.ell)
         self.table = np.asarray(self.table, dtype=np.int64)
         if self.table.shape != (q**self.ell, self.ell):
             raise InvalidKernelError("kernel table has wrong shape")
@@ -143,13 +142,13 @@ def kernel_linear(G, q: int = 2, glue=None) -> Kernel:
     ell = G.shape[0]
     if G.shape != (ell, ell):
         raise InvalidKernelError("G must be square")
+    _check_size(q, ell)  # before the table is built
     a = alphabet(q)
     a.check_symbols(G)
-    rows = []
-    for idx in range(q**ell):
-        u = _unpack(idx, q, ell)
-        rows.append(a.matvec(np.array(u), G))
-    table = np.array(rows, dtype=np.int64)
+    # one step per input, in _pack order: words so far x every value of the next
+    table = np.zeros((1, ell), dtype=np.int64)
+    for g_i in G:
+        table = a.add_table[table[:, None], a.mul_table[:, g_i]].reshape(-1, ell)
     glue_t = tuple(tuple(g) for g in glue) if glue else ()
     return Kernel(ell=ell, alph=a, table=table, generator=G, glue=glue_t)
 
@@ -163,6 +162,16 @@ def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
 
 
 # --------------------------------------------------------------------------
+
+
+def code_depth(n: int, ell: int) -> int:
+    """The depth m >= 1 with ell**m == n; a ValueError if there is none."""
+    m = 1
+    while ell**m < n:
+        m += 1
+    if ell**m != n:
+        raise ValueError(f"N={n} is not a power {ell}**m with m >= 1")
+    return m
 
 
 @dataclass(eq=False)

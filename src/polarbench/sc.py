@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import check_likelihood_rows
-from .kernels import CodeSpec, Kernel, _unpack
+from .channels import check_likelihood_rows, check_llr
+from .kernels import CodeSpec, Kernel, _words
 from .llrops import LlrContradiction, f_equal_vec, f_plus_vec
 
 
@@ -100,9 +100,7 @@ def decode_sc_arikan(
     if not spec.kernel.is_arikan:
         raise ValueError("decode_sc_arikan requires the (u+v, v) kernel")
     n = spec.n
-    lam = np.asarray(llr, dtype=np.float64)
-    if lam.ndim not in (1, 2) or lam.shape[-1] != n or lam.size == 0:
-        raise ValueError(f"llr must have shape ({n},) or (B, {n}) with B >= 1")
+    lam = check_llr(llr, n)
     if genie_u is not None:
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != lam.shape:
@@ -213,7 +211,7 @@ def glue_values(kernel: Kernel, mask: np.ndarray, vals: np.ndarray) -> list:
     out = []
     for grp in kernel.glue:
         c, w = grp[0], len(grp)
-        syms = np.array([_unpack(t, q, w) for t in range(q**w)], dtype=np.int64)
+        syms = _words(q, w)
         pins = mask.reshape(-1, ell)[:, None, c : c + w]
         pinned = vals.reshape(-1, ell)[:, None, c : c + w]
         out.append((c, w, syms, ((syms == pinned) | ~pins).all(axis=2)))

@@ -236,6 +236,14 @@ def test_hwsim_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("arch,n", [("general-line", "1"), ("general-line", "3"), ("sc-line", "1")])
+def test_hwsim_length_not_a_kernel_power(capsys, arch, n):
+    code, out, err = run_cli(capsys, "hwsim", "--arch", arch, "--N", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: N={n} is not a power 2**m with m >= 1\n"
+
+
 # encode / decode --------------------------------------------------------------
 
 
@@ -572,6 +580,20 @@ def test_config_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "bad config line" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", "{missing}", "--N", "8", "--rate", "0.5"),
+    ("hwsim", "--config", "{missing}", "--arch", "sc-line", "--N", "8"),
+    ("encode", "--code", "{missing}", "--in", "{missing}"),
+])
+def test_missing_file_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(missing) in err
 
 
 def test_env_seed_default(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -434,3 +439,16 @@ def test_formula_values_spot():
     assert bp4["cycles_per_iteration"] == 15
     assert formulas_general_line(2, 2)["cycles"] == 6
     assert general_line_true_cycles(2, 3) == 14
+
+
+def test_formula_report_script_runs():
+    # the table README's formula-gap section points to; its one mismatch
+    # is the general-line N = 8 cell
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "hw_formula_report.py"), "--max-m", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "22 cells, 1 with formula mismatch"
+    bad = [line for line in done.stdout.splitlines() if "undercounts" in line]
+    assert len(bad) == 1 and bad[0].startswith("general-line ell=2") and bad[0].split()[2] == "8"

@@ -14,7 +14,7 @@ from polarbench.kernels import (
     SpecFormatError,
     _encode_rec,
     _pack,
-    _unpack,
+    _words,
     dump_codespec,
     dump_kernel,
     encode,
@@ -32,9 +32,9 @@ from conftest import G4, spec_all_free
 
 def test_pack_unpack_roundtrip():
     for q, width in [(2, 3), (3, 2), (4, 4), (5, 2)]:
-        for idx in range(q**width):
-            syms = _unpack(idx, q, width)
-            assert len(syms) == width
+        words = _words(q, width)
+        assert words.shape == (q**width, width)
+        for idx, syms in enumerate(words):
             assert _pack(syms, q) == idx
 
 
@@ -69,7 +69,8 @@ def test_arikan_n4_combination_pattern():
 
 @pytest.mark.parametrize(
     "q,ell,seed",
-    [(2, 2, 0), (2, 3, 1), (2, 4, 2), (3, 2, 3), (4, 2, 4), (4, 3, 5), (5, 2, 6)],
+    [(2, 2, 0), (2, 3, 1), (2, 4, 2), (3, 2, 3), (4, 2, 4), (4, 3, 5), (5, 2, 6),
+     (8, 2, 7), (8, 3, 8), (9, 2, 9), (16, 2, 10)],
 )
 def test_random_linear_kernel_bijective(q, ell, seed):
     a = alphabet(q)
@@ -83,10 +84,9 @@ def test_random_linear_kernel_bijective(q, ell, seed):
         except InvalidKernelError:
             continue
     seen = set()
-    for idx in range(q**ell):
-        u = _unpack(idx, q, ell)
+    for u in _words(q, ell):
         x = k.map(u)
-        assert x == tuple(int(v) for v in a.matvec(np.array(u), G))
+        assert x == tuple(int(v) for v in a.matvec(u, G))
         seen.add(x)
     assert len(seen) == q**ell
 
@@ -96,6 +96,13 @@ def test_singular_generator_rejected():
         kernel_linear(np.array([[1, 1], [1, 1]]), q=2)
     with pytest.raises(InvalidKernelError):
         kernel_linear(np.zeros((3, 3), dtype=int), q=4)
+
+
+def test_oversized_generator_rejected_before_building():
+    # q**ell = 2**30 words: refused from the shape alone, before the
+    # (here invalid) symbols are read or any table is built
+    with pytest.raises(InvalidKernelError, match="exceeds"):
+        kernel_linear(np.full((30, 30), 7), q=2)
 
 
 def test_nonlinear_table_kernel():
@@ -153,7 +160,7 @@ def test_marginal_table_shape_and_content(arikan):
     assert view.shape == (3, 9, 1, 3)
     for p in range(3):
         for t in range(9):
-            assert tuple(view[p, t, 0]) == k.map((p,) + _unpack(t, 3, 2))
+            assert tuple(view[p, t, 0]) == k.map((p, *_words(3, 2)[t]))
     with pytest.raises(ValueError):
         k.marginal_view(2)  # interior of a group is not a boundary
 

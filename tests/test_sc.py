@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polarbench.channels import likelihood_rows_binary
 from polarbench.kernels import (
     CodeSpec,
-    _unpack,
+    _words,
     encode,
     encode_unchecked,
     kernel_arikan,
@@ -374,7 +374,7 @@ def test_glue_group_joint_decision(rng):
     # the joint decision maximizes the exact group marginal
     totals = np.zeros(4)
     for idx in range(16):
-        x = k.map(_unpack(idx, 2, 4))
+        x = k.map(_words(2, 4)[idx])
         totals[idx // 4] += np.prod([rows[j, x[j]] for j in range(4)])
     want = scores_to_llr(totals)
     got_vec = res.decisions[0][2]
