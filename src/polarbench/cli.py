@@ -108,11 +108,10 @@ def _write_out(path: str | None, text: str) -> None:
 
 def _read_numbers(path: str, conv) -> list:
     """conv of each whitespace-separated token; a bad token is a usage error."""
-    with open(path) as fh:
-        toks = fh.read().split()
     try:
-        return [conv(t) for t in toks]
-    except ValueError as e:
+        with open(path) as fh:
+            return [conv(t) for t in fh.read().split()]
+    except ValueError as e:  # UnicodeDecodeError included
         raise SystemExit(f"error: {path}: {e}")
 
 
@@ -128,22 +127,25 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not argv:
         raise SystemExit("error: --config requires a subcommand")
     inject: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise SystemExit(f"error: bad config line {line!r}")
-            flag = "--" + key.strip().replace("_", "-")
-            val = val.strip()
-            if val.lower() in ("true", "yes"):
-                inject.append(flag)
-            elif val.lower() in ("false", "no"):
-                continue
-            else:
-                inject.extend([flag, val])
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, val = line.partition("=")
+                if not sep:
+                    raise SystemExit(f"error: bad config line {line!r}")
+                flag = "--" + key.strip().replace("_", "-")
+                val = val.strip()
+                if val.lower() in ("true", "yes"):
+                    inject.append(flag)
+                elif val.lower() in ("false", "no"):
+                    continue
+                else:
+                    inject.extend([flag, val])
+    except UnicodeDecodeError as e:
+        raise SystemExit(f"error: {path}: {e}")
     return [argv[0]] + inject + argv[1:]
 
 
@@ -152,11 +154,10 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def _load_file(path: str, loader):
     """loader(text of path); a malformed file is a usage error."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return loader(text)
-    except ValueError as e:
+        with open(path) as fh:
+            return loader(fh.read())
+    except ValueError as e:  # UnicodeDecodeError included
         raise SystemExit(f"error: {path}: {e}")
 
 

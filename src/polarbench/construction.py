@@ -8,7 +8,8 @@ of the simulation lanes, and decodes each chunk in one batched genie
 call, of the (u+v, v) recursion on that kernel and of the general-kernel
 recursion on any other; a general-kernel chunk holds at most
 montecarlo.frames_per_call frames, which bounds its memory. The chunk
-size never changes the profile: draw_frames draws frame by frame.
+size never changes the profile: draw_frames leaves rng where drawing
+frame by frame would.
 """
 
 from __future__ import annotations

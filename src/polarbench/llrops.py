@@ -46,6 +46,11 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     a and b may be one frame, shape (N,), or a batch, shape (B, N). Each
     entry depends on its own a and b alone, so a batch row gives exactly
     what a call on that row alone gives.
+
+    Every finite entry of the exact update rounds as (core + A) - B. Where
+    a finite input is +-0, |a + b| == |a - b| makes A == B, so the entry
+    is exactly core + 0.0 (+0.0); a call holding infinities, such as one on
+    erasure evidence, runs exp and log1p only on the other finite entries.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -53,20 +58,26 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     core = sign * np.minimum(np.abs(a), np.abs(b))
     inf_a = np.isinf(a)
     inf_b = np.isinf(b)
-    mixed = (inf_a | inf_b).any()
+    if not (inf_a | inf_b).any():
+        if min_sum:
+            return core
+        return core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    core = np.asarray(core)  # a 0-d call gives a scalar, written in place below
     if not min_sum:
-        # Every finite entry rounds as (core + A) - B, whatever its
-        # neighbours hold. Infinite inputs are zeroed here so that inf - inf
-        # makes no NaN; their entries are set below.
-        fa, fb = (np.where(inf_a, 0.0, a), np.where(inf_b, 0.0, b)) if mixed else (a, b)
-        core = core + np.log1p(np.exp(-np.abs(fa + fb))) - np.log1p(np.exp(-np.abs(fa - fb)))
-    if not mixed:
-        return core
+        core += 0.0
+        live = (core != 0) & ~inf_a & ~inf_b
+        if live.any():
+            fa, fb = a[live], b[live]
+            corr = np.log1p(np.exp(-np.abs(fa + fb)))
+            core[live] = (core[live] + corr) - np.log1p(np.exp(-np.abs(fa - fb)))
     # inf against anything collapses to +-other, as the scalar shortcuts do:
     # f_plus(inf, 0) = 0 and two infinities give the product of their signs.
-    # Where both are infinite, the second line wins.
-    core = np.where(inf_b, np.where(b > 0, a, -a), core)
-    return np.where(inf_a, np.where(a > 0, b, -b), core)
+    # Where both are infinite, the second copy wins; the slots it discards
+    # may compute 0 * inf.
+    with np.errstate(invalid="ignore"):
+        np.copyto(core, a * np.sign(b), where=inf_b)
+        np.copyto(core, b * np.sign(a), where=inf_a)
+    return core
 
 
 def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray | None = None) -> np.ndarray:

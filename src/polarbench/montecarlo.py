@@ -4,9 +4,11 @@ Trials are grouped into fixed-size lanes; lane i draws from
 default_rng([seed, i]), so the tally is independent of how lanes are
 scheduled and a --jobs split reproduces the single-process result byte for
 byte. One frame source, draw_frames, serves every lane and the Monte-Carlo
-construction: it draws each frame's payload and channel noise from rng in
-per-frame order, then assembles, encodes and applies the noise to the
-whole lane as (B, N) arrays. A lane's frames are decoded in one batched
+construction: it gives each frame the payload and channel noise that
+drawing them from rng frame by frame gives (a bec or bsc lane on the
+default PCG64 generator takes all its raw words in one call), then
+assembles, encodes and applies the noise to the whole lane as (B, N)
+arrays. A lane's frames are decoded in one batched
 call: SC on the (u+v, v) kernel walks its recursion once for the whole
 lane, BP sweeps the lane's still-running frames together until each has
 stopped by its own rule, SCL walks its list recursion once for the whole
@@ -129,19 +131,63 @@ def frames_per_call(spec: CodeSpec, decoder: str, list_size: int = 8) -> int:
 def draw_frames(spec: CodeSpec, ch: ChannelModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """`count` frames from rng as (count, N) input words u and received LLRs.
 
-    rng is drawn frame by frame in the order of per-frame transmission,
-    a payload rng.integers(0, 2, k) and then that frame's channel draw, so
-    the result is what spec.assemble, encode and transmit give one frame
-    at a time. Assembly, encoding and the noise then act on whole arrays.
+    The result, and rng's state afterwards, are what spec.assemble, encode
+    and transmit give one frame at a time: each frame draws its payload,
+    rng.integers(0, 2, k), and then its channel noise. A bec or bsc lane
+    on a PCG64 generator takes all its raw words in one call (see
+    _draw_raw); biawgn and other bit generators draw frame by frame.
+    Assembly, encoding and the noise then act on whole arrays.
     """
     k, n = spec.k_info, spec.n
-    payload = np.empty((count, k), dtype=np.int64)
-    noise = np.empty((count, n))
-    for i in range(count):
-        payload[i] = rng.integers(0, 2, k)
-        noise[i] = draw_noise(ch, n, rng)
+    if ch.kind != "biawgn" and type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
+        noiseless = ch.kind == "bsc" and ch.param == 0.0
+        payload, noise = _draw_raw(rng.bit_generator, count, k, 0 if noiseless else n)
+        if noiseless:
+            noise = np.zeros((count, n))
+    else:
+        payload = np.empty((count, k), dtype=np.int64)
+        noise = np.empty((count, n))
+        for i in range(count):
+            payload[i] = rng.integers(0, 2, k)
+            noise[i] = draw_noise(ch, n, rng)
     u = spec.assemble(payload)
     return u, apply_noise(ch, encode(spec, u), noise)
+
+
+def _draw_raw(bg: np.random.PCG64, count: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, k) payload bits and (count, n) uniforms, equal to `count`
+    rounds of integers(0, 2, k) then random(n) on bg's Generator, from one
+    random_raw call.
+
+    integers(0, 2) takes the top bit of a 32-bit half-word (Lemire's
+    method), low half first; a spare high half is kept in bg's
+    has_uint32 / uinteger buffer, across frames and across calls. random
+    maps a raw word w to (w >> 11) * 2**-53 and leaves the buffer alone.
+    """
+    state = bg.state
+    h0, buf0 = state["has_uint32"], state["uinteger"]
+    halves = count * k - h0  # half-words taken from new raw words
+    words = max(0, (halves + 1) // 2)  # payload words, each drawn at its low half
+    p = np.arange(words)
+    # payload word p is drawn in frame (2p + h0) // k, after that frame's
+    # predecessors' noise; frame i's noise follows its own payload words
+    pay_at = p + n * ((2 * p + h0) // max(k, 1))
+    frames = np.arange(count)
+    noise_at = np.maximum(0, ((frames + 1) * k - h0 + 1) // 2) + frames * n
+    raw = bg.random_raw(words + count * n)
+    w = raw[pay_at]
+    bits = np.stack(((w >> 31) & 1, w >> 63), axis=-1).reshape(-1)[: max(halves, 0)]
+    if h0 and count * k:
+        bits = np.concatenate(([buf0 >> 31], bits))
+    payload = bits.astype(np.int64).reshape(count, k)
+    noise = (raw[noise_at[:, None] + np.arange(n)] >> 11) * 2.0**-53
+    if count * k:
+        state = bg.state
+        state["has_uint32"] = halves % 2
+        # numpy keeps the last high half in uinteger even once it is used
+        state["uinteger"] = int(w[-1] >> 32) if words else buf0
+        bg.state = state
+    return payload, noise
 
 
 def run_lane(

@@ -28,6 +28,11 @@ The hook counts cycles and resources and may raise to abort the decode;
 it never changes a value. decode_sc_general is in the same way the
 recursion of the general-kernel line model, through the hook described in
 its docstring; that hook observes one frame.
+
+A decode_sc_arikan walk that nothing observes (no hook, trace or genie)
+skips STEP I of a width-2 node whose left input is frozen: that leaf
+ignores its LLR, and f never fails a frame, so every output is the same
+(the simplest rate-0 case of simplified SC). Observed walks take every step.
 """
 
 from __future__ import annotations
@@ -110,6 +115,7 @@ def decode_sc_arikan(
     dllr = np.zeros(lam.shape) if trace else None
     errs = np.zeros(lam.shape, dtype=bool) if genie_u is not None else None
     failed = np.zeros(lam.shape[0], dtype=bool) if lam.ndim == 2 else None
+    quiet = hook is None and not trace and genie_u is None
 
     def rec(lam_d: np.ndarray, off: int) -> np.ndarray:
         # returns the re-encoded codeword of this node; decisions go to u_hat
@@ -132,10 +138,15 @@ def decode_sc_arikan(
         width = lam_d.shape[-1]
         even = lam_d[..., 0::2]
         odd = lam_d[..., 1::2]
-        l1 = f_plus_vec(even, odd, min_sum=min_sum)
-        if hook is not None:
-            hook.f(off, width, (even, odd), l1)
-        x0 = rec(l1, off)
+        if quiet and width == 2 and mask[off]:
+            # f would only feed a frozen leaf, which ignores its LLR
+            x0 = vals[off : off + 1]
+            u_hat[..., off : off + 1] = x0
+        else:
+            l1 = f_plus_vec(even, odd, min_sum=min_sum)
+            if hook is not None:
+                hook.f(off, width, (even, odd), l1)
+            x0 = rec(l1, off)
         l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd, failed)
         if hook is not None:
             hook.g(off, width, (even, odd), l2, x0)

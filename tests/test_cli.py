@@ -596,6 +596,27 @@ def test_missing_file_error(tmp_path, capsys, argv):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--code", "{bad}", "--trials", "10"),
+    ("construct", "--kernel", "{bad}", "--m", "2", "--rate", "0.5", "--mc-trials", "10"),
+    ("encode", "--code", "{code}", "--in", "{bad}"),
+    ("decode", "--code", "{code}", "--in", "{bad}"),
+    ("simulate", "--config", "{bad}", "--N", "8", "--rate", "0.5"),
+])
+def test_non_utf8_file_error(tmp_path, capsys, argv):
+    # UnicodeDecodeError is a ValueError: each reader reports it as a usage error
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code_file = tmp_path / "code.txt"
+    run_cli(capsys, "construct", "--N", "8", "--rate", "0.5", "--out", str(code_file))
+    code, out, err = run_cli(capsys, *(a.format(bad=bad, code=code_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_env_seed_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POLARBENCH_SEED", "77")
     _, out1, _ = run_cli(

@@ -128,6 +128,49 @@ def test_f_plus_vec_entry_ignores_neighbours():
     for a_inf, b_inf in ((np.inf, 1.0), (1.0, -np.inf), (np.inf, np.inf)):
         got = f_plus_vec(np.array([2.61, a_inf]), np.array([1.89, b_inf]))
         assert got[0] == lone[0], (a_inf, b_inf)
+        # a +-0 neighbour takes the core + 0.0 shortcut; it must not move this entry
+        for zero in (0.0, -0.0):
+            got = f_plus_vec(np.array([2.61, a_inf, zero]), np.array([1.89, b_inf, -1.5]))
+            assert got[0] == lone[0], (a_inf, b_inf, zero)
+            assert got[2].view(np.uint64) == np.float64(0.0).view(np.uint64)
+
+
+def _f_plus_vec_reference(a, b, min_sum=False):
+    # the earlier formulation, kept as the reference: exp and log1p run on
+    # every entry, with infinite inputs zeroed, and np.where applies the
+    # shortcuts
+    sign = np.sign(a) * np.sign(b)
+    core = sign * np.minimum(np.abs(a), np.abs(b))
+    inf_a = np.isinf(a)
+    inf_b = np.isinf(b)
+    mixed = (inf_a | inf_b).any()
+    if not min_sum:
+        fa, fb = (np.where(inf_a, 0.0, a), np.where(inf_b, 0.0, b)) if mixed else (a, b)
+        core = core + np.log1p(np.exp(-np.abs(fa + fb))) - np.log1p(np.exp(-np.abs(fa - fb)))
+    if not mixed:
+        return core
+    core = np.where(inf_b, np.where(b > 0, a, -a), core)
+    return np.where(inf_a, np.where(a > 0, b, -b), core)
+
+
+F_PLUS_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e308, -1e308, 40.0, -40.0, 1.5, -2.5]
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+@pytest.mark.parametrize("finite_only", [False, True])
+def test_f_plus_vec_edge_pairs_match_reference(min_sum, finite_only):
+    # every pair of edge values, in one call with infinities and in one
+    # without; bit for bit, and NaN equals NaN whatever its sign
+    vals = [v for v in F_PLUS_EDGES if not (finite_only and np.isinf(v))]
+    pairs = np.array([(x, y) for x in vals for y in vals])
+    a, b = pairs[:, 0], pairs[:, 1]
+    # 1e308 + 1e308 overflows in the exact update, in both formulations
+    with np.errstate(over="ignore"):
+        got = f_plus_vec(a, b, min_sum=min_sum)
+        want = _f_plus_vec_reference(a, b, min_sum=min_sum)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def test_f_equal_vec_conflict_raises():

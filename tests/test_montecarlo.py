@@ -412,8 +412,26 @@ def _frames_per_frame(spec, ch, count, rng):
     return np.array(u), np.array(lam)
 
 
-FRAME_KERNELS = [kernel_arikan(), kernel_linear(G4)]
+# an odd ell gives odd k on a free spec, as construct --mc-trials chunks use
+FRAME_KERNELS = [kernel_arikan(), kernel_linear(G4), kernel_linear([[1, 0, 0], [1, 1, 0], [1, 0, 1]])]
 FRAME_CHANNELS = [bec(0.0), bec(0.4), bec(1.0), bsc(0.0), bsc(0.08), biawgn(0.8)]
+
+
+def _same_state(a, b):
+    # bit generator states are nested dicts, holding arrays for MT19937
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+def _assert_same_frames(spec, ch, count, got_rng, want_rng):
+    # draw_frames against the per-frame reference, and the rng state after
+    u, lam = draw_frames(spec, ch, count, got_rng)
+    u_ref, lam_ref = _frames_per_frame(spec, ch, count, want_rng)
+    assert np.array_equal(u, u_ref)
+    assert lam.shape == lam_ref.shape == (count, spec.n)
+    assert np.array_equal(lam.view(np.uint64), lam_ref.view(np.uint64))
+    assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,10 +448,27 @@ def test_draw_frames_matches_per_frame(data):
     ch = data.draw(st.sampled_from(FRAME_CHANNELS))
     count = data.draw(st.one_of(st.just(1), st.just(LANE_SIZE), st.integers(1, LANE_SIZE)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    u, lam = draw_frames(spec, ch, count, got_rng)
-    u_ref, lam_ref = _frames_per_frame(spec, ch, count, want_rng)
-    assert np.array_equal(u, u_ref)
-    assert lam.shape == lam_ref.shape == (count, n)
-    assert np.array_equal(lam.view(np.uint64), lam_ref.view(np.uint64))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # PCG64 takes the one-draw path for bec and bsc; MT19937 the frame loop
+    bit_gen = data.draw(st.sampled_from([np.random.PCG64, np.random.MT19937]))
+    got_rng, want_rng = np.random.Generator(bit_gen(seed)), np.random.Generator(bit_gen(seed))
+    if data.draw(st.booleans()):
+        # enter with half a raw word buffered
+        got_rng.integers(0, 2, 1)
+        want_rng.integers(0, 2, 1)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _assert_same_frames(spec, ch, count, got_rng, want_rng)
+
+
+@pytest.mark.parametrize("ch", FRAME_CHANNELS, ids=str)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_draw_frames_odd_k_matches_per_frame(ch, buffered):
+    # odd k leaves a half word buffered between frames and between calls
+    odd = CodeSpec(kernel_arikan(), 3, {0: 0, 1: 1, 4: 0})
+    free3 = CodeSpec(FRAME_KERNELS[2], 2, {})
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    if buffered:
+        got_rng.integers(0, 2, 1)
+        want_rng.integers(0, 2, 1)
+    for spec, count in ((odd, 7), (odd, 1), (free3, 6), (free3, 3)):
+        assert spec.k_info % 2 == 1
+        _assert_same_frames(spec, ch, count, got_rng, want_rng)

@@ -205,25 +205,30 @@ def _single_or_none(spec, lam, **kw):
 @given(st.integers(1, 5), st.data())
 def test_sc_batch_failed_rows_match_single_calls(m, data):
     # a (B, N) call marks exactly the frames whose (N,) call raises, and
-    # every other frame equals its single call, genie mode included
+    # every other frame equals its single call, genie mode included; a quiet
+    # call (no trace, no genie), which skips f under a frozen leaf, equals
+    # the traced walk
     n = 2**m
     frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)))
     spec = CodeSpec(kernel_arikan(), m, frozen)
     b = data.draw(st.integers(1, 6))
-    entries = st.sampled_from([np.inf, -np.inf, np.inf, -np.inf, 0.0, 1.5, -0.25])
+    entries = st.sampled_from([np.inf, -np.inf, np.inf, -np.inf, 0.0, -0.0, 1.5, -0.25])
     lam = np.reshape(data.draw(st.lists(entries, min_size=b * n, max_size=b * n)), (b, n))
     genie = np.reshape(data.draw(st.lists(st.integers(0, 1), min_size=b * n, max_size=b * n)), (b, n))
     min_sum = data.draw(st.booleans())
     batch = decode_sc_arikan(spec, lam, min_sum=min_sum, trace=True)
     batch_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie)
-    assert batch.failed.shape == batch_genie.failed.shape == (b,)
+    quiet = decode_sc_arikan(spec, lam, min_sum=min_sum)
+    assert batch.failed.shape == batch_genie.failed.shape == quiet.failed.shape == (b,)
     for i in range(b):
         one = _single_or_none(spec, lam[i], min_sum=min_sum, trace=True)
-        assert batch.failed[i] == (one is None), i
+        assert batch.failed[i] == quiet.failed[i] == (one is None), i
         if one is not None:
             assert np.array_equal(batch.u_hat[i], one.u_hat), i
             assert np.array_equal(batch.x_hat[i], one.x_hat), i
             assert np.array_equal(batch.decision_llrs[i], one.decision_llrs), i
+            assert np.array_equal(quiet.u_hat[i], one.u_hat), i
+            assert np.array_equal(quiet.x_hat[i], one.x_hat), i
         one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i])
         assert batch_genie.failed[i] == (one is None), i
         if one is not None:
