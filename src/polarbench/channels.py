@@ -33,6 +33,8 @@ class ChannelModel:
     param: float
 
     def __post_init__(self):
+        if not math.isfinite(self.param):
+            raise ValueError(f"channel parameter must be finite, got {self.param}")
         if self.kind == "bec":
             if not 0.0 <= self.param <= 1.0:
                 raise ValueError("erasure probability must be in [0, 1]")

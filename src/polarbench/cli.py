@@ -31,6 +31,7 @@ from .kernels import (
 )
 from .llrops import LlrContradiction
 from .montecarlo import CSV_HEADER, csv_row, decode_frame, run_trials
+from .sc import UnsupportedCodeError
 
 # binary length-4 kernel used when general-line runs without a kernel file
 G4_DEFAULT = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
             sys.stderr.write(e.code + "\n")
             return 2
         return e.code if e.code is not None else 0
+    except UnsupportedCodeError as e:
+        # a code no decoder or model covers is a usage error, like a bad flag
+        sys.stderr.write(f"error: {e}\n")
+        return 2
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -129,7 +129,7 @@ class _ScEngine:
             self.banks[depth][:] = 0  # release for the next node at this depth
         self._fire(depth, "g", inputs, out)
 
-    def leaf(self, off: int, u):
+    def decide(self, off: int, u, llr):
         # a decision of 1 flips every open bank where its encode row is 1;
         # only the line models open banks, and they decode one frame
         if self.left_phase and u[0]:

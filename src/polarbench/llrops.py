@@ -80,13 +80,13 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     return core
 
 
-def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray | None = None) -> np.ndarray:
+def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
     """Equality-node update a + b; opposite infinities are a contradiction.
 
-    Without `failed`, a contradiction raises LlrContradiction. With a (B,)
-    bool array `failed` for (B, n) inputs, each contradicting row is marked
-    there instead and its conflicting entries become 0 (no knowledge), so
-    the caller can carry on; the other rows are untouched.
+    a and b are (..., n) and `failed` is a bool array of shape (...), 0-d
+    for one row. Each row holding a contradiction is marked in `failed`
+    and its conflicting entries become 0 (no knowledge), so the caller can
+    carry on; the other rows are untouched.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -96,8 +96,6 @@ def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray | None = None) 
     if np.isnan(total).any():
         conflict = np.isinf(a) & np.isinf(b) & (np.sign(a) != np.sign(b))
         if conflict.any():
-            if failed is None:
-                raise LlrContradiction("opposite infinite LLRs combined at equality node")
             failed |= conflict.any(axis=-1)
             total[conflict] = 0.0
     return total

@@ -106,7 +106,7 @@ def decode_frame(
         return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
     if decoder == "sc" and spec.kernel.is_arikan:
         res = decode_sc_arikan(spec, lam, min_sum=min_sum)
-        return res.u_hat if res.failed is None else (res.u_hat, res.failed)
+        return res.u_hat if lam.ndim == 1 else (res.u_hat, res.failed)
     rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
     decode = partial(decode_sc_general, spec)
     if decoder == "scl":

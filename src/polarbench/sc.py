@@ -8,11 +8,12 @@ the same recursion. Both support a genie mode (feed back true inputs,
 record which decisions would have been wrong) used by Monte-Carlo code
 construction.
 
-Batch contract of both: one frame, LLRs of shape (N,) or rows of shape
-(N, q), raises LlrContradiction when its evidence contradicts itself; a
-batch, shape (B, N) or (B, N, q), never raises for that but marks the
-frame in the result's failed array, and every other frame's result
-equals a single-frame call on its row.
+Batch contract of both: a frame whose evidence contradicts itself is
+marked where it is found and walks on to the end; every other frame's
+result equals a single-frame call on its row. A batch, shape (B, N) or
+(B, N, q), reports the marks in the result's failed array. One frame,
+shape (N,) or (N, q), is a batch row like any other, and the decoder
+raises LlrContradiction for it once, after the walk.
 
 decode_sc_arikan is also the recursion of the hardware SC models: an
 optional schedule hook sees every step the walk takes, in order,
@@ -20,19 +21,21 @@ optional schedule hook sees every step the walk takes, in order,
   hook.f(off, width, (even, odd), out)      STEP I of the node at `off`
   hook.g(off, width, (even, odd), out, x0)  STEP III, x0 the re-encoded
                                             left half it used
-  hook.leaf(off, u)                         the decision for input `off`
+  hook.decide(off, u, llr)                  input `off` decided as u
+                                            from the decision LLR llr
 
 where width is the node's length and every array keeps the batch axis
 (a frozen decision has shape (1,) and broadcasts over the batch).
 The hook counts cycles and resources and may raise to abort the decode;
 it never changes a value. decode_sc_general is in the same way the
 recursion of the general-kernel line model, through the hook described in
-its docstring; that hook observes one frame.
+its docstring, whose decide event is this one; that hook observes one
+frame.
 
-A decode_sc_arikan walk that nothing observes (no hook, trace or genie)
-skips STEP I of a width-2 node whose left input is frozen: that leaf
-ignores its LLR, and f never fails a frame, so every output is the same
-(the simplest rate-0 case of simplified SC). Observed walks take every step.
+A decode_sc_arikan walk that nothing observes (no hook or genie) skips
+STEP I of a width-2 node whose left input is frozen: that leaf ignores its
+LLR, and f never fails a frame, so every output is the same (the simplest
+rate-0 case of simplified SC). Observed walks take every step.
 """
 
 from __future__ import annotations
@@ -54,23 +57,9 @@ class UnsupportedCodeError(NotImplementedError):
 class ScResult:
     u_hat: np.ndarray
     x_hat: np.ndarray
-    decision_llrs: np.ndarray | None = None
     genie_errors: np.ndarray | None = None
     # (B,) for batch input: True where the frame's evidence contradicted
-    # itself, and that row's other fields are meaningless; None for (N,)
-    failed: np.ndarray | None = None
-
-
-@dataclass
-class ScGeneralResult:
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    # (input index, group width, LLR vector) per decision, in decode order
-    decisions: list | None = None
-    genie_errors: np.ndarray | None = None
-    # (B,) for batch input: True where the frame's evidence ruled out
-    # every value somewhere, and that row's other fields are meaningless;
-    # None for (N, q)
+    # itself, and that row's other fields are meaningless; None for one frame
     failed: np.ndarray | None = None
 
 
@@ -81,7 +70,6 @@ def decode_sc_arikan(
     spec: CodeSpec,
     llr: np.ndarray,
     min_sum: bool = False,
-    trace: bool = False,
     genie_u: np.ndarray | None = None,
     *,
     hook=None,
@@ -91,13 +79,15 @@ def decode_sc_arikan(
     The recursion runs over the last axis, so every frame of a batch goes
     through the same tree walk and each frame's decisions equal those of a
     single-frame call on that row. Outputs take the shape of the input:
-    u_hat and x_hat (int64), decision_llrs when trace is set (float64) and
-    genie_errors when genie_u (same shape as llr) is given (bool).
+    u_hat and x_hat (int64), and genie_errors when genie_u (same shape as
+    llr) is given (bool). Finite LLRs beyond +-2**(1022 - m) are first
+    saturated to that bound, so no sum in the walk overflows.
 
     A frame whose +-inf evidence contradicts itself or its frozen values
-    raises LlrContradiction when given alone, shape (N,). In a batch the
-    call goes on: failed, a (B,) bool array, marks each such frame, whose
-    u_hat, x_hat, decision_llrs and genie_errors rows are then meaningless.
+    is marked and decoded to the end. For a batch, failed, a (B,) bool
+    array, holds the marks, and a marked frame's u_hat, x_hat and
+    genie_errors rows are meaningless. A lone frame, shape (N,), that is
+    marked raises LlrContradiction after its walk.
 
     hook, if given, is told of every activation and decision (see the
     module docstring).
@@ -110,20 +100,24 @@ def decode_sc_arikan(
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != lam.shape:
             raise ValueError("genie_u must have the shape of llr")
+    # a node at depth d sums at most 2**d root LLRs, so with this power of
+    # two no g sum and no |a +- b| in f goes beyond 2**1022
+    bound = 2.0 ** (1022 - spec.m)
+    mag = np.abs(lam)
+    big = (mag > bound) & (mag < np.inf)
+    if big.any():
+        lam = np.where(big, np.copysign(bound, lam), lam)
     mask, vals = spec.frozen_arrays()
     u_hat = np.empty(lam.shape, dtype=np.int64)
-    dllr = np.zeros(lam.shape) if trace else None
     errs = np.zeros(lam.shape, dtype=bool) if genie_u is not None else None
-    failed = np.zeros(lam.shape[0], dtype=bool) if lam.ndim == 2 else None
-    quiet = hook is None and not trace and genie_u is None
+    failed = np.zeros(lam.shape[:-1], dtype=bool)  # 0-d for one frame
+    quiet = hook is None and genie_u is None
 
     def rec(lam_d: np.ndarray, off: int) -> np.ndarray:
         # returns the re-encoded codeword of this node; decisions go to u_hat
         if lam_d.shape[-1] == 1:
             # hard decision ~(L >= 0), not L < 0: NaN decides 1, as decide() does
             at = slice(off, off + 1)
-            if trace:
-                dllr[..., at] = lam_d
             if genie_u is not None:
                 u = genie_u[..., at]
                 errs[..., at] = ~(lam_d >= 0) != u
@@ -133,7 +127,7 @@ def decode_sc_arikan(
                 u = ~(lam_d >= 0)
             u_hat[..., at] = u
             if hook is not None:
-                hook.leaf(off, u)
+                hook.decide(off, u, lam_d)
             return u
         width = lam_d.shape[-1]
         even = lam_d[..., 0::2]
@@ -162,7 +156,11 @@ def decode_sc_arikan(
         # rec refers to itself; dropping it frees its arrays and the hook
         # now rather than at some later cycle collection
         del rec
-    return ScResult(u_hat, x_hat, dllr, errs, failed)
+    if lam.ndim == 1:
+        if failed:
+            raise LlrContradiction("opposite infinite LLRs combined at equality node")
+        failed = None
+    return ScResult(u_hat, x_hat, errs, failed)
 
 
 # general-kernel path --------------------------------------------------------
@@ -229,22 +227,21 @@ def glue_values(kernel: Kernel, mask: np.ndarray, vals: np.ndarray) -> list:
     return out
 
 
-def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int, failed=None) -> np.ndarray:
+def _prep_outer(
+    kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int, failed: np.ndarray
+) -> np.ndarray:
     """Evidence rows for outer code r given decided outer codewords 0..r-1.
 
-    w_blk: (ncol, ell, q) likelihood rows grouped by kernel instance.
-    decided: (ncol, r) symbols already fixed on each instance's inputs.
-    An instance whose evidence rules out every symbol raises
-    LlrContradiction. With a (B,) bool array `failed`, the instances being
-    B frames' worth in frame order, it marks its frame there instead and
-    its rows become ones.
+    w_blk: (ncol, ell, q) likelihood rows grouped by kernel instance, the
+    instances being B frames' worth in frame order. decided: (ncol, r)
+    symbols already fixed on each instance's inputs. An instance whose
+    evidence rules out every symbol marks its frame in `failed`, a (B,)
+    bool array, and its rows become ones.
     """
     out = conditioned_scores(kernel, w_blk, decided, r)
     peak = out.max(axis=1)
     dead = peak <= 0.0
     if dead.any():
-        if failed is None:
-            raise LlrContradiction("evidence rules out every symbol at some position")
         failed |= dead.reshape(len(failed), -1).any(axis=1)
         out[dead] = peak[dead] = 1.0
     return out / peak[:, None]
@@ -253,11 +250,10 @@ def _prep_outer(kernel: Kernel, w_blk: np.ndarray, decided: np.ndarray, r: int, 
 def decode_sc_general(
     spec: CodeSpec,
     rows: np.ndarray,
-    trace: bool = False,
     genie_u: np.ndarray | None = None,
     *,
     hook=None,
-) -> ScGeneralResult:
+) -> ScResult:
     """SC decoding of one frame, rows of shape (N, q), or of a batch, (B, N, q).
 
     Rows must be finite and nonnegative (a ValueError names the first bad
@@ -266,13 +262,13 @@ def decode_sc_general(
     Outputs take the shape of the frames: u_hat and x_hat, and
     genie_errors when genie_u (shape (N,) or (B, N)) is given.
 
-    Evidence that rules out every value raises LlrContradiction for one
-    frame. In a batch the call goes on: failed, a (B,) bool array, marks
-    each such frame, whose other rows are then meaningless.
+    A frame whose evidence rules out every value is marked and decoded to
+    the end. For a batch, failed, a (B,) bool array, holds the marks, and
+    a marked frame's other rows are meaningless. A lone frame that is
+    marked raises LlrContradiction after its walk.
 
-    trace (the decision list) and hook observe one frame only; with a
-    batch either is a ValueError. hook, if given, is told of every step of
-    the walk, in order:
+    hook observes one frame only; with a batch it is a ValueError. If
+    given, it is told of every step of the walk, in order:
 
       hook.prep(off, width, r, w_r)  stage r of the node at `off` prepared
                                      w_r, the (width/ell, q) evidence rows
@@ -290,8 +286,8 @@ def decode_sc_general(
     q, ell, n = kernel.q, kernel.ell, spec.n
     rows = check_likelihood_rows(rows, n, q, batch=True)
     frames = rows.shape[:-1]  # (N,) for one frame, (B, N) for a batch
-    if len(frames) == 2 and (trace or hook is not None):
-        raise ValueError("trace and hook observe one frame; give rows of shape (N, q)")
+    if len(frames) == 2 and hook is not None:
+        raise ValueError("hook observes one frame; give rows of shape (N, q)")
     if genie_u is not None:
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != frames:
@@ -309,8 +305,7 @@ def decode_sc_general(
 
     mask, vals = spec.frozen_arrays()
     groups = glue_values(kernel, mask, vals)
-    failed = None if len(frames) == 1 else np.zeros(nb, dtype=bool)
-    decisions = [] if trace else None
+    failed = np.zeros(nb, dtype=bool)
     errs = np.zeros((nb, n), dtype=bool) if genie_u is not None else None
     u_hat = np.empty((nb, n), dtype=np.int64)
     every = np.arange(nb)
@@ -330,9 +325,10 @@ def decode_sc_general(
             scores = rest.sum(axis=2)
             peak = scores.max(axis=1)
             if not peak.all():  # scores are nonnegative: some frame's are all zero
-                if failed is None:
-                    raise LlrContradiction("no candidate value has positive likelihood")
-                failed[peak == 0.0] = True
+                # flat scores let a marked frame walk on, as _prep_outer's ones do
+                dead = peak == 0.0
+                failed[dead] = True
+                scores[dead] = 1.0
             if genie_u is not None:
                 errs[:, at] = syms[scores.argmax(axis=1)] != genie_u[:, at]
                 t = genie_u[:, at] @ radix[ell - width :]
@@ -341,12 +337,8 @@ def decode_sc_general(
                 t = np.where(allowed[off // ell], scores, -1.0).argmax(axis=1)
             u_hat[:, at] = syms[t]
             rest = rest[every, t]
-            if trace or hook is not None:
-                llr_vec = scores_to_llr(scores[0])  # one frame
-            if trace:
-                decisions.append((off + c, width, llr_vec))
             if hook is not None:
-                hook.decide(off + c, u_hat[0, at], llr_vec)
+                hook.decide(off + c, u_hat[0, at], scores_to_llr(scores[0]))
         return kernel.table[u_hat[:, off : off + ell] @ radix]
 
     def rec(w_d: np.ndarray, off: int) -> np.ndarray:
@@ -375,5 +367,9 @@ def decode_sc_general(
         # rec refers to itself; dropping it frees its arrays and the hook
         # now rather than at some later cycle collection
         del rec
+    if len(frames) == 1:
+        if failed[0]:
+            raise LlrContradiction("evidence rules out every symbol at some position")
+        failed = None
     errs = None if errs is None else errs.reshape(frames)
-    return ScGeneralResult(u_hat.reshape(frames), x_hat.reshape(frames), decisions, errs, failed)
+    return ScResult(u_hat.reshape(frames), x_hat.reshape(frames), errs, failed)

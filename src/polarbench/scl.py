@@ -20,12 +20,14 @@ unaffected. The final ranking re-scores each survivor against the original
 channel evidence, which absorbs any frozen-group likelihood the selection
 steps skipped.
 
-Batch contract of decode_scl: one frame, rows of shape (N, q), raises
-LlrContradiction when no list path stays possible; a batch, shape
-(B, N, q), never raises for that but marks the frame in SclResult.failed,
-and every other frame's result equals a single-frame call on its rows.
-A failed frame's evidence is replaced by ones from then on, so it never
-puts a NaN or a warning into the rest of the batch.
+Batch contract of decode_scl: a frame for which no list path stays
+possible is marked where that is found, and its evidence is replaced by
+ones from then on, so it walks on to the end without putting a NaN or a
+warning into the rest of the batch; every other frame's result equals a
+single-frame call on its rows. A batch, shape (B, N, q), reports the marks
+in SclResult.failed. One frame, rows of shape (N, q), is a batch of one,
+and decode_scl raises LlrContradiction for it once, after the walk, with
+the message of the first failure found.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import check_likelihood_rows, likelihood_rows_binary
+from .channels import check_likelihood_rows
 from .kernels import CodeSpec, Kernel
 from .llrops import LlrContradiction
 from .sc import UnsupportedCodeError, conditioned_scores, glue_values
@@ -106,14 +108,15 @@ class _Ctx:
     kernel: Kernel
     m_list: int
     groups: list  # sc.glue_values of the code
-    failed: np.ndarray | None = None  # (B,) for a batch; None raises instead
+    failed: np.ndarray  # (B,) bool, one entry per frame of the walk
     ops: int = 0
+    reason: str | None = None  # message of the first failure
 
     def fail(self, dead: np.ndarray, msg: str) -> None:
-        """Frames `dead` (B,) lost every path: raise for one frame, mark a batch."""
-        if self.failed is None:
-            raise LlrContradiction(msg)
+        """Mark the frames `dead` (B,), which lost every path."""
         self.failed |= dead
+        if self.reason is None:
+            self.reason = msg
 
 
 def _normalize_columns(ctx: _Ctx, p: np.ndarray) -> np.ndarray:
@@ -254,8 +257,8 @@ def decode_scl(
     Outputs take the shape of the input (see SclResult); ops counts the
     work of one frame. Rows must be finite and nonnegative (a ValueError
     names the first bad position). Evidence that leaves no list path
-    possible raises LlrContradiction for one frame and is marked in
-    SclResult.failed for a batch (see the module docstring).
+    possible is marked in SclResult.failed for a batch and raises
+    LlrContradiction for one frame (see the module docstring).
     """
     kernel = spec.kernel
     q = kernel.q
@@ -273,7 +276,7 @@ def decode_scl(
     nb = len(rows)
 
     groups = glue_values(kernel, *spec.frozen_arrays())
-    ctx = _Ctx(kernel, list_size, groups, None if single else np.zeros(nb, dtype=bool))
+    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool))
     peak = rows.max(axis=2)
     dead = (peak <= 0.0).any(axis=1)
     if dead.any():
@@ -310,17 +313,8 @@ def decode_scl(
                     best[b] = i
                     break
     if single:
+        if ctx.failed[0]:
+            raise LlrContradiction(ctx.reason)
         return SclResult(u_list[0], x_list[0], log_scores[0], probs[0], int(best[0]), ctx.ops)
     return SclResult(u_list, x_list, log_scores, probs, best, ctx.ops, ctx.failed)
 
-
-def decode_scl_arikan(
-    spec: CodeSpec,
-    llr: np.ndarray,
-    list_size: int,
-    crc: Crc | None = None,
-) -> SclResult:
-    """decode_scl from binary LLRs of shape (N,), or (B, N) for B frames."""
-    if not spec.kernel.is_arikan:
-        raise ValueError("decode_scl_arikan requires the (u+v, v) kernel")
-    return decode_scl(spec, likelihood_rows_binary(llr), list_size, crc=crc)

@@ -30,6 +30,29 @@ def spec_all_free(kernel, m) -> CodeSpec:
     return CodeSpec(kernel, m, {})
 
 
+class Recorder:
+    """Schedule hook of both SC decoders that keeps every decision.
+
+    decisions holds (input index, symbols, decision LLR) in decode order;
+    the other events are ignored.
+    """
+
+    def __init__(self):
+        self.decisions = []
+
+    def decide(self, i, u, llr):
+        self.decisions.append((i, np.array(u), np.array(llr)))
+
+    def f(self, *args):
+        pass
+
+    g = prep = node = f
+
+    def llrs(self):
+        """decode_sc_arikan's decision LLRs in input order, shaped like its llr."""
+        return np.concatenate([llr for _, _, llr in self.decisions], axis=-1)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # surface the acceptance verdict lines even under captured output
     try:

@@ -37,9 +37,9 @@ from polarbench.kernels import (
 from polarbench.montecarlo import run_trials
 from polarbench.oracle import ml_decode
 from polarbench.sc import decode_sc_arikan, decode_sc_general
-from polarbench.scl import decode_scl, decode_scl_arikan
+from polarbench.scl import decode_scl
 
-from conftest import G4
+from conftest import G4, Recorder
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -152,7 +152,7 @@ def test_criterion2_oracle_equivalence():
         for _ in range(trials_per_n):
             llr = rng.normal(0, 2, n)
             ref = decode_sc_arikan(spec, llr)
-            res = decode_scl_arikan(spec, llr, 1)
+            res = decode_scl(spec, likelihood_rows_binary(llr), 1)
             assert np.array_equal(res.u_hat, ref.u_hat), n
             assert np.array_equal(res.x_hat, ref.x_hat), n
 
@@ -171,11 +171,13 @@ def test_criterion2_oracle_equivalence():
         spec = _rate_half(n.bit_length() - 1)
         for _ in range(100):
             llr = rng.normal(0, 2, n)
-            ref = decode_sc_arikan(spec, llr, trace=True)
-            gen = decode_sc_general(spec, likelihood_rows_binary(llr), trace=True)
+            ref_rec, gen_rec = Recorder(), Recorder()
+            ref = decode_sc_arikan(spec, llr, hook=ref_rec)
+            gen = decode_sc_general(spec, likelihood_rows_binary(llr), hook=gen_rec)
             assert np.array_equal(gen.u_hat, ref.u_hat)
-            for (idx, width, vec), want in zip(gen.decisions, ref.decision_llrs):
-                assert width == 1
+            assert len(gen_rec.decisions) == n
+            for (idx, u, vec), want in zip(gen_rec.decisions, ref_rec.llrs()):
+                assert len(u) == 1
                 worst = max(worst, abs(vec[1] - want))
     assert worst < 1e-9
     dt = time.perf_counter() - t0
@@ -415,7 +417,7 @@ def test_criterion7_complexity_shape():
         rng = np.random.default_rng(700 + n)
         for M in (1, 4, 8):
             ops = [
-                decode_scl_arikan(spec, rng.normal(0, 2, n), M).ops for _ in range(2)
+                decode_scl(spec, likelihood_rows_binary(rng.normal(0, 2, n)), M).ops for _ in range(2)
             ]
             assert ops[0] == ops[1]  # work depends on the code and M only
             ratios[(n, M)] = ops[0] / (M * n * m)

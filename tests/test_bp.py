@@ -21,7 +21,7 @@ from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
 
-from conftest import random_llr, spec_all_free
+from conftest import Recorder, random_llr, spec_all_free
 
 
 def test_bp_requires_arikan():
@@ -144,8 +144,9 @@ def test_bp_matches_sc_on_first_bit(arikan, rng):
     llr = random_llr(rng, 8)
     st = bp_state(spec)
     bp_iteration(st, llr)
-    ref = decode_sc_arikan(spec, llr, trace=True)
-    assert st.u_msg[0] == pytest.approx(ref.decision_llrs[0], abs=1e-9)
+    rec = Recorder()
+    decode_sc_arikan(spec, llr, hook=rec)
+    assert st.u_msg[0] == pytest.approx(rec.llrs()[0], abs=1e-9)
 
 
 def test_bp_stop_rules(arikan, rng):

@@ -30,6 +30,10 @@ def test_channel_validation():
         biawgn(0.0)
     with pytest.raises(ValueError):
         ChannelModel("laplace", 1.0)
+    for kind in ("bec", "bsc", "biawgn"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ChannelModel(kind, bad)
 
 
 def test_bsc_llr_magnitude():

@@ -362,6 +362,12 @@ def test_non_positive_count_usage_error(tmp_path, capsys, small_code, argv, flag
      "argument --seed: must be a non-negative integer"),
     (("hwsim", "--arch", "sc-line", "--N", "8", "--seed", "-2"),
      "argument --seed: must be a non-negative integer"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--channel", "biawgn:nan", "--trials", "3"),
+     "argument --channel: channel parameter must be finite"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--channel", "biawgn:inf", "--trials", "3"),
+     "argument --channel: channel parameter must be finite"),
+    (("construct", "--N", "8", "--rate", "0.5", "--channel", "biawgn:nan", "--mc-trials", "3"),
+     "argument --channel: channel parameter must be finite"),
 ])
 def test_out_of_range_parameter_usage_error(capsys, argv, message):
     # refused before any work: exit 2 and one error line, no output, no traceback
@@ -498,6 +504,45 @@ def test_kernel_the_command_cannot_take_usage_error(tmp_path, capsys, text, argv
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+GLUED_G4 = "kernel ell=4 q=2\nG 1 0 0 0\nG 1 1 0 0\nG 1 0 1 0\nG 1 1 1 1\nglue 0 1 ; 2 ; 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--code", "{code}", "--trials", "5"),
+    ("decode", "--code", "{code}", "--in", "{llr}"),
+    ("construct", "--kernel", "{kernel}", "--m", "2", "--rate", "0.5", "--mc-trials", "3"),
+    ("hwsim", "--arch", "general-line", "--N", "16", "--kernel", "{kernel}"),
+])
+def test_glued_kernel_beyond_depth_one_usage_error(tmp_path, capsys, argv):
+    # no decoder or model covers a glued kernel at m = 2: one error line
+    # with the decoder's own message, exit 2, no traceback
+    files = {"kernel": tmp_path / "k.txt", "code": tmp_path / "code.txt", "llr": tmp_path / "llr.txt"}
+    files["kernel"].write_text(GLUED_G4)
+    files["code"].write_text(GLUED_G4 + "m 2\nfrozen 0 1 2 4 8\n")
+    files["llr"].write_text(" ".join(["1.0"] * 16))
+    code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "glue" in err
+
+
+def test_decode_huge_finite_llrs_no_warning(tmp_path, capsys):
+    # LLRs near the float64 ceiling decode as large ones do, with nothing
+    # on stderr (their sums used to overflow, with numpy warnings)
+    codefile = tmp_path / "code.txt"
+    codefile.write_text("kernel ell=2 q=2\nm 2\nfrozen 0\n")
+    llrfile = tmp_path / "llr.txt"
+    decoded = []
+    for big in ("1e308", "1e18"):
+        llrfile.write_text(f"{big} {big} -{big} {big}")
+        code, out, err = run_cli(capsys, "decode", "--code", str(codefile), "--in", str(llrfile))
+        assert code == 0
+        assert err == ""
+        decoded.append(out)
+    assert decoded[0] == decoded[1]
 
 
 def test_decode_nonbinary_llr_layout(tmp_path, capsys):

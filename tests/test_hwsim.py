@@ -139,14 +139,14 @@ def test_sc_line_bank_corruption_raises(arch, rng):
     eng = _ScEngine(spec, arch, i_param=2)
     eng.run(llr)  # clean run: banks agree at every STEP III
     eng = _ScEngine(spec, arch, i_param=2)
-    decide = eng.leaf
+    decide = eng.decide
 
-    def corrupting_leaf(off, u):
-        decide(off, u)
+    def corrupting_decide(off, u, llr):
+        decide(off, u, llr)
         if off == 8:  # inside the right half: depth 1 bank is open
             eng.banks[1][0] ^= 1
 
-    eng.leaf = corrupting_leaf
+    eng.decide = corrupting_decide
     with pytest.raises(PartialSumMismatch):
         eng.run(llr)
 
@@ -218,6 +218,24 @@ def test_sc_multi_contradiction_raises(rng):
         words[pos] = _contradicting_word()
         with pytest.raises(LlrContradiction):
             run_sc_multi(spec, words)
+
+
+@pytest.mark.parametrize("arch", ["sc_pipeline", "sc_line", "sc_limited"])
+def test_sc_engine_contradiction_raises_after_the_walk(arch):
+    # the decoder walks a contradicting frame to its end under the engine,
+    # whose banks stay true to the decisions, and then raises
+    spec = _spec(4, 8)
+    llr = np.array([-np.inf] + [np.inf] * 15)  # a weight-1 word, which u0 = 0 excludes
+    with pytest.raises(LlrContradiction):
+        run_sc(spec, llr, arch=arch, i_param=2)
+
+
+def test_general_line_contradiction_raises_after_the_walk(rng):
+    spec = CodeSpec(kernel_linear(G4), 2, {0: 0, 5: 1})
+    rows = rng.random((16, 2))
+    rows[9] = 0.0  # evidence ruling out both symbols
+    with pytest.raises(LlrContradiction):
+        run_general_line(spec, rows)
 
 
 def test_sc_multi_instances_per_depth(rng):

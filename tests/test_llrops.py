@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarbench.llrops import (
-    LlrContradiction,
     decide,
     f_equal_vec,
     f_plus,
@@ -71,15 +70,20 @@ def test_minsum_dominates_exact(a, b):
 
 def test_f_equal_basic():
     # infinities pass through the equality node; equal ones add up
-    got = f_equal_vec(np.array([1.0, math.inf, math.inf]), np.array([2.5, 2.0, math.inf]))
+    failed = np.zeros((), dtype=bool)
+    got = f_equal_vec(np.array([1.0, math.inf, math.inf]), np.array([2.5, 2.0, math.inf]), failed)
     assert list(got) == [3.5, math.inf, math.inf]
+    assert not failed
 
 
-def test_f_equal_conflict_raises():
-    with pytest.raises(LlrContradiction):
-        f_equal_vec(np.array([math.inf]), np.array([-math.inf]))
-    with pytest.raises(LlrContradiction):
-        f_equal_vec(np.array([-math.inf]), np.array([math.inf]))
+def test_f_equal_conflict_marks():
+    # opposite infinities mark the row, a 0-d mask for one row, and the
+    # entry becomes 0 (no knowledge)
+    for a, b in ((math.inf, -math.inf), (-math.inf, math.inf)):
+        failed = np.zeros((), dtype=bool)
+        got = f_equal_vec(np.array([a, 1.0]), np.array([b, 2.0]), failed)
+        assert failed
+        assert list(got) == [0.0, 3.0]
 
 
 def test_vector_forms_match_scalar():
@@ -87,7 +91,7 @@ def test_vector_forms_match_scalar():
     a = rng.normal(0, 5, 64)
     b = rng.normal(0, 5, 64)
     fp = f_plus_vec(a, b)
-    fe = f_equal_vec(a, b)
+    fe = f_equal_vec(a, b, np.zeros((), dtype=bool))
     ms = f_plus_vec(a, b, min_sum=True)
     for i in range(64):
         assert fp[i] == pytest.approx(f_plus(a[i], b[i]), abs=1e-12)
@@ -100,7 +104,7 @@ def test_vector_forms_handle_inf():
     b = np.array([3.0, 3.0, np.inf, np.inf])
     fp = f_plus_vec(a, b)
     assert list(fp) == [3.0, -3.0, np.inf, 2.0]
-    fe = f_equal_vec(np.array([np.inf, 1.0]), np.array([2.0, -np.inf]))
+    fe = f_equal_vec(np.array([np.inf, 1.0]), np.array([2.0, -np.inf]), np.zeros((), dtype=bool))
     assert fe[0] == np.inf and fe[1] == -np.inf
 
 
@@ -173,9 +177,14 @@ def test_f_plus_vec_edge_pairs_match_reference(min_sum, finite_only):
     assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
-def test_f_equal_vec_conflict_raises():
-    with pytest.raises(LlrContradiction):
-        f_equal_vec(np.array([np.inf, 0.0]), np.array([-np.inf, 0.0]))
+def test_f_equal_vec_conflict_marks_only_its_row():
+    failed = np.zeros(3, dtype=bool)
+    a = np.array([[np.inf, 0.0], [np.inf, 1.0], [-np.inf, np.nan]])
+    b = np.array([[-np.inf, 0.0], [np.inf, 1.0], [1.0, 2.0]])
+    got = f_equal_vec(a, b, failed)
+    assert failed.tolist() == [True, False, False]  # a NaN input is no conflict
+    assert got[:2].tolist() == [[0.0, 0.0], [np.inf, 2.0]]
+    assert got[2, 0] == -np.inf and np.isnan(got[2, 1])
 
 
 def test_decide_convention():

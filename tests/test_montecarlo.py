@@ -32,7 +32,7 @@ from polarbench.montecarlo import (
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 from polarbench.scl import decode_scl
 
-from conftest import G4
+from conftest import G4, Recorder
 
 
 def test_trialstats_rates():
@@ -391,8 +391,9 @@ def test_decode_frame_glued_uv_kernel(monkeypatch):
     spec = CodeSpec(kernel_linear([[1, 0], [1, 1]], glue=[(0, 1)]), 1, {})
     assert not spec.kernel.is_arikan
     llr = np.array([0.3, -1.1])
-    res = decode_sc_general(spec, likelihood_rows_binary(llr), trace=True)
-    assert [width for _, width, _ in res.decisions] == [2]
+    rec = Recorder()
+    res = decode_sc_general(spec, likelihood_rows_binary(llr), hook=rec)
+    assert [len(u) for _, u, _ in rec.decisions] == [2]
 
     def no_arikan(*args, **kwargs):
         raise AssertionError("the (u+v, v) fast path ignores glue groups")

@@ -26,18 +26,19 @@ from polarbench.sc import (
     scores_to_llr,
 )
 
-from conftest import G4, random_llr, spec_all_free
+from conftest import G4, Recorder, random_llr, spec_all_free
 
 
 def test_sc_n4_trace_fixture(arikan):
     # frozen fixture: successive decision LLRs for lambda = (1.2, -0.7, 0.4, 2.1),
     # all coordinates free; cross-checked against exhaustive marginals
     spec = spec_all_free(arikan, 2)
-    res = decode_sc_arikan(spec, np.array([1.2, -0.7, 0.4, 2.1]), trace=True)
+    rec = Recorder()
+    res = decode_sc_arikan(spec, np.array([1.2, -0.7, 0.4, 2.1]), hook=rec)
     assert list(res.u_hat) == [1, 0, 1, 0]
     assert list(res.x_hat) == [0, 1, 0, 0]
     want = [-0.055766495865, 0.676413479009, -1.474714634122, 4.4]
-    assert res.decision_llrs == pytest.approx(want, abs=1e-10)
+    assert rec.llrs() == pytest.approx(want, abs=1e-10)
 
 
 def test_sc_matches_bruteforce_marginals(arikan, rng):
@@ -46,12 +47,13 @@ def test_sc_matches_bruteforce_marginals(arikan, rng):
     spec = CodeSpec(kernel=arikan, m=3, frozen={0: 0, 1: 0, 4: 1})
     for _ in range(5):
         llr = random_llr(rng, 8)
-        res = decode_sc_arikan(spec, llr, trace=True)
+        rec = Recorder()
+        res = decode_sc_arikan(spec, llr, hook=rec)
         rows = likelihood_rows_binary(llr)
         decided = {}
         for i in range(8):
             want = marginal_llr_bruteforce(spec, rows, i, decided)
-            assert res.decision_llrs[i] == pytest.approx(want[1], abs=1e-9)
+            assert rec.llrs()[i] == pytest.approx(want[1], abs=1e-9)
             decided[i] = int(res.u_hat[i])
         assert np.array_equal(res.x_hat, encode_unchecked(arikan, res.u_hat))
 
@@ -59,29 +61,17 @@ def test_sc_matches_bruteforce_marginals(arikan, rng):
 def test_sc_hook_released_on_return(arikan):
     # the recursion must not keep its hook (an engine with its banks and
     # schedule) alive after returning, not even until a cycle collection
-    class Hook:
-        def f(self, *args):
-            pass
-
-        g = leaf = f
-
-    class GeneralHook:
-        def prep(self, *args):
-            pass
-
-        decide = node = prep
-
     gc.disable()
     try:
-        hook = Hook()
+        hook = Recorder()
         ref = weakref.ref(hook)
         decode_sc_arikan(spec_all_free(arikan, 3), np.ones(8), hook=hook)
         del hook
         assert ref() is None
-        hook = GeneralHook()
+        hook = Recorder()
         ref = weakref.ref(hook)
         spec = spec_all_free(kernel_linear(G4), 2)
-        decode_sc_general(spec, np.ones((16, 2)), trace=True, hook=hook)
+        decode_sc_general(spec, np.ones((16, 2)), hook=hook)
         del hook
         assert ref() is None
     finally:
@@ -180,15 +170,17 @@ def test_sc_batch_matches_single_frames(arikan, rng, min_sum, evidence):
         keep = [b for b in range(len(lam)) if _decodes(spec, lam[b], min_sum)]
         assert 20 <= len(keep) < len(lam), len(keep)
         genie, lam = genie[keep], lam[keep]
-    batch = decode_sc_arikan(spec, lam, min_sum=min_sum, trace=True)
+    rec = Recorder()
+    batch = decode_sc_arikan(spec, lam, min_sum=min_sum, hook=rec)
     batch_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie)
-    assert batch.u_hat.shape == batch.x_hat.shape == batch.decision_llrs.shape == lam.shape
+    assert batch.u_hat.shape == batch.x_hat.shape == rec.llrs().shape == lam.shape
     assert batch.u_hat.dtype == batch.x_hat.dtype == np.int64
     for b in range(len(lam)):
-        one = decode_sc_arikan(spec, lam[b], min_sum=min_sum, trace=True)
+        one_rec = Recorder()
+        one = decode_sc_arikan(spec, lam[b], min_sum=min_sum, hook=one_rec)
         assert np.array_equal(batch.u_hat[b], one.u_hat), b
         assert np.array_equal(batch.x_hat[b], one.x_hat), b
-        assert np.array_equal(batch.decision_llrs[b], one.decision_llrs, equal_nan=True), b
+        assert np.array_equal(rec.llrs()[b], one_rec.llrs(), equal_nan=True), b
         one_genie = decode_sc_arikan(spec, lam[b], min_sum=min_sum, genie_u=genie[b])
         assert np.array_equal(batch_genie.u_hat[b], one_genie.u_hat), b
         assert np.array_equal(batch_genie.genie_errors[b], one_genie.genie_errors), b
@@ -206,8 +198,8 @@ def _single_or_none(spec, lam, **kw):
 def test_sc_batch_failed_rows_match_single_calls(m, data):
     # a (B, N) call marks exactly the frames whose (N,) call raises, and
     # every other frame equals its single call, genie mode included; a quiet
-    # call (no trace, no genie), which skips f under a frozen leaf, equals
-    # the traced walk
+    # call (no hook, no genie), which skips f under a frozen leaf, equals
+    # the walk a recording hook observes
     n = 2**m
     frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)))
     spec = CodeSpec(kernel_arikan(), m, frozen)
@@ -216,17 +208,21 @@ def test_sc_batch_failed_rows_match_single_calls(m, data):
     lam = np.reshape(data.draw(st.lists(entries, min_size=b * n, max_size=b * n)), (b, n))
     genie = np.reshape(data.draw(st.lists(st.integers(0, 1), min_size=b * n, max_size=b * n)), (b, n))
     min_sum = data.draw(st.booleans())
-    batch = decode_sc_arikan(spec, lam, min_sum=min_sum, trace=True)
+    rec = Recorder()
+    batch = decode_sc_arikan(spec, lam, min_sum=min_sum, hook=rec)
     batch_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie)
     quiet = decode_sc_arikan(spec, lam, min_sum=min_sum)
     assert batch.failed.shape == batch_genie.failed.shape == quiet.failed.shape == (b,)
     for i in range(b):
-        one = _single_or_none(spec, lam[i], min_sum=min_sum, trace=True)
+        one_rec = Recorder()
+        one = _single_or_none(spec, lam[i], min_sum=min_sum, hook=one_rec)
         assert batch.failed[i] == quiet.failed[i] == (one is None), i
+        # a lone frame walks to the end before it raises
+        assert len(one_rec.decisions) == n, i
         if one is not None:
             assert np.array_equal(batch.u_hat[i], one.u_hat), i
             assert np.array_equal(batch.x_hat[i], one.x_hat), i
-            assert np.array_equal(batch.decision_llrs[i], one.decision_llrs), i
+            assert np.array_equal(rec.llrs()[i], one_rec.llrs()), i
             assert np.array_equal(quiet.u_hat[i], one.u_hat), i
             assert np.array_equal(quiet.x_hat[i], one.x_hat), i
         one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i])
@@ -247,6 +243,47 @@ def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
     for b in (0, 1, 2, 4):
         assert np.array_equal(res.u_hat[b], decode_sc_arikan(spec, lam[b]).u_hat)
     assert decode_sc_arikan(spec, lam[0]).failed is None
+
+
+def test_failing_lone_frame_is_observed_to_the_end(arikan, k4, rng):
+    # a lone frame that contradicts itself is walked to the end, each
+    # decision reported to the hook, and raises only then
+    spec = _batch_spec(arikan)
+    _, lam = _known_codewords(spec, rng, 1)
+    lam[0, 7] = -lam[0, 7]
+    for min_sum in (False, True):
+        rec = Recorder()
+        with pytest.raises(LlrContradiction):
+            decode_sc_arikan(spec, lam[0], min_sum=min_sum, hook=rec)
+        assert [i for i, _, _ in rec.decisions] == list(range(32))
+    spec = CodeSpec(k4, 2, {0: 0, 5: 1})
+    rows = rng.random((16, 2))
+    rows[6] = 0.0
+    rec = Recorder()
+    with pytest.raises(LlrContradiction):
+        decode_sc_general(spec, rows, hook=rec)
+    assert [i for i, _, _ in rec.decisions] == list(range(16))
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_sc_huge_finite_llrs_saturate(arikan, min_sum):
+    # finite LLRs near the float64 ceiling decide as large ones of the same
+    # signs do, with no overflow (RuntimeWarnings are errors) and no failed
+    # frame; the caller's array is left as it is
+    rng = np.random.default_rng(8)
+    for m in range(1, 13):
+        spec = CodeSpec(arikan, m, {i: i % 2 for i in range(0, 2**m, 3)})
+        signs = rng.choice([-1.0, 1.0], (20, 2**m))
+        huge = 1e308 * signs
+        huge[:, -1] = np.inf * signs[:, -1]  # infinities pass unchanged
+        got = decode_sc_arikan(spec, huge, min_sum=min_sum)
+        assert np.array_equal(huge[:, :-1], 1e308 * signs[:, :-1])
+        big = 2.0**60 * signs
+        big[:, -1] = huge[:, -1]
+        want = decode_sc_arikan(spec, big, min_sum=min_sum)
+        assert not got.failed.any() and not want.failed.any(), m
+        assert np.array_equal(got.u_hat, want.u_hat), m
+        assert np.array_equal(decode_sc_arikan(spec, huge[0], min_sum=min_sum).u_hat, got.u_hat[0])
 
 
 def test_sc_batch_input_validation(arikan):
@@ -291,9 +328,10 @@ def test_prep_outer_columns_independent(G, q):
     w_blk = np.exp(rng.normal(0.0, 2.0, (60, k.ell, q)))
     decided = rng.integers(0, q, (60, k.ell))
     for r in range(k.ell):
-        got = _prep_outer(k, w_blk, decided[:, :r], r)
+        failed = np.zeros(len(w_blk), dtype=bool)
+        got = _prep_outer(k, w_blk, decided[:, :r], r, failed)
         for i in range(len(w_blk)):
-            alone = _prep_outer(k, w_blk[i : i + 1], decided[i : i + 1, :r], r)
+            alone = _prep_outer(k, w_blk[i : i + 1], decided[i : i + 1, :r], r, failed[i : i + 1])
             assert np.array_equal(got[i], alone[0]), (r, i)
 
 
@@ -319,11 +357,13 @@ def test_general_matches_arikan(arikan, rng):
 def test_general_llr_values_match_arikan(arikan, rng):
     spec = spec_all_free(arikan, 2)
     llr = random_llr(rng, 4)
-    ref = decode_sc_arikan(spec, llr, trace=True)
-    gen = decode_sc_general(spec, likelihood_rows_binary(llr), trace=True)
-    for (idx, width, vec), want in zip(gen.decisions, ref.decision_llrs):
-        assert width == 1
-        assert vec[1] == pytest.approx(want, abs=1e-9)
+    ref, gen = Recorder(), Recorder()
+    decode_sc_arikan(spec, llr, hook=ref)
+    decode_sc_general(spec, likelihood_rows_binary(llr), hook=gen)
+    assert len(gen.decisions) == len(ref.decisions) == 4
+    for (i, u, vec), (j, v, want) in zip(gen.decisions, ref.decisions):
+        assert i == j and len(u) == 1 and u == v
+        assert vec[1] == pytest.approx(want[0], abs=1e-9)
 
 
 def test_general_binary_4x4_matches_bruteforce(k4, rng):
@@ -332,10 +372,11 @@ def test_general_binary_4x4_matches_bruteforce(k4, rng):
     spec = CodeSpec(kernel=k4, m=2, frozen={0: 0, 1: 0, 3: 1})
     llr = random_llr(rng, 16)
     rows = likelihood_rows_binary(llr)
-    res = decode_sc_general(spec, rows, trace=True)
+    rec = Recorder()
+    res = decode_sc_general(spec, rows, hook=rec)
     decided = {}
-    for idx, width, vec in res.decisions[:8]:
-        assert width == 1
+    for idx, u, vec in rec.decisions[:8]:
+        assert len(u) == 1
         want = marginal_llr_bruteforce(spec, rows, idx, decided)
         assert vec[1] == pytest.approx(want[1], abs=1e-8)
         decided[idx] = int(res.u_hat[idx])
@@ -346,9 +387,10 @@ def test_general_gf4_matches_bruteforce(rng):
     spec = CodeSpec(kernel=k, m=2, frozen={0: 0})
     for _ in range(3):
         rows = rng.random((4, 4)) + 0.01
-        res = decode_sc_general(spec, rows, trace=True)
+        rec = Recorder()
+        res = decode_sc_general(spec, rows, hook=rec)
         decided = {}
-        for idx, width, vec in res.decisions:
+        for idx, _, vec in rec.decisions:
             want = marginal_llr_bruteforce(spec, rows, idx, decided)
             finite = np.isfinite(want)
             assert np.allclose(vec[finite], want[finite], atol=1e-8)
@@ -373,8 +415,9 @@ def test_glue_group_joint_decision(rng):
     spec = CodeSpec(kernel=k, m=1, frozen={})
     llr = random_llr(rng, 4, scale=3.0)
     rows = likelihood_rows_binary(llr)
-    res = decode_sc_general(spec, rows, trace=True)
-    widths = [w for _, w, _ in res.decisions]
+    rec = Recorder()
+    res = decode_sc_general(spec, rows, hook=rec)
+    widths = [len(u) for _, u, _ in rec.decisions]
     assert widths == [2, 1, 1]
     # the joint decision maximizes the exact group marginal
     totals = np.zeros(4)
@@ -382,7 +425,7 @@ def test_glue_group_joint_decision(rng):
         x = k.map(_words(2, 4)[idx])
         totals[idx // 4] += np.prod([rows[j, x[j]] for j in range(4)])
     want = scores_to_llr(totals)
-    got_vec = res.decisions[0][2]
+    got_vec = rec.decisions[0][2]
     assert np.allclose(got_vec, want, atol=1e-12)
     joint = 2 * res.u_hat[0] + res.u_hat[1]
     assert joint == np.argmax(-want + (want == 0) * 0)  # max score = min llr; 0 wins ties
@@ -427,10 +470,11 @@ def test_general_huge_rows_do_not_overflow():
     # inf, so the first decision called two possible values impossible
     spec = CodeSpec(kernel_linear([[1, 0], [1, 1]], q=3), 1, {})
     rows = np.array([[1e300, 0.0, 1.0], [1e300, 1.0, 1.0]])
+    rec = Recorder()
     with np.errstate(over="raise"):
-        res = decode_sc_general(spec, rows, trace=True)
-    (i, width, llr), _ = res.decisions
-    assert (i, width) == (0, 1)
+        res = decode_sc_general(spec, rows, hook=rec)
+    (i, u, llr), _ = rec.decisions
+    assert (i, len(u)) == (0, 1)
     # scores of u0 = 0, 1, 2: 1e600 + 1, 1e300 + 1, 2e300
     assert np.all(np.isfinite(llr))
     assert llr == pytest.approx([0.0, 300 * np.log(10), 300 * np.log(10) - np.log(2)])
@@ -441,11 +485,12 @@ def test_general_row_scaling_is_exact(k4, rng):
     # scaling rows by powers of two changes no decision LLR bit
     spec = CodeSpec(k4, 2, {0: 0, 5: 1})
     rows = np.exp(rng.normal(0.0, 2.0, (16, 2)))
-    want = decode_sc_general(spec, rows, trace=True).decisions
+    want, got = Recorder(), Recorder()
+    decode_sc_general(spec, rows, hook=want)
     scaled = np.ldexp(rows, rng.integers(-40, 40, (16, 1)))
-    got = decode_sc_general(spec, scaled, trace=True).decisions
-    for (i, w, a), (j, v, b) in zip(want, got):
-        assert (i, w) == (j, v)
+    decode_sc_general(spec, scaled, hook=got)
+    for (i, w, a), (j, v, b) in zip(want.decisions, got.decisions):
+        assert i == j and np.array_equal(w, v)
         assert np.array_equal(a, b), i
 
 
@@ -513,16 +558,8 @@ def test_general_batch_observers_and_shapes(k4, rng):
     spec = spec_all_free(k4, 2)
     rows = rng.random((3, 16, 2))
 
-    class Hook:
-        def prep(self, *args):
-            pass
-
-        decide = node = prep
-
     with pytest.raises(ValueError):
-        decode_sc_general(spec, rows, trace=True)
-    with pytest.raises(ValueError):
-        decode_sc_general(spec, rows, hook=Hook())
+        decode_sc_general(spec, rows, hook=Recorder())
     with pytest.raises(ValueError):
         decode_sc_general(spec, rows, genie_u=np.zeros(16, dtype=np.int64))
     with pytest.raises(ValueError):
@@ -530,7 +567,7 @@ def test_general_batch_observers_and_shapes(k4, rng):
     assert decode_sc_general(spec, rows[0]).failed is None
     res = decode_sc_general(spec, rows[:1])
     assert res.failed.tolist() == [False]
-    assert np.array_equal(res.u_hat[0], decode_sc_general(spec, rows[0], hook=Hook()).u_hat)
+    assert np.array_equal(res.u_hat[0], decode_sc_general(spec, rows[0], hook=Recorder()).u_hat)
 
 
 @settings(max_examples=25, deadline=None)

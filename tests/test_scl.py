@@ -11,7 +11,7 @@ from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.oracle import ml_decode
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan
-from polarbench.scl import Crc, _Ctx, _prep_outer_list, decode_scl, decode_scl_arikan
+from polarbench.scl import Crc, _Ctx, _prep_outer_list, decode_scl
 
 from conftest import G4, random_llr, spec_all_free
 
@@ -50,7 +50,7 @@ def test_scl_list1_equals_sc(arikan, rng):
     for _ in range(25):
         llr = random_llr(rng, 16)
         ref = decode_sc_arikan(spec, llr)
-        res = decode_scl_arikan(spec, llr, 1)
+        res = decode_scl(spec, likelihood_rows_binary(llr), 1)
         assert np.array_equal(res.u_hat, ref.u_hat)
         assert np.array_equal(res.x_hat, ref.x_hat)
 
@@ -79,7 +79,7 @@ def test_scl_probs_fixture(arikan):
 
 def test_scl_scores_sorted_and_normalized(arikan, rng):
     spec = spec_all_free(arikan, 3)
-    res = decode_scl_arikan(spec, random_llr(rng, 8), 8)
+    res = decode_scl(spec, likelihood_rows_binary(random_llr(rng, 8)), 8)
     assert len(res.log_scores) == 8
     assert np.all(np.diff(res.log_scores) <= 1e-15)
     assert res.probs.sum() == pytest.approx(1.0)
@@ -92,16 +92,16 @@ def test_scl_scores_sorted_and_normalized(arikan, rng):
 def test_scl_list_grows_with_free_decisions(arikan, rng):
     # occupancy doubles per free binary decision until it hits the cap
     spec = spec_all_free(arikan, 3)
-    res = decode_scl_arikan(spec, random_llr(rng, 8), 4)
+    res = decode_scl(spec, likelihood_rows_binary(random_llr(rng, 8)), 4)
     assert res.u_list.shape == (4, 8)
-    res_small = decode_scl_arikan(spec, random_llr(rng, 8), 3)
+    res_small = decode_scl(spec, likelihood_rows_binary(random_llr(rng, 8)), 3)
     assert res_small.u_list.shape == (3, 8)
 
 
 def test_scl_ops_counter_monotone(arikan, rng):
     spec = CodeSpec(kernel=arikan, m=5, frozen={i: 0 for i in range(16)})
     llr = random_llr(rng, 32)
-    ops = [decode_scl_arikan(spec, llr, m).ops for m in (1, 4, 8)]
+    ops = [decode_scl(spec, likelihood_rows_binary(llr), m).ops for m in (1, 4, 8)]
     assert ops[0] > 0
     assert ops[0] < ops[1] < ops[2]
 
@@ -114,7 +114,7 @@ def test_scl_crc_filter_picks_first_passing(arikan):
     u = crc.attach(data)
     x = encode(spec, u)
     llr = np.where(x == 0, 4.0, -4.0).astype(float)
-    res = decode_scl_arikan(spec, llr, 4, crc=crc)
+    res = decode_scl(spec, likelihood_rows_binary(llr), 4, crc=crc)
     assert crc.check(res.u_hat)
     assert np.array_equal(res.u_hat, u)
 
@@ -123,7 +123,7 @@ def test_scl_crc_fallback_row_zero(arikan, rng):
     # a CRC no survivor satisfies: best falls back to the top-scoring row
     crc = Crc(width=8, poly=0x07)
     spec = spec_all_free(arikan, 1)  # K=2 < crc width, check always fails
-    res = decode_scl_arikan(spec, random_llr(rng, 2), 2, crc=crc)
+    res = decode_scl(spec, likelihood_rows_binary(random_llr(rng, 2)), 2, crc=crc)
     assert res.best == 0
 
 
@@ -135,7 +135,7 @@ def test_scl_crc_filter_skips_failing_rows(arikan):
     llr = np.array(
         [0.18859533164008996, -0.19815729493695283, 0.9606339756649231, 0.15735017572955956]
     )
-    res = decode_scl_arikan(spec, llr, 4, crc=crc)
+    res = decode_scl(spec, likelihood_rows_binary(llr), 4, crc=crc)
     assert res.u_list.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0]]
     assert not crc.check(res.u_list[0])
     assert res.best == 3
@@ -156,7 +156,7 @@ def test_scl_end_to_end_crc_recovery(arikan):
         u = spec.assemble(payload)
         x = encode(spec, u)
         llr = transmit(ch, x, rng)
-        res = decode_scl_arikan(spec, llr, 8, crc=crc)
+        res = decode_scl(spec, likelihood_rows_binary(llr), 8, crc=crc)
         if np.array_equal(res.u_hat[info], payload):
             hits += 1
     assert hits >= 27
@@ -182,7 +182,7 @@ def test_scl_glue_saturated_equals_ml(rng):
         assert np.array_equal(res.u_hat, u_ml)
 
 
-def test_scl_validation(arikan, k4):
+def test_scl_validation(arikan):
     spec = spec_all_free(arikan, 2)
     with pytest.raises(ValueError):
         decode_scl(spec, np.ones((4, 2)), 0)
@@ -191,8 +191,6 @@ def test_scl_validation(arikan, k4):
     glue_k = kernel_linear(G4, q=2, glue=[(0, 1), (2,), (3,)])
     with pytest.raises(UnsupportedCodeError):
         decode_scl(CodeSpec(kernel=glue_k, m=2, frozen={}), np.ones((16, 2)), 2)
-    with pytest.raises(ValueError):
-        decode_scl_arikan(spec_all_free(k4, 1), np.zeros(4), 2)
     with pytest.raises(ValueError):
         decode_scl(
             CodeSpec(kernel=kernel_linear([[1, 0], [1, 1]], q=4), m=1, frozen={}),
@@ -225,7 +223,7 @@ def test_scl_prep_columns_independent(G, q):
     rng = np.random.default_rng(q + 10)
     ell, blk = k.ell, 20
     pi = np.exp(rng.normal(0.0, 2.0, (q, 1, 3, blk * ell)))
-    ctx = _Ctx(kernel=k, m_list=4, groups=[])
+    ctx = _Ctx(kernel=k, m_list=4, groups=[], failed=np.zeros(1, dtype=bool))
     for src in (np.array([[1]]), np.array([[0, 2, 2]])):
         xcols = rng.integers(0, q, (1, src.shape[1], blk, ell))
         for r in range(ell):
@@ -256,7 +254,7 @@ def test_scl_batch_pinned_to_frame_by_frame_decodes(kind, param, m, list_size, w
         transmit(ch, encode(spec, spec.assemble(rng.integers(0, 2, spec.k_info))), rng)
         for _ in range(200)
     ])
-    res = decode_scl_arikan(spec, lam, list_size)
+    res = decode_scl(spec, likelihood_rows_binary(lam), list_size)
     h = hashlib.sha256()
     for b in range(len(lam)):
         if res.failed[b]:
@@ -358,7 +356,7 @@ def test_scl_batch_marks_each_kind_of_failure(arikan, rng, m, frozen, list_size,
 
 def test_scl_batch_shapes_and_validation(arikan, rng):
     spec = CodeSpec(arikan, 3, {0: 0, 1: 0, 2: 0, 4: 0})
-    res = decode_scl_arikan(spec, rng.normal(0.0, 2.0, (5, 8)), 4)
+    res = decode_scl(spec, likelihood_rows_binary(rng.normal(0.0, 2.0, (5, 8))), 4)
     assert res.u_list.shape == res.x_list.shape == (5, 4, 8)
     assert res.log_scores.shape == res.probs.shape == (5, 4)
     assert res.u_hat.shape == res.x_hat.shape == (5, 8)
