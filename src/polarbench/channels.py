@@ -26,7 +26,8 @@ class DegenerateEvidenceError(ValueError):
 class ChannelModel:
     """BMS channel usable by the Monte-Carlo harness.
 
-    kind in {'bec', 'bsc', 'biawgn'}; param is epsilon, p, or sigma.
+    kind in {'bec', 'bsc', 'biawgn'}; param is epsilon in [0, 1], p in
+    [0, 0.5), or sigma in [1e-150, 1e150].
     """
 
     kind: str
@@ -42,8 +43,9 @@ class ChannelModel:
             if not 0.0 <= self.param < 0.5:
                 raise ValueError("crossover probability must be in [0, 0.5)")
         elif self.kind == "biawgn":
-            if self.param <= 0.0:
-                raise ValueError("noise sigma must be positive")
+            # apply_noise scales by 2 / sigma**2: both must be finite and nonzero
+            if not 1e-150 <= self.param <= 1e150:
+                raise ValueError("noise sigma must be in [1e-150, 1e150]")
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
 
@@ -148,16 +150,15 @@ def check_llr(llr, n: int) -> np.ndarray:
     return lam
 
 
-def check_likelihood_rows(rows, n: int, q: int, batch: bool = False) -> np.ndarray:
-    """rows as a float64 (n, q) array, or with batch also (B, n, q) with B >= 1.
+def check_likelihood_rows(rows, n: int, q: int) -> np.ndarray:
+    """rows as a float64 (n, q) array or (B, n, q) batch with B >= 1.
 
     A ValueError names the first position holding an entry that is not
     finite and nonnegative.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    frames_ok = rows.ndim == 2 or (batch and rows.ndim == 3 and len(rows) > 0)
-    if rows.shape[-2:] != (n, q) or not frames_ok:
-        raise ValueError(f"rows must have shape ({n}, {q})" + (f" or (B, {n}, {q})" if batch else ""))
+    if rows.ndim not in (2, 3) or rows.shape[-2:] != (n, q) or rows.size == 0:
+        raise ValueError(f"rows must have shape ({n}, {q}) or (B, {n}, {q}) with B >= 1")
     bad = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=-1)
     if bad.any():
         where = _position(int(np.argmax(bad)), n, rows.ndim == 3)

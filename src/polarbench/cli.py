@@ -30,7 +30,7 @@ from .kernels import (
     load_kernel,
 )
 from .llrops import LlrContradiction
-from .montecarlo import CSV_HEADER, csv_row, decode_frame, run_trials
+from .montecarlo import CSV_HEADER, csv_row, decode_frame, reads_min_sum, run_trials
 from .sc import UnsupportedCodeError
 
 # binary length-4 kernel used when general-line runs without a kernel file
@@ -162,14 +162,16 @@ def _load_file(path: str, loader):
         raise SystemExit(f"error: {path}: {e}")
 
 
-def _check_kernel(kernel: Kernel, decoder: str, channel: bool) -> None:
+def _check_kernel(kernel: Kernel, decoder: str, channel: bool, min_sum: bool = False) -> None:
     """Refuse a kernel the command cannot take: channel trials (simulate and
-    Monte-Carlo construction) send binary words, and bp decodes the
-    (u+v, v) kernel only."""
+    Monte-Carlo construction) send binary words, bp decodes the (u+v, v)
+    kernel only, and only bp and SC on that kernel read --min-sum."""
     if channel and kernel.q != 2:
         raise SystemExit("error: channel trials need a binary-alphabet kernel")
     if decoder == "bp" and not kernel.is_arikan:
         raise SystemExit("error: bp decoding needs the binary (u+v, v) kernel")
+    if min_sum and not reads_min_sum(kernel, decoder):
+        raise SystemExit("error: --min-sum is read by bp and by sc on the (u+v, v) kernel only")
 
 
 def cmd_construct(args) -> int:
@@ -215,7 +217,7 @@ def cmd_simulate(args) -> int:
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
-    _check_kernel(spec.kernel, args.decoder, channel=True)
+    _check_kernel(spec.kernel, args.decoder, channel=True, min_sum=args.min_sum)
     stats = run_trials(
         spec,
         args.channel,
@@ -325,7 +327,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     spec = _load_file(args.code, load_codespec)
-    _check_kernel(spec.kernel, args.decoder, channel=False)
+    _check_kernel(spec.kernel, args.decoder, channel=False, min_sum=args.min_sum)
     q = spec.kernel.q
     n = spec.n
     vals = _read_numbers(args.infile, float)

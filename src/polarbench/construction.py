@@ -4,23 +4,21 @@ Two selectors: exact erasure-probability evolution for the (u+v, v) kernel
 on a BEC, and genie-aided Monte-Carlo estimation that works for any binary
 kernel and channel model. The Monte-Carlo selector takes its frames in
 chunks of at most LANE_SIZE from montecarlo.draw_frames, the frame source
-of the simulation lanes, and decodes each chunk in one batched genie
-call, of the (u+v, v) recursion on that kernel and of the general-kernel
-recursion on any other; a general-kernel chunk holds at most
-montecarlo.frames_per_call frames, which bounds its memory. The chunk
-size never changes the profile: draw_frames leaves rng where drawing
-frame by frame would.
+of the simulation lanes, and decodes each chunk with SC in genie mode
+through montecarlo.decode_frame, the dispatch of the simulation lanes,
+which also bounds the memory of a general-kernel chunk. The chunk size
+never changes the profile: draw_frames leaves rng where drawing frame by
+frame would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelModel, likelihood_rows_binary
+from .channels import ChannelModel
 from .kernels import CodeSpec, Kernel, kernel_arikan
 from .llrops import LlrContradiction
-from .montecarlo import LANE_SIZE, draw_frames, frames_per_call
-from .sc import decode_sc_arikan, decode_sc_general
+from .montecarlo import LANE_SIZE, decode_frame, draw_frames
 
 
 def freeze_worst(badness: np.ndarray, rate: float) -> dict[int, int]:
@@ -67,25 +65,23 @@ def montecarlo_error_profile(
 ) -> np.ndarray:
     """Genie-aided decision error rate per input coordinate.
 
-    Random inputs are encoded and sent; the decoder re-derives every
-    coordinate with all earlier coordinates pinned to their true values,
-    and we count how often the raw decision disagrees with the truth.
+    Random inputs are encoded and sent; SC decides every coordinate with
+    all earlier coordinates pinned to their true values, and we count how
+    often its decision disagrees with the truth. min_sum (the min-sum f)
+    is for the (u+v, v) kernel only; with another kernel it is a
+    ValueError.
     """
     if kernel.q != 2:
         raise ValueError("Monte-Carlo construction needs a binary kernel")
     rng = np.random.default_rng(rng)
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     counts = np.zeros(free.n, dtype=np.int64)
-    step = LANE_SIZE if kernel.is_arikan else min(LANE_SIZE, frames_per_call(free, "sc"))
-    for start in range(0, trials, step):
-        u, llr = draw_frames(free, channel, min(step, trials - start), rng)
-        if kernel.is_arikan:
-            res = decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u)
-        else:
-            res = decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u)
-        if res.failed.any():
+    for start in range(0, trials, LANE_SIZE):
+        u, llr = draw_frames(free, channel, min(LANE_SIZE, trials - start), rng)
+        u_hat, failed = decode_frame(free, "sc", llr, min_sum=min_sum, genie_u=u)
+        if failed.any():
             raise LlrContradiction("channel evidence contradicts the transmitted word")
-        counts += res.genie_errors.sum(axis=0)
+        counts += (u_hat != u).sum(axis=0)
     return counts / trials
 
 

@@ -170,6 +170,18 @@ def run_sc(
     return ScHwRun(u_hat, x_hat, report, eng.trace)
 
 
+def _contention(inst_ids: np.ndarray, cycles: np.ndarray, p: int, total: int) -> int:
+    """Slots (instance, absolute cycle) fired more than once when p codewords
+    run the schedule, activation j on instance inst_ids[j] at cycle
+    cycles[j], one cycle apart; absolute cycles lie below total."""
+    slots = (inst_ids[:, None] * total + cycles[:, None] + np.arange(p)).ravel()
+    # sorted in place, a slot fired again sits next to its earlier firing;
+    # only those repeats go to np.unique, whose counts would cost more
+    # memory than the dense grid at p = N - 1
+    slots.sort()
+    return len(np.unique(slots[1:][slots[1:] == slots[:-1]]))
+
+
 @dataclass
 class ScMultiRun:
     results: list  # (u_hat, x_hat) per codeword
@@ -186,10 +198,11 @@ def run_sc_multi(
     """p codewords enter one cycle apart and share PE instances.
 
     An activation of codeword c at schedule cycle t fires the instance
-    (depth, t mod (N-1)) at absolute cycle t + c. The firing grid is
-    counted to show that no instance double-fires. Every codeword must have
-    length N; a codeword whose evidence contradicts itself raises
-    LlrContradiction for the whole run.
+    (depth, t mod (N-1)) at absolute cycle t + c. The (instance, cycle)
+    slots fired more than once are counted as contention, to show that no
+    instance double-fires. Every codeword must have length N; a codeword
+    whose evidence contradicts itself raises LlrContradiction for the
+    whole run.
     """
     n = spec.n
     p = len(llr_list)
@@ -215,17 +228,12 @@ def run_sc_multi(
             for depth, t in sched:
                 tl.fire(t + c, f"inst{depth}.{t % (n - 1)}", "act", [c], [])
 
-    depths = np.array([d for d, _ in sched])
     cycles = np.array([t for _, t in sched])
     inst_keys = sorted({(int(d), int(t) % (n - 1)) for d, t in sched})
     inst_index = {k: j for j, k in enumerate(inst_keys)}
     inst_ids = np.array([inst_index[(int(d), int(t) % (n - 1))] for d, t in sched])
-
     total_cycles = int(cycles.max()) + p
-    grid = np.zeros((len(inst_keys), total_cycles), dtype=np.int32)
-    for c in range(p):
-        grid[inst_ids, cycles + c] += 1
-    contention = int((grid > 1).sum())
+    contention = _contention(inst_ids, cycles, p, total_cycles)
 
     per_level = {}
     for d, r in inst_keys:

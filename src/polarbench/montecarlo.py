@@ -8,16 +8,18 @@ construction: it gives each frame the payload and channel noise that
 drawing them from rng frame by frame gives (a bec or bsc lane on the
 default PCG64 generator takes all its raw words in one call), then
 assembles, encodes and applies the noise to the whole lane as (B, N)
-arrays. A lane's frames are decoded in one batched
-call: SC on the (u+v, v) kernel walks its recursion once for the whole
-lane, BP sweeps the lane's still-running frames together until each has
-stopped by its own rule, SCL walks its list recursion once for the whole
-lane, and SC on any other kernel walks the general recursion once for the
-whole lane; those two take a long code's or a large kernel's lane in a
-few slices (see frames_per_call), to bound their memory. Decode
-failures (contradictory or degenerate evidence) come back as a per-frame
-mask and count as a frame error with every information bit wrong; they
-never abort a run. BP never fails a frame: it flags contradictions and
+arrays. decode_frame is the one dispatch to the decoders: the lanes,
+the CLI's decode and the Monte-Carlo construction's genie chunks all go
+through it. A lane's frames are decoded in one batched call: SC on the
+(u+v, v) kernel walks its recursion once for the whole lane, BP sweeps
+the lane's still-running frames together until each has stopped by its
+own rule, SCL walks its list recursion once for the whole lane, and SC on
+any other kernel walks the general recursion once for the whole lane;
+those two take a long code's or a large kernel's lane in a few slices
+(see frames_per_call), to bound their memory. Decode failures
+(contradictory or degenerate evidence) come back as a per-frame mask and
+count as a frame error with every information bit wrong; they never
+abort a run. BP never fails a frame: it flags contradictions and
 decides anyway.
 """
 
@@ -25,13 +27,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .bp import bp_decode
 from .channels import ChannelModel, apply_noise, draw_noise, likelihood_rows, likelihood_rows_binary
-from .kernels import CodeSpec, encode
+from .kernels import CodeSpec, Kernel, encode
 from .sc import decode_sc_arikan, decode_sc_general
 from .scl import decode_scl
 
@@ -80,6 +81,7 @@ def decode_frame(
     list_size: int = 8,
     iters: int = 40,
     min_sum: bool = False,
+    genie_u: np.ndarray | None = None,
 ):
     """Decode with `decoder`, one of DECODERS, one frame or a batch.
 
@@ -94,28 +96,47 @@ def decode_frame(
     contradictions and never fails a frame), but SCL and SC on a kernel
     other than (u+v, v) take it in slices of frames_per_call frames.
 
+    min_sum selects the min-sum f of BP and of SC on the (u+v, v) kernel;
+    any other decoder would ignore it, so there it is a ValueError. So is
+    genie_u, the true inputs of the frames, with any decoder but SC: SC
+    then runs in genie mode (see polarbench.sc), and u_hat != genie_u marks
+    its wrong decisions given the true earlier inputs.
+
     Likelihood rows are built only for the decoders that read them: SC on
     a kernel other than (u+v, v), and SCL.
     """
     if decoder not in DECODERS:
         raise ValueError(f"decoder must be one of {DECODERS}")
+    if min_sum and not reads_min_sum(spec.kernel, decoder):
+        raise ValueError("min_sum is read by bp and by sc on the (u+v, v) kernel only")
+    if genie_u is not None and decoder != "sc":
+        raise ValueError("genie_u is read by sc only")
     lam = np.asarray(llr, dtype=np.float64)
     if decoder == "bp":
         # contradictions are flags inside BP, so no frame ever fails
         res = bp_decode(spec, lam, max_iters=iters, min_sum=min_sum)
         return res.u_hat if lam.ndim == 1 else (res.u_hat, np.zeros(len(lam), dtype=bool))
     if decoder == "sc" and spec.kernel.is_arikan:
-        res = decode_sc_arikan(spec, lam, min_sum=min_sum)
+        res = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie_u)
         return res.u_hat if lam.ndim == 1 else (res.u_hat, res.failed)
     rows = likelihood_rows_binary(lam) if spec.kernel.q == 2 else likelihood_rows(lam)
-    decode = partial(decode_sc_general, spec)
-    if decoder == "scl":
-        decode = partial(decode_scl, spec, list_size=list_size)
+
+    def decode(frames: slice):
+        if decoder == "scl":
+            return decode_scl(spec, rows[frames], list_size=list_size)
+        return decode_sc_general(spec, rows[frames], genie_u=None if genie_u is None else genie_u[frames])
+
     if rows.ndim == 2:
-        return decode(rows).u_hat
+        return decode(slice(None)).u_hat
     step = frames_per_call(spec, decoder, list_size)
-    res = [decode(rows[s : s + step]) for s in range(0, len(rows), step)]
+    res = [decode(slice(s, s + step)) for s in range(0, len(rows), step)]
     return np.concatenate([r.u_hat for r in res]), np.concatenate([r.failed for r in res])
+
+
+def reads_min_sum(kernel: Kernel, decoder: str) -> bool:
+    """Whether decoder has a min-sum rule for kernel: BP, and SC on the
+    (u+v, v) kernel."""
+    return decoder == "bp" or (decoder == "sc" and kernel.is_arikan)
 
 
 def frames_per_call(spec: CodeSpec, decoder: str, list_size: int = 8) -> int:

@@ -4,9 +4,11 @@ Two entry points: decode_sc_arikan walks the binary (u+v, v) recursion on
 scalar LLRs; decode_sc_general works for any kernel, carrying
 per-position likelihood rows of shape (N, q) and marginalizing undecided
 kernel inputs exactly. Each takes one frame or a batch of frames through
-the same recursion. Both support a genie mode (feed back true inputs,
-record which decisions would have been wrong) used by Monte-Carlo code
-construction.
+the same recursion. Both have a genie mode, used by Monte-Carlo code
+construction: given the true inputs genie_u, each input is still decided
+into u_hat, but frozen values are not applied and the walk goes on from
+the true input, so u_hat != genie_u marks the decisions SC gets wrong
+given the true earlier inputs.
 
 Batch contract of both: a frame whose evidence contradicts itself is
 marked where it is found and walks on to the end; every other frame's
@@ -25,7 +27,8 @@ optional schedule hook sees every step the walk takes, in order,
                                             from the decision LLR llr
 
 where width is the node's length and every array keeps the batch axis
-(a frozen decision has shape (1,) and broadcasts over the batch).
+(a frozen decision has shape (1,) and broadcasts over the batch). In
+genie mode u is the true input that the walk goes on from.
 The hook counts cycles and resources and may raise to abort the decode;
 it never changes a value. decode_sc_general is in the same way the
 recursion of the general-kernel line model, through the hook described in
@@ -57,7 +60,6 @@ class UnsupportedCodeError(NotImplementedError):
 class ScResult:
     u_hat: np.ndarray
     x_hat: np.ndarray
-    genie_errors: np.ndarray | None = None
     # (B,) for batch input: True where the frame's evidence contradicted
     # itself, and that row's other fields are meaningless; None for one frame
     failed: np.ndarray | None = None
@@ -78,16 +80,17 @@ def decode_sc_arikan(
 
     The recursion runs over the last axis, so every frame of a batch goes
     through the same tree walk and each frame's decisions equal those of a
-    single-frame call on that row. Outputs take the shape of the input:
-    u_hat and x_hat (int64), and genie_errors when genie_u (same shape as
-    llr) is given (bool). Finite LLRs beyond +-2**(1022 - m) are first
-    saturated to that bound, so no sum in the walk overflows.
+    single-frame call on that row. u_hat and x_hat (int64) take the shape
+    of the input. With genie_u (same shape as llr), u_hat holds the hard
+    decisions and x_hat encodes genie_u (see the module docstring). Finite
+    LLRs beyond +-2**(1022 - m) are first saturated to that bound, so no
+    sum in the walk overflows.
 
     A frame whose +-inf evidence contradicts itself or its frozen values
     is marked and decoded to the end. For a batch, failed, a (B,) bool
-    array, holds the marks, and a marked frame's u_hat, x_hat and
-    genie_errors rows are meaningless. A lone frame, shape (N,), that is
-    marked raises LlrContradiction after its walk.
+    array, holds the marks, and a marked frame's u_hat and x_hat rows are
+    meaningless. A lone frame, shape (N,), that is marked raises
+    LlrContradiction after its walk.
 
     hook, if given, is told of every activation and decision (see the
     module docstring).
@@ -109,7 +112,6 @@ def decode_sc_arikan(
         lam = np.where(big, np.copysign(bound, lam), lam)
     mask, vals = spec.frozen_arrays()
     u_hat = np.empty(lam.shape, dtype=np.int64)
-    errs = np.zeros(lam.shape, dtype=bool) if genie_u is not None else None
     failed = np.zeros(lam.shape[:-1], dtype=bool)  # 0-d for one frame
     quiet = hook is None and genie_u is None
 
@@ -119,13 +121,13 @@ def decode_sc_arikan(
             # hard decision ~(L >= 0), not L < 0: NaN decides 1, as decide() does
             at = slice(off, off + 1)
             if genie_u is not None:
+                # the decision is kept, the walk goes on from the true input
+                u_hat[..., at] = ~(lam_d >= 0)
                 u = genie_u[..., at]
-                errs[..., at] = ~(lam_d >= 0) != u
-            elif mask[off]:
-                u = vals[at]  # shape (1,) broadcasts over the batch
             else:
-                u = ~(lam_d >= 0)
-            u_hat[..., at] = u
+                # a frozen value has shape (1,) and broadcasts over the batch
+                u = vals[at] if mask[off] else ~(lam_d >= 0)
+                u_hat[..., at] = u
             if hook is not None:
                 hook.decide(off, u, lam_d)
             return u
@@ -160,7 +162,7 @@ def decode_sc_arikan(
         if failed:
             raise LlrContradiction("opposite infinite LLRs combined at equality node")
         failed = None
-    return ScResult(u_hat, x_hat, errs, failed)
+    return ScResult(u_hat, x_hat, failed)
 
 
 # general-kernel path --------------------------------------------------------
@@ -259,8 +261,9 @@ def decode_sc_general(
     Rows must be finite and nonnegative (a ValueError names the first bad
     position). The recursion runs over every frame of a batch at once, and
     each frame's decisions equal those of a single-frame call on its rows.
-    Outputs take the shape of the frames: u_hat and x_hat, and
-    genie_errors when genie_u (shape (N,) or (B, N)) is given.
+    u_hat and x_hat take the shape of the frames. With genie_u (shape (N,)
+    or (B, N)), u_hat holds the most likely value of each glue group and
+    x_hat encodes genie_u (see the module docstring).
 
     A frame whose evidence rules out every value is marked and decoded to
     the end. For a batch, failed, a (B,) bool array, holds the marks, and
@@ -284,7 +287,7 @@ def decode_sc_general(
     """
     kernel = spec.kernel
     q, ell, n = kernel.q, kernel.ell, spec.n
-    rows = check_likelihood_rows(rows, n, q, batch=True)
+    rows = check_likelihood_rows(rows, n, q)
     frames = rows.shape[:-1]  # (N,) for one frame, (B, N) for a batch
     if len(frames) == 2 and hook is not None:
         raise ValueError("hook observes one frame; give rows of shape (N, q)")
@@ -306,8 +309,8 @@ def decode_sc_general(
     mask, vals = spec.frozen_arrays()
     groups = glue_values(kernel, mask, vals)
     failed = np.zeros(nb, dtype=bool)
-    errs = np.zeros((nb, n), dtype=bool) if genie_u is not None else None
     u_hat = np.empty((nb, n), dtype=np.int64)
+    walk = u_hat if genie_u is None else genie_u  # the inputs the walk goes on from
     every = np.arange(nb)
     radix = q ** np.arange(ell - 1, -1, -1, dtype=np.int64)
     # flat position in one instance's (ell, q) rows of output j's symbol
@@ -330,16 +333,17 @@ def decode_sc_general(
                 failed[dead] = True
                 scores[dead] = 1.0
             if genie_u is not None:
-                errs[:, at] = syms[scores.argmax(axis=1)] != genie_u[:, at]
+                # the decision is kept, the walk goes on from the true value
+                u_hat[:, at] = syms[scores.argmax(axis=1)]
                 t = genie_u[:, at] @ radix[ell - width :]
             else:
                 # the most likely value that honours the group's frozen pins
                 t = np.where(allowed[off // ell], scores, -1.0).argmax(axis=1)
-            u_hat[:, at] = syms[t]
+                u_hat[:, at] = syms[t]
             rest = rest[every, t]
             if hook is not None:
-                hook.decide(off + c, u_hat[0, at], scores_to_llr(scores[0]))
-        return kernel.table[u_hat[:, off : off + ell] @ radix]
+                hook.decide(off + c, walk[0, at], scores_to_llr(scores[0]))
+        return kernel.table[walk[:, off : off + ell] @ radix]
 
     def rec(w_d: np.ndarray, off: int) -> np.ndarray:
         # w_d: (nb, nd, q); returns the re-encoded (nb, nd) codewords of
@@ -371,5 +375,4 @@ def decode_sc_general(
         if failed[0]:
             raise LlrContradiction("evidence rules out every symbol at some position")
         failed = None
-    errs = None if errs is None else errs.reshape(frames)
-    return ScResult(u_hat.reshape(frames), x_hat.reshape(frames), errs, failed)
+    return ScResult(u_hat.reshape(frames), x_hat.reshape(frames), failed)

@@ -267,7 +267,7 @@ def decode_scl(
         raise ValueError("list_size must be >= 1")
     if crc is not None and q != 2:
         raise ValueError("CRC filtering needs a binary alphabet")
-    rows = check_likelihood_rows(rows, n, q, batch=True)
+    rows = check_likelihood_rows(rows, n, q)
     if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
         raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     single = rows.ndim == 2

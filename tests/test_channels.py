@@ -28,12 +28,22 @@ def test_channel_validation():
         bsc(-0.1)
     with pytest.raises(ValueError):
         biawgn(0.0)
+    # sigma**2 and 2 / sigma**2 must be finite and nonzero
+    for bad in (1e300, 1e151, 1e-151, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="sigma"):
+            biawgn(bad)
     with pytest.raises(ValueError):
         ChannelModel("laplace", 1.0)
     for kind in ("bec", "bsc", "biawgn"):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 ChannelModel(kind, bad)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1e150])
+def test_biawgn_sigma_range_ends_give_finite_llrs(sigma):
+    llr = transmit(biawgn(sigma), np.array([0, 1, 0, 1]), np.random.default_rng(0))
+    assert np.isfinite(llr).all() and (llr != 0.0).all()
 
 
 def test_bsc_llr_magnitude():

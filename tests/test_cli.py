@@ -368,6 +368,10 @@ def test_non_positive_count_usage_error(tmp_path, capsys, small_code, argv, flag
      "argument --channel: channel parameter must be finite"),
     (("construct", "--N", "8", "--rate", "0.5", "--channel", "biawgn:nan", "--mc-trials", "3"),
      "argument --channel: channel parameter must be finite"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--channel", "biawgn:1e300", "--trials", "3"),
+     "argument --channel: noise sigma must be in [1e-150, 1e150]"),
+    (("simulate", "--N", "8", "--rate", "0.5", "--channel", "biawgn:1e-300", "--trials", "3"),
+     "argument --channel: noise sigma must be in [1e-150, 1e150]"),
 ])
 def test_out_of_range_parameter_usage_error(capsys, argv, message):
     # refused before any work: exit 2 and one error line, no output, no traceback
@@ -496,6 +500,12 @@ G4_CODE = "kernel ell=4 q=2\nG 1 0 0 0\nG 1 1 0 0\nG 1 0 1 0\nG 1 1 1 1\nm 2\nfr
      "channel trials need a binary-alphabet kernel"),
     (G4_CODE, ("simulate", "--code", "{f}", "--decoder", "bp", "--trials", "5"),
      "bp decoding needs the binary (u+v, v) kernel"),
+    (G4_CODE, ("simulate", "--code", "{f}", "--min-sum", "--trials", "5"),
+     "--min-sum is read by bp and by sc on the (u+v, v) kernel only"),
+    (G4_CODE, ("decode", "--code", "{f}", "--in", "{f}", "--min-sum"),
+     "--min-sum is read by bp and by sc on the (u+v, v) kernel only"),
+    (G4_CODE, ("decode", "--code", "{f}", "--in", "{f}", "--decoder", "scl", "--min-sum"),
+     "--min-sum is read by bp and by sc on the (u+v, v) kernel only"),
 ])
 def test_kernel_the_command_cannot_take_usage_error(tmp_path, capsys, text, argv, message):
     path = tmp_path / "code.txt"
@@ -613,6 +623,23 @@ def test_config_boolean_values(tmp_path, capsys):
         "--seed", "0",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_min_sum_with_scl_usage_error(tmp_path, capsys, via_config):
+    # scl never reads --min-sum; the flag is refused rather than ignored
+    argv = ["simulate", "--decoder", "scl", "--list-size", "4", "--channel", "bsc:0.08",
+            "--N", "32", "--rate", "0.5", "--trials", "200", "--seed", "2"]
+    if via_config:
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("min_sum = yes\n")
+        argv[1:1] = ["--config", str(cfg)]
+    else:
+        argv.append("--min-sum")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --min-sum is read by bp and by sc on the (u+v, v) kernel only"]
 
 
 def test_config_errors(tmp_path, capsys):

@@ -118,9 +118,9 @@ def _genie_profile_per_frame(kernel, m, channel, trials, rng, min_sum=False):
         u = rng.integers(0, 2, size=free.n)
         llr = transmit(channel, encode_unchecked(kernel, u), rng)
         if kernel.is_arikan:
-            counts += decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u).genie_errors
+            counts += decode_sc_arikan(free, llr, min_sum=min_sum, genie_u=u).u_hat != u
         else:
-            counts += decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u).genie_errors
+            counts += decode_sc_general(free, likelihood_rows_binary(llr), genie_u=u).u_hat != u
     return counts / trials
 
 
@@ -132,15 +132,20 @@ def test_mc_profile_batched_matches_per_frame(kernel, m, channel, min_sum):
     # LANE_SIZE + 5 trials: one full chunk and one partial chunk, each one
     # batched genie call of the (u+v, v) or the general-kernel recursion
     trials = LANE_SIZE + 5
+    if min_sum and not kernel.is_arikan:
+        # min-sum is an f rule of the (u+v, v) recursion: refused, not ignored
+        with pytest.raises(ValueError, match="min_sum"):
+            montecarlo_error_profile(kernel, m, channel, trials, rng=6, min_sum=True)
+        min_sum = False
     got = montecarlo_error_profile(kernel, m, channel, trials, rng=6, min_sum=min_sum)
     want = _genie_profile_per_frame(kernel, m, channel, trials, 6, min_sum)
     assert np.array_equal(got, want)
 
 
 def test_mc_profile_general_chunks_capped(monkeypatch):
-    # a general-kernel genie chunk holds at most frames_per_call frames;
-    # the chunk size never changes the profile
-    import polarbench.construction as construction
+    # decode_frame hands a general-kernel genie chunk to the decoder in
+    # slices of at most frames_per_call frames; the slices never change
+    # the profile
     import polarbench.montecarlo as mc
 
     k4 = kernel_linear(G4)
@@ -151,7 +156,7 @@ def test_mc_profile_general_chunks_capped(monkeypatch):
         calls.append(len(rows))
         return decode_sc_general(spec, rows, **kw)
 
-    monkeypatch.setattr(construction, "decode_sc_general", counting)
+    monkeypatch.setattr(mc, "decode_sc_general", counting)
     monkeypatch.setattr(mc, "SC_CELLS", 6 * 16 * 16)
     got = montecarlo_error_profile(k4, 2, bsc(0.08), 40, rng=9)
     assert calls == [6] * 6 + [4]

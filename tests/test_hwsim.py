@@ -25,7 +25,7 @@ from polarbench.hwsim import (
 from polarbench.bp import bp_decode, bp_state, bp_iteration
 from polarbench.hwsim.general_line import _GeneralLineEngine
 from polarbench.kernels import CodeSpec, Kernel, kernel_arikan, kernel_linear
-from polarbench.hwsim.sc_arch import PartialSumMismatch, _ScEngine
+from polarbench.hwsim.sc_arch import PartialSumMismatch, _contention, _ScEngine
 from polarbench.llrops import LlrContradiction
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 
@@ -256,6 +256,41 @@ def test_sc_multi_contention_free_at_max_load(rng):
     rep = run_sc_multi(spec, words).report
     assert rep.contention == 0
     assert rep.cycles == 2 * 32 - 2 + 30
+
+
+def _dense_contention(inst_ids, cycles, p):
+    # the instances x absolute cycles firing grid, every slot counted
+    grid = np.zeros((inst_ids.max() + 1, cycles.max() + p), dtype=np.int64)
+    for c in range(p):
+        np.add.at(grid, (inst_ids, cycles + c), 1)
+    return int((grid > 1).sum())
+
+
+def test_sc_multi_contention_count_matches_dense_grid(rng):
+    # run_sc_multi's own schedules never collide, so the count is checked
+    # on colliding ones: the pipeline schedule with instances keyed by
+    # (depth, cycle mod r) for r < N - 1, and random schedules on three
+    # instances, against the dense firing grid
+    spec = _spec(4, 8)
+    eng = _ScEngine(spec, "sc_pipeline")
+    decode_sc_arikan(spec, random_llr(rng, 16), hook=eng)
+    depths, cycles = map(np.array, zip(*eng.sched))
+    counts = set()
+    for r in (1, 2, 5, 15):
+        inst_ids = depths * r + cycles % r
+        for p in (1, 2, 7, 15):
+            got = _contention(inst_ids, cycles, p, int(cycles.max()) + p)
+            assert got == _dense_contention(inst_ids, cycles, p), (r, p)
+            counts.add(got)
+    assert 0 in counts and len(counts) > 3
+    for _ in range(50):
+        cycles = np.sort(rng.choice(40, size=int(rng.integers(1, 20)), replace=False))
+        inst_ids = rng.integers(0, 3, len(cycles))
+        p = int(rng.integers(1, 9))
+        got = _contention(inst_ids, cycles, p, int(cycles.max()) + p)
+        assert got == _dense_contention(inst_ids, cycles, p)
+    # one instance fired at cycles 0 and 1 by two codewords: slot 1 twice
+    assert _contention(np.array([0, 0]), np.array([0, 1]), 2, 3) == 1
 
 
 def test_sc_multi_rejects_bad_p(rng):

@@ -123,6 +123,11 @@ G4_CODE = construct_montecarlo(kernel_linear(G4), 3, bec(0.5), 0.5, LANE_SIZE, r
 @pytest.mark.parametrize("spec", [construct_bec(5, 0.5, 0.5), G4_CODE], ids=["arikan", "g4"])
 def test_run_lane_matches_per_frame_reference(spec, ch, min_sum, count):
     # SC decodes the whole lane in one recursion, (u+v, v) or general-kernel
+    if min_sum and not spec.kernel.is_arikan:
+        # min-sum is an f rule of the (u+v, v) recursion: refused, not ignored
+        with pytest.raises(ValueError, match="min_sum"):
+            run_lane(spec, ch, "sc", count, np.random.default_rng(count), min_sum=True)
+        min_sum = False
     got = run_lane(spec, ch, "sc", count, np.random.default_rng(count), min_sum=min_sum)
     want, failures = _lane_reference(spec, ch, "sc", count, np.random.default_rng(count), min_sum)
     assert got == want
@@ -361,16 +366,21 @@ def test_decode_frame_dispatch(monkeypatch):
     q4 = CodeSpec(kernel_linear([[1, 0], [1, 1]], q=4), 2, {0: 0})
     llr = rng.normal(0, 2, 8)
     llr4 = np.hstack([np.zeros((4, 1)), rng.normal(0, 2, (4, 3))])
+    # min_sum only where the decoder reads it: bp and SC on (u+v, v)
     cases = [
-        (spec, "sc", llr, decode_sc_arikan(spec, llr, min_sum=True).u_hat),
-        (spec, "bp", llr, bp_decode(spec, llr, max_iters=5, min_sum=True).u_hat),
-        (spec, "scl", llr, decode_scl(spec, likelihood_rows_binary(llr), 2).u_hat),
-        (g4, "sc", llr[:4], decode_sc_general(g4, likelihood_rows_binary(llr[:4])).u_hat),
-        (q4, "sc", llr4, decode_sc_general(q4, likelihood_rows(llr4)).u_hat),
+        (spec, "sc", llr, True, decode_sc_arikan(spec, llr, min_sum=True).u_hat),
+        (spec, "bp", llr, True, bp_decode(spec, llr, max_iters=5, min_sum=True).u_hat),
+        (spec, "scl", llr, False, decode_scl(spec, likelihood_rows_binary(llr), 2).u_hat),
+        (g4, "sc", llr[:4], False, decode_sc_general(g4, likelihood_rows_binary(llr[:4])).u_hat),
+        (q4, "sc", llr4, False, decode_sc_general(q4, likelihood_rows(llr4)).u_hat),
     ]
-    for sp, dec, ev, want in cases:
-        got = decode_frame(sp, dec, ev, list_size=2, iters=5, min_sum=True)
+    for sp, dec, ev, min_sum, want in cases:
+        got = decode_frame(sp, dec, ev, list_size=2, iters=5, min_sum=min_sum)
         assert np.array_equal(got, want), dec
+        if not min_sum:
+            # it would be ignored, so it is refused
+            with pytest.raises(ValueError, match="min_sum"):
+                decode_frame(sp, dec, ev, list_size=2, iters=5, min_sum=True)
     with pytest.raises(ValueError):
         decode_frame(spec, "viterbi", llr)
 
@@ -383,6 +393,68 @@ def test_decode_frame_dispatch(monkeypatch):
         decode_frame(spec, dec, llr)
     with pytest.raises(AssertionError):
         decode_frame(spec, "scl", llr)
+
+
+def _qary_frames(kernel, m, ch, count, rng):
+    # count all-free q-ary frames as (u, LLR rows against symbol 0): bec
+    # erases a symbol or reveals it, bsc replaces it by a uniform other
+    # symbol, and biawgn sends symbol t as the level t plus Gaussian noise;
+    # each row is -ln W(y|t), which likelihood_rows takes up to a constant
+    q = kernel.q
+    u = rng.integers(0, q, (count, kernel.ell**m))
+    x = encode_unchecked(kernel, u)
+    t = np.arange(q)
+    if ch.kind == "bec":
+        rows = np.where(t == x[..., None], 0.0, np.inf)
+        rows[rng.random(x.shape) < ch.param] = 0.0
+    elif ch.kind == "bsc":
+        p = ch.param
+        y = np.where(rng.random(x.shape) < p, (x + rng.integers(1, q, x.shape)) % q, x)
+        rows = np.where(t == y[..., None], -np.log1p(-p), -np.log(p / (q - 1)))
+    else:
+        y = x + rng.normal(0.0, ch.param, x.shape)
+        rows = (y[..., None] - t) ** 2 / (2 * ch.param**2)
+    return u, rows
+
+
+@pytest.mark.parametrize("ch", [bec(0.15), bsc(0.02), biawgn(0.45)], ids=["bec", "bsc", "biawgn"])
+@pytest.mark.parametrize("kernel,m", [
+    (kernel_arikan(), 5), (kernel_linear(G4), 2), (kernel_linear([[1, 0], [1, 1]], q=3), 3),
+], ids=["arikan", "g4", "gf3"])
+def test_genie_decisions_match_sc_through_first_error(kernel, m, ch):
+    # fed the true inputs, SC decides each input as plain SC does for as
+    # long as plain SC has decided right, so on an all-free code the genie
+    # u_hat equals plain SC's up to and including plain SC's first wrong
+    # input; both go through decode_frame
+    rng = np.random.default_rng(13)
+    spec = CodeSpec(kernel, m, {})
+    if kernel.q == 2:
+        u, ev = draw_frames(spec, ch, 150, rng)
+    else:
+        u, ev = _qary_frames(kernel, m, ch, 150, rng)
+    plain, failed = decode_frame(spec, "sc", ev)
+    genie, genie_failed = decode_frame(spec, "sc", ev, genie_u=u)
+    assert not genie_failed.any()  # the true word never contradicts the evidence
+    wrong = plain != u
+    first = np.where(wrong.any(axis=1), wrong.argmax(axis=1), spec.n - 1)
+    prefix = np.arange(spec.n) <= first[:, None]
+    keep = ~failed  # a failed frame's plain u_hat is meaningless
+    assert np.array_equal(np.where(prefix, genie, 0)[keep], np.where(prefix, plain, 0)[keep])
+    # not vacuous: prefixes reach past the first input, and beyond them
+    # the two decoders part
+    assert (first[keep] > 0).sum() > 10 and (genie != plain)[keep].any()
+
+
+def test_genie_u_only_with_sc():
+    spec = construct_bec(3, 0.5, 0.5)
+    llr = np.random.default_rng(4).normal(0, 2, (3, 8))
+    u = np.zeros((3, 8), dtype=np.int64)
+    decode_frame(spec, "sc", llr, genie_u=u)
+    for dec in ("scl", "bp"):
+        with pytest.raises(ValueError, match="genie_u"):
+            decode_frame(spec, dec, llr, genie_u=u)
+        with pytest.raises(ValueError, match="genie_u"):
+            decode_frame(spec, dec, llr[0], genie_u=u[0])
 
 
 def test_decode_frame_glued_uv_kernel(monkeypatch):

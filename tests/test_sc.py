@@ -105,14 +105,17 @@ def test_sc_genie_mode(arikan, rng):
     x = encode_unchecked(arikan, u)
     llr = np.where(x == 0, 30.0, -30.0).astype(float)
     res = decode_sc_arikan(spec, llr, genie_u=u)
-    assert res.genie_errors is not None
-    assert not res.genie_errors.any()
-    # corrupt one observation hard: the genie keeps later stages on track,
-    # errors are recorded but u_hat equals the genie word
+    assert np.array_equal(res.u_hat, u)
+    # corrupt one observation hard: x0 is the sum of every input, so the
+    # first decision goes wrong and shows in u_hat, while the genie keeps
+    # later stages on track (the last input, repeated in all eight
+    # observations, outvotes it) and the walk re-encodes the true word
     llr_bad = llr.copy()
     llr_bad[0] = -llr_bad[0]
     res_bad = decode_sc_arikan(spec, llr_bad, genie_u=u)
-    assert np.array_equal(res_bad.u_hat, u)
+    assert res_bad.u_hat[0] != u[0]
+    assert res_bad.u_hat[-1] == u[-1]
+    assert np.array_equal(res_bad.x_hat, x)
 
 
 def test_sc_contradiction_raises(arikan):
@@ -183,7 +186,7 @@ def test_sc_batch_matches_single_frames(arikan, rng, min_sum, evidence):
         assert np.array_equal(rec.llrs()[b], one_rec.llrs(), equal_nan=True), b
         one_genie = decode_sc_arikan(spec, lam[b], min_sum=min_sum, genie_u=genie[b])
         assert np.array_equal(batch_genie.u_hat[b], one_genie.u_hat), b
-        assert np.array_equal(batch_genie.genie_errors[b], one_genie.genie_errors), b
+        assert np.array_equal(batch_genie.x_hat[b], one_genie.x_hat), b
 
 
 def _single_or_none(spec, lam, **kw):
@@ -229,7 +232,7 @@ def test_sc_batch_failed_rows_match_single_calls(m, data):
         assert batch_genie.failed[i] == (one is None), i
         if one is not None:
             assert np.array_equal(batch_genie.u_hat[i], one.u_hat), i
-            assert np.array_equal(batch_genie.genie_errors[i], one.genie_errors), i
+            assert np.array_equal(batch_genie.x_hat[i], one.x_hat), i
 
 
 def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
@@ -454,8 +457,8 @@ def test_general_genie_mode(k4, rng):
     x = encode_unchecked(k4, u)
     rows = likelihood_rows_binary(np.where(x == 0, 30.0, -30.0).astype(float))
     res = decode_sc_general(spec, rows, genie_u=u)
-    assert not res.genie_errors.any()
     assert np.array_equal(res.u_hat, u)
+    assert np.array_equal(res.x_hat, x)
 
 
 def test_general_contradiction_raises(arikan):
@@ -539,7 +542,7 @@ def test_general_batch_failed_rows_match_single_calls(data):
     batch = decode_sc_general(spec, rows)
     batch_genie = decode_sc_general(spec, rows, genie_u=genie)
     assert batch.failed.shape == batch_genie.failed.shape == (b,)
-    assert batch.u_hat.shape == batch.x_hat.shape == batch_genie.genie_errors.shape == (b, n)
+    assert batch.u_hat.shape == batch.x_hat.shape == batch_genie.u_hat.shape == (b, n)
     for i in range(b):
         one = _general_or_none(spec, rows[i])
         assert batch.failed[i] == (one is None), i
@@ -551,7 +554,6 @@ def test_general_batch_failed_rows_match_single_calls(data):
         if one is not None:
             assert np.array_equal(batch_genie.u_hat[i], one.u_hat), i
             assert np.array_equal(batch_genie.x_hat[i], one.x_hat), i
-            assert np.array_equal(batch_genie.genie_errors[i], one.genie_errors), i
 
 
 def test_general_batch_observers_and_shapes(k4, rng):
