@@ -73,6 +73,8 @@ def montecarlo_error_profile(
     """
     if kernel.q != 2:
         raise ValueError("Monte-Carlo construction needs a binary kernel")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng)
     free = CodeSpec(kernel=kernel, m=m, frozen={})
     counts = np.zeros(free.n, dtype=np.int64)

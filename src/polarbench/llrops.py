@@ -2,7 +2,8 @@
 
 LLRs are float64 and may be +-inf (perfectly known bits, e.g. erasure
 channels or frozen priors). inf is treated as exact knowledge, so the
-updates below have closed-form shortcuts for it.
+updates below have closed-form shortcuts for it. The two trit rules are
+the same updates on evidence made only of 0 and +-inf, held as int8 signs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     Every finite entry of the exact update rounds as (core + A) - B. Where
     a finite input is +-0, |a + b| == |a - b| makes A == B, so the entry
     is exactly core + 0.0 (+0.0); a call holding infinities, such as one on
-    erasure evidence, runs exp and log1p only on the other finite entries.
+    BP's frozen priors or in an observed SC walk on erasure evidence, runs
+    exp and log1p only on the other finite entries. (An unobserved SC walk
+    on erasure evidence uses f_plus_trit instead.)
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -99,6 +102,28 @@ def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
             failed |= conflict.any(axis=-1)
             total[conflict] = 0.0
     return total
+
+
+def f_plus_trit(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:
+    """f_plus_vec on erasure evidence held as int8 signs ("trits" -1, 0, +1
+    for LLRs -inf, +-0, +inf).
+
+    On such LLRs the exact and the min-sum update are both the product of
+    the signs, so min_sum is accepted and changes nothing.
+    """
+    return a * b
+
+
+def f_equal_trit(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """f_equal_vec on trits: the sign of a + b.
+
+    Opposite certainties sum to 0, the entry f_equal_vec gives them, and
+    their row is marked in `failed` as there.
+    """
+    prod = a * b
+    if prod.min() < 0:
+        failed |= (prod < 0).any(axis=-1)
+    return np.sign(a + b)
 
 
 def decide(llr):

@@ -39,6 +39,17 @@ A decode_sc_arikan walk that nothing observes (no hook or genie) skips
 STEP I of a width-2 node whose left input is frozen: that leaf ignores its
 LLR, and f never fails a frame, so every output is the same (the simplest
 rate-0 case of simplified SC). Observed walks take every step.
+
+A decode_sc_arikan walk without a hook (genie or not) whose every input
+LLR is 0 or +-inf, erasure evidence, runs on int8 signs ("trits" -1, 0,
++1) in place of float64 LLRs: f is the product of the signs and g their
+sum, clipped to a sign (llrops.f_plus_trit, f_equal_trit). That is exact:
+on such LLRs every LLR of the walk is again 0 or +-inf, f_plus_vec (exact
+or min-sum) gives the product of the signs, f_equal_vec gives their sum
+and zeroes and marks opposite infinities, and a leaf reads only
+~(L >= 0). So u_hat, x_hat and failed are those of the float walk; only
+the signs of zeros inside the walk may differ, and nothing reads them.
+A walk with a hook always runs on float LLRs, the values it observes.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ import numpy as np
 
 from .channels import check_likelihood_rows, check_llr
 from .kernels import CodeSpec, Kernel, _words
-from .llrops import LlrContradiction, f_equal_vec, f_plus_vec
+from .llrops import LlrContradiction, f_equal_trit, f_equal_vec, f_plus_trit, f_plus_vec
 
 
 class UnsupportedCodeError(NotImplementedError):
@@ -82,9 +93,12 @@ def decode_sc_arikan(
     through the same tree walk and each frame's decisions equal those of a
     single-frame call on that row. u_hat and x_hat (int64) take the shape
     of the input. With genie_u (same shape as llr), u_hat holds the hard
-    decisions and x_hat encodes genie_u (see the module docstring). Finite
-    LLRs beyond +-2**(1022 - m) are first saturated to that bound, so no
-    sum in the walk overflows.
+    decisions and x_hat encodes genie_u (see the module docstring).
+
+    Without a hook, evidence made only of 0 and +-inf is walked on its
+    signs, with the same results (see the module docstring). Other evidence
+    is walked on float64 LLRs, and finite LLRs beyond +-2**(1022 - m) are
+    first saturated to that bound, so no sum in the walk overflows.
 
     A frame whose +-inf evidence contradicts itself or its frozen values
     is marked and decoded to the end. For a batch, failed, a (B,) bool
@@ -103,13 +117,20 @@ def decode_sc_arikan(
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != lam.shape:
             raise ValueError("genie_u must have the shape of llr")
-    # a node at depth d sums at most 2**d root LLRs, so with this power of
-    # two no g sum and no |a +- b| in f goes beyond 2**1022
-    bound = 2.0 ** (1022 - spec.m)
-    mag = np.abs(lam)
-    big = (mag > bound) & (mag < np.inf)
-    if big.any():
-        lam = np.where(big, np.copysign(bound, lam), lam)
+    if hook is None and ((lam == 0) | np.isinf(lam)).all():
+        # erasure evidence: every LLR of the walk is 0 or +-inf, so it is
+        # carried as its sign (see the module docstring)
+        lam = np.sign(lam).astype(np.int8)
+        f_rule, g_rule = f_plus_trit, f_equal_trit
+    else:
+        # a node at depth d sums at most 2**d root LLRs, so with this power
+        # of two no g sum and no |a +- b| in f goes beyond 2**1022
+        bound = 2.0 ** (1022 - spec.m)
+        mag = np.abs(lam)
+        big = (mag > bound) & (mag < np.inf)
+        if big.any():
+            lam = np.where(big, np.copysign(bound, lam), lam)
+        f_rule, g_rule = f_plus_vec, f_equal_vec
     mask, vals = spec.frozen_arrays()
     u_hat = np.empty(lam.shape, dtype=np.int64)
     failed = np.zeros(lam.shape[:-1], dtype=bool)  # 0-d for one frame
@@ -139,11 +160,11 @@ def decode_sc_arikan(
             x0 = vals[off : off + 1]
             u_hat[..., off : off + 1] = x0
         else:
-            l1 = f_plus_vec(even, odd, min_sum=min_sum)
+            l1 = f_rule(even, odd, min_sum=min_sum)
             if hook is not None:
                 hook.f(off, width, (even, odd), l1)
             x0 = rec(l1, off)
-        l2 = f_equal_vec(np.where(x0 == 1, -even, even), odd, failed)
+        l2 = g_rule(np.where(x0 == 1, -even, even), odd, failed)
         if hook is not None:
             hook.g(off, width, (even, odd), l2, x0)
         x1 = rec(l2, off + width // 2)

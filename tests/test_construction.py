@@ -101,6 +101,16 @@ def test_mc_profile_rejects_nonbinary():
         montecarlo_error_profile(k, 2, bec(0.5), 10, rng=0)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_mc_profile_rejects_trials_below_one(arikan, trials):
+    # no frame gives no error rate: refused, not an all-NaN profile or a
+    # code frozen in index order
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        montecarlo_error_profile(arikan, 2, bec(0.5), trials, rng=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        construct_montecarlo(arikan, 2, bec(0.5), rate=0.5, trials=trials, rng=1)
+
+
 def test_construct_montecarlo_general_kernel():
     k4 = kernel_linear(G4, q=2)
     spec = construct_montecarlo(k4, 1, bec(0.3), rate=0.5, trials=50, rng=3)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarbench.channels import likelihood_rows_binary
+from polarbench.channels import bec, likelihood_rows_binary
+from polarbench.construction import construct_bec
 from polarbench.hwsim import (
     SC_ARCHS,
     check_formulas,
@@ -27,6 +28,7 @@ from polarbench.hwsim.general_line import _GeneralLineEngine
 from polarbench.kernels import CodeSpec, Kernel, kernel_arikan, kernel_linear
 from polarbench.hwsim.sc_arch import PartialSumMismatch, _contention, _ScEngine
 from polarbench.llrops import LlrContradiction
+from polarbench.montecarlo import decode_frame, draw_frames
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 
 from conftest import G4, random_llr
@@ -228,6 +230,29 @@ def test_sc_engine_contradiction_raises_after_the_walk(arch):
     llr = np.array([-np.inf] + [np.inf] * 15)  # a weight-1 word, which u0 = 0 excludes
     with pytest.raises(LlrContradiction):
         run_sc(spec, llr, arch=arch, i_param=2)
+
+
+def test_sc_engines_match_the_erasure_lane_decode():
+    # an unobserved lane decode walks erasure evidence on trits, the engines
+    # walk it on the float LLRs they observe; on every frame that does not
+    # contradict itself, all give the same words
+    spec = construct_bec(6, 0.4, 0.5)
+    u, lam = draw_frames(spec, bec(0.4), 24, np.random.default_rng(14))
+    assert ((lam == 0) | np.isinf(lam)).all()
+    u_hat, failed = decode_frame(spec, "sc", lam)
+    lane = decode_sc_arikan(spec, lam)
+    assert np.array_equal(lane.u_hat, u_hat) and np.array_equal(lane.failed, failed)
+    keep = np.flatnonzero(~failed)
+    assert 0 < len(keep) < len(lam)
+    for b in keep:
+        for arch in SC_ARCHS:
+            run = run_sc(spec, lam[b], arch=arch, i_param=2)
+            assert np.array_equal(run.u_hat, u_hat[b]), (arch, b)
+            assert np.array_equal(run.x_hat, lane.x_hat[b]), (arch, b)
+    multi = run_sc_multi(spec, list(lam[keep]))
+    for (u_b, x_b), b in zip(multi.results, keep):
+        assert np.array_equal(u_b, u_hat[b]), b
+        assert np.array_equal(x_b, lane.x_hat[b]), b
 
 
 def test_general_line_contradiction_raises_after_the_walk(rng):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarbench.channels import likelihood_rows_binary
+from polarbench.channels import bec, likelihood_rows_binary
+from polarbench.construction import construct_bec
 from polarbench.kernels import (
     CodeSpec,
     _words,
@@ -17,6 +18,7 @@ from polarbench.kernels import (
     kernel_linear,
 )
 from polarbench.llrops import LlrContradiction
+from polarbench.montecarlo import draw_frames
 from polarbench.oracle import marginal_llr_bruteforce
 from polarbench.sc import (
     UnsupportedCodeError,
@@ -200,39 +202,86 @@ def _single_or_none(spec, lam, **kw):
 @given(st.integers(1, 5), st.data())
 def test_sc_batch_failed_rows_match_single_calls(m, data):
     # a (B, N) call marks exactly the frames whose (N,) call raises, and
-    # every other frame equals its single call, genie mode included; a quiet
-    # call (no hook, no genie), which skips f under a frozen leaf, equals
-    # the walk a recording hook observes
+    # every other frame equals its single call, genie mode included. An
+    # unobserved call (no hook), which walks erasure evidence on trits and
+    # without genie skips f under a frozen leaf, gives bit for bit what the
+    # float walk a recording hook observes gives, batch and single frame
     n = 2**m
     frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)))
     spec = CodeSpec(kernel_arikan(), m, frozen)
     b = data.draw(st.integers(1, 6))
-    entries = st.sampled_from([np.inf, -np.inf, np.inf, -np.inf, 0.0, -0.0, 1.5, -0.25])
+    erasures = [np.inf, -np.inf, 0.0, -0.0]
+    mixed = [np.inf, -np.inf, np.inf, -np.inf, 0.0, -0.0, 1.5, -0.25]
+    entries = st.sampled_from(data.draw(st.sampled_from([mixed, erasures])))
     lam = np.reshape(data.draw(st.lists(entries, min_size=b * n, max_size=b * n)), (b, n))
     genie = np.reshape(data.draw(st.lists(st.integers(0, 1), min_size=b * n, max_size=b * n)), (b, n))
     min_sum = data.draw(st.booleans())
     rec = Recorder()
     batch = decode_sc_arikan(spec, lam, min_sum=min_sum, hook=rec)
     batch_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie)
+    observed_genie = decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=genie, hook=Recorder())
     quiet = decode_sc_arikan(spec, lam, min_sum=min_sum)
     assert batch.failed.shape == batch_genie.failed.shape == quiet.failed.shape == (b,)
+    for got, want in ((quiet, batch), (batch_genie, observed_genie)):
+        assert np.array_equal(got.u_hat, want.u_hat)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert np.array_equal(got.failed, want.failed)
     for i in range(b):
         one_rec = Recorder()
         one = _single_or_none(spec, lam[i], min_sum=min_sum, hook=one_rec)
-        assert batch.failed[i] == quiet.failed[i] == (one is None), i
+        assert batch.failed[i] == (one is None), i
         # a lone frame walks to the end before it raises
         assert len(one_rec.decisions) == n, i
+        quiet_one = _single_or_none(spec, lam[i], min_sum=min_sum)
+        assert (quiet_one is None) == (one is None), i
         if one is not None:
             assert np.array_equal(batch.u_hat[i], one.u_hat), i
             assert np.array_equal(batch.x_hat[i], one.x_hat), i
             assert np.array_equal(rec.llrs()[i], one_rec.llrs()), i
-            assert np.array_equal(quiet.u_hat[i], one.u_hat), i
-            assert np.array_equal(quiet.x_hat[i], one.x_hat), i
-        one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i])
-        assert batch_genie.failed[i] == (one is None), i
+            assert np.array_equal(quiet_one.u_hat, one.u_hat), i
+            assert np.array_equal(quiet_one.x_hat, one.x_hat), i
+        one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i], hook=Recorder())
+        quiet_one = _single_or_none(spec, lam[i], min_sum=min_sum, genie_u=genie[i])
+        assert batch_genie.failed[i] == (one is None) == (quiet_one is None), i
         if one is not None:
             assert np.array_equal(batch_genie.u_hat[i], one.u_hat), i
             assert np.array_equal(batch_genie.x_hat[i], one.x_hat), i
+            assert np.array_equal(quiet_one.u_hat, one.u_hat), i
+            assert np.array_equal(quiet_one.x_hat, one.x_hat), i
+
+
+def test_sc_erasure_walk_skips_the_float_rules(monkeypatch):
+    # an unobserved walk on evidence of 0 and +-inf never calls the float
+    # rules; one finite nonzero entry, a NaN or a hook sends it to them
+    import polarbench.sc as sc
+
+    class FloatRule(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise FloatRule
+
+    spec = construct_bec(6, 0.4, 0.5)
+    u, lam = draw_frames(spec, bec(0.4), 16, np.random.default_rng(5))
+    monkeypatch.setattr(sc, "f_plus_vec", refuse)
+    monkeypatch.setattr(sc, "f_equal_vec", refuse)
+    for min_sum in (False, True):
+        assert decode_sc_arikan(spec, lam, min_sum=min_sum).failed.shape == (16,)
+        for row in lam:
+            _single_or_none(spec, row, min_sum=min_sum)
+        assert not decode_sc_arikan(spec, lam, min_sum=min_sum, genie_u=u).failed.any()
+        decode_sc_arikan(spec, lam[0], min_sum=min_sum, genie_u=u[0])
+    with pytest.raises(FloatRule):
+        decode_sc_arikan(spec, lam, hook=Recorder())
+    for entry in (1.5, np.nan):
+        bad = lam.copy()
+        bad[2, 5] = entry
+        with pytest.raises(FloatRule):
+            decode_sc_arikan(spec, bad)
+        with pytest.raises(FloatRule):
+            decode_sc_arikan(spec, bad, genie_u=u)
+        with pytest.raises(FloatRule):
+            decode_sc_arikan(spec, bad[2])
 
 
 def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
