@@ -50,16 +50,30 @@ and zeroes and marks opposite infinities, and a leaf reads only
 ~(L >= 0). So u_hat, x_hat and failed are those of the float walk; only
 the signs of zeros inside the walk may differ, and nothing reads them.
 A walk with a hook always runs on float LLRs, the values it observes.
+
+On trits, what a node returns (its decisions, its re-encoding and whether
+it marks a frame) is a function of its input trits and its frozen inputs
+alone. So an unobserved trit walk (no hook, no genie) does not descend
+into a node of width TABLE_WIDTH below the root (half the root's width in
+a shorter code) whose frozen values are all 0: it reads the node's
+outputs from a table indexed by the node's input, built once per process
+and frozen mask by the same walk run on every possible input of that node
+(whose own children are looked up in the tables of half its width). A
+table row is the walk's own output, so SC's tie rule on zero LLRs and its
+failed rule carry over bit for bit; every node type is covered, where the
+rate-1, repetition and single-parity-check rules of fast simplified SC
+are not exact on zeros. A node with a frozen 1 is walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .channels import check_likelihood_rows, check_llr
-from .kernels import CodeSpec, Kernel, _words
+from .kernels import CodeSpec, Kernel, _words, encode_unchecked, kernel_arikan
 from .llrops import LlrContradiction, f_equal_trit, f_equal_vec, f_plus_trit, f_plus_vec
 
 
@@ -77,6 +91,77 @@ class ScResult:
 
 
 # binary Arikan path ---------------------------------------------------------
+
+# An unobserved walk on erasure evidence looks up the nodes of this width
+# below the root (of half the root's width in a shorter code) in tables
+# (see the module docstring).
+TABLE_WIDTH = 8
+# A node input of width w has the index (trits + 1) @ 3**arange(w), here
+# trits @ _TRIT_RADIX[:w] + 3**w // 2: float32 holds every index exactly,
+# and an int8 @ float32 product runs in BLAS.
+_TRIT_RADIX = (3 ** np.arange(TABLE_WIDTH)).astype(np.float32)
+
+
+@cache
+def _node_inputs(width: int) -> np.ndarray:
+    # every input of a node of this width, row i holding the trits of index
+    # i; a C-ordered copy, on which the table build runs fastest
+    digits = np.indices((3,) * width, dtype=np.int8).reshape(width, -1)[::-1].T
+    trits = np.ascontiguousarray(digits - 1)
+    trits.setflags(write=False)
+    return trits
+
+
+@cache
+def _word_rows(width: int) -> tuple[np.ndarray, np.ndarray]:
+    # A table entry is a word: the node's decision on input i in bit i and
+    # its failed mark in bit `width`. Row v of the first array holds the
+    # decisions in word v, and of the second their re-encoding, as int8.
+    bits = (np.arange(2 << width)[:, None] >> np.arange(width)) & 1
+    rows = bits.astype(np.int8), encode_unchecked(kernel_arikan(), bits).astype(np.int8)
+    for a in rows:
+        a.setflags(write=False)
+    return rows
+
+
+# Tables by node width and frozen mask (bit i for input i), for nodes frozen
+# to 0 only, so at most 2**w tables of 3**w uint16 words per width w.
+_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _erasure_table(width: int, frozen: int) -> np.ndarray:
+    """The table of a node of this width whose inputs in the bit mask
+    `frozen` are frozen to 0: the unobserved erasure walk of the node on
+    each of its 3**width trit inputs, built once per process."""
+    table = _TABLES.get((width, frozen))
+    if table is None:
+        mask = (frozen >> np.arange(width)) & 1 == 1
+        # the node is this walk's root, which is never looked up; its
+        # children are, in the tables of half its width
+        u_hat, _, failed = _walk(mask, np.zeros(width, dtype=np.int64), _node_inputs(width), False, None, None)
+        words = u_hat @ 2 ** np.arange(width, dtype=np.float32)  # exact, in BLAS as above
+        table = words.astype(np.uint16) | failed.astype(np.uint16) << width
+        table.setflags(write=False)
+        _TABLES[width, frozen] = table
+    return table
+
+
+def _erasure_tables(mask: np.ndarray, vals: np.ndarray, width: int) -> dict[int, np.ndarray]:
+    """The table of each node of this width frozen to 0 only, by the node's
+    first input, for a code with this frozen mask and values."""
+    masks = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")[:, 0].tolist()
+    zero = (~vals.reshape(-1, width).any(axis=1)).tolist()
+    return {width * j: _erasure_table(width, k) for j, (k, z) in enumerate(zip(masks, zero)) if z}
+
+
+def _flip_float(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # g's input: a negated where the re-encoded left half x is 1
+    return np.where(x == 1, -a, a)
+
+
+def _flip_trit(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the same on int8 signs, where a product costs a fraction of np.where
+    return a * (1 - 2 * x).astype(np.int8, copy=False)
 
 
 def decode_sc_arikan(
@@ -96,9 +181,11 @@ def decode_sc_arikan(
     decisions and x_hat encodes genie_u (see the module docstring).
 
     Without a hook, evidence made only of 0 and +-inf is walked on its
-    signs, with the same results (see the module docstring). Other evidence
-    is walked on float64 LLRs, and finite LLRs beyond +-2**(1022 - m) are
-    first saturated to that bound, so no sum in the walk overflows.
+    signs, and without a genie word too, nodes of width TABLE_WIDTH frozen
+    to 0 are looked up in tables, with the same results (see the module
+    docstring). Other evidence is walked on float64 LLRs, and finite LLRs
+    beyond +-2**(1022 - m) are first saturated to that bound, so no sum in
+    the walk overflows.
 
     A frame whose +-inf evidence contradicts itself or its frozen values
     is marked and decoded to the end. For a batch, failed, a (B,) bool
@@ -111,8 +198,7 @@ def decode_sc_arikan(
     """
     if not spec.kernel.is_arikan:
         raise ValueError("decode_sc_arikan requires the (u+v, v) kernel")
-    n = spec.n
-    lam = check_llr(llr, n)
+    lam = check_llr(llr, spec.n)
     if genie_u is not None:
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != lam.shape:
@@ -121,7 +207,6 @@ def decode_sc_arikan(
         # erasure evidence: every LLR of the walk is 0 or +-inf, so it is
         # carried as its sign (see the module docstring)
         lam = np.sign(lam).astype(np.int8)
-        f_rule, g_rule = f_plus_trit, f_equal_trit
     else:
         # a node at depth d sums at most 2**d root LLRs, so with this power
         # of two no g sum and no |a +- b| in f goes beyond 2**1022
@@ -130,15 +215,44 @@ def decode_sc_arikan(
         big = (mag > bound) & (mag < np.inf)
         if big.any():
             lam = np.where(big, np.copysign(bound, lam), lam)
-        f_rule, g_rule = f_plus_vec, f_equal_vec
-    mask, vals = spec.frozen_arrays()
-    u_hat = np.empty(lam.shape, dtype=np.int64)
-    failed = np.zeros(lam.shape[:-1], dtype=bool)  # 0-d for one frame
+    u_hat, x_hat, failed = _walk(*spec.frozen_arrays(), lam, min_sum, genie_u, hook)
+    if lam.ndim == 1:
+        if failed:
+            raise LlrContradiction("opposite infinite LLRs combined at equality node")
+        failed = None
+    return ScResult(u_hat.astype(np.int64, copy=False), x_hat.astype(np.int64, copy=False), failed)
+
+
+def _walk(mask, vals, lam, min_sum, genie_u, hook):
+    """decode_sc_arikan's recursion on float64 LLRs or int8 trits, lam of
+    shape (N,) or (B, N); returns u_hat and x_hat (int8 on trits, else
+    int64) and failed."""
+    trits = lam.dtype == np.int8
     quiet = hook is None and genie_u is None
+    table_width, tables = 0, {}  # node tables by first input
+    if trits:
+        f_rule, g_rule, flip, bit_type = f_plus_trit, f_equal_trit, _flip_trit, np.int8
+        if quiet and len(mask) > 2:
+            table_width = min(TABLE_WIDTH, len(mask) // 2)
+            tables = _erasure_tables(mask, vals, table_width)
+            radix, center = _TRIT_RADIX[:table_width], 3**table_width // 2
+            u_rows, x_rows = _word_rows(table_width)
+    else:
+        f_rule, g_rule, flip, bit_type = f_plus_vec, f_equal_vec, _flip_float, np.int64
+    u_hat = np.empty(lam.shape, dtype=bit_type)
+    failed = np.zeros(lam.shape[:-1], dtype=bool)  # 0-d for one frame
 
     def rec(lam_d: np.ndarray, off: int) -> np.ndarray:
         # returns the re-encoded codeword of this node; decisions go to u_hat
-        if lam_d.shape[-1] == 1:
+        width = lam_d.shape[-1]
+        if width == table_width and off in tables:
+            # the node's own walk, looked up: its word holds its decisions
+            # and its failed mark
+            word = tables[off].take((lam_d @ radix).astype(np.intp) + center)
+            failed[...] |= word >> width > 0
+            u_hat[..., off : off + width] = u_rows.take(word, axis=0)
+            return x_rows.take(word, axis=0)
+        if width == 1:
             # hard decision ~(L >= 0), not L < 0: NaN decides 1, as decide() does
             at = slice(off, off + 1)
             if genie_u is not None:
@@ -152,7 +266,6 @@ def decode_sc_arikan(
             if hook is not None:
                 hook.decide(off, u, lam_d)
             return u
-        width = lam_d.shape[-1]
         even = lam_d[..., 0::2]
         odd = lam_d[..., 1::2]
         if quiet and width == 2 and mask[off]:
@@ -164,26 +277,21 @@ def decode_sc_arikan(
             if hook is not None:
                 hook.f(off, width, (even, odd), l1)
             x0 = rec(l1, off)
-        l2 = g_rule(np.where(x0 == 1, -even, even), odd, failed)
+        l2 = g_rule(flip(even, x0), odd, failed)
         if hook is not None:
             hook.g(off, width, (even, odd), l2, x0)
         x1 = rec(l2, off + width // 2)
-        x = np.empty(lam_d.shape, dtype=np.int64)
+        x = np.empty(lam_d.shape, dtype=bit_type)
         x[..., 0::2] = x0 ^ x1
         x[..., 1::2] = x1
         return x
 
     try:
-        x_hat = rec(lam, 0)
+        return u_hat, rec(lam, 0), failed
     finally:
         # rec refers to itself; dropping it frees its arrays and the hook
         # now rather than at some later cycle collection
         del rec
-    if lam.ndim == 1:
-        if failed:
-            raise LlrContradiction("opposite infinite LLRs combined at equality node")
-        failed = None
-    return ScResult(u_hat, x_hat, failed)
 
 
 # general-kernel path --------------------------------------------------------
@@ -215,6 +323,25 @@ def scores_to_llr(scores: np.ndarray) -> np.ndarray:
                 out[t] = np.log(ratio)
             else:
                 out[t] = np.log(s0) - np.log(st)
+    return out
+
+
+def _log_totals(logs: np.ndarray) -> np.ndarray:
+    """ln of the sum of exp(logs) over the last axis, -inf where every term
+    is -inf; no term over- or underflows on the way."""
+    top = logs.max(axis=-1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return (top + np.log(np.exp(logs - top).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+def _log_scores_to_llr(logs: np.ndarray) -> np.ndarray:
+    """scores_to_llr on the logs of the likelihood totals, with its
+    zero-likelihood conventions; the totals need not be representable."""
+    out = np.full(len(logs), np.inf)
+    live = logs > -np.inf
+    out[live] = logs[0] - logs[live]
+    out[0] = 0.0
     return out
 
 
@@ -342,12 +469,27 @@ def decode_sc_general(
         # most significant digit, so the words left once a glue group is
         # decided are one contiguous run, and the next group's totals are a
         # pairwise sum over each of its suffix rows
-        rest = np.take(w_blk.reshape(nb, ell * q), out_pos, axis=1).prod(axis=2)
+        factors = np.take(w_blk.reshape(nb, ell * q), out_pos, axis=1)
+        rest = factors.prod(axis=2)
+        # A product of nonzero factors can underflow to 0 and would read as
+        # an impossible word. A frame holding one carries the logs of its
+        # products instead, and only that frame, so no other changes a bit.
+        logs = None  # or the (nb,) mask of the frames that carry logs
+        if not rest.all():
+            under = ((rest == 0.0) & factors.all(axis=2)).any(axis=1)
+            if under.any():
+                logs = under
+                with np.errstate(divide="ignore"):
+                    rest[logs] = np.log(factors[logs]).sum(axis=2)
         for c, width, syms, allowed in groups:
             at = slice(off + c, off + c + width)
             rest = rest.reshape(nb, q**width, -1)
             scores = rest.sum(axis=2)
+            if logs is not None:
+                scores[logs] = _log_totals(rest[logs])
             peak = scores.max(axis=1)
+            if logs is not None:
+                peak[logs] = peak[logs] > -np.inf  # 0 where every value is impossible
             if not peak.all():  # scores are nonnegative: some frame's are all zero
                 # flat scores let a marked frame walk on, as _prep_outer's ones do
                 dead = peak == 0.0
@@ -359,11 +501,12 @@ def decode_sc_general(
                 t = genie_u[:, at] @ radix[ell - width :]
             else:
                 # the most likely value that honours the group's frozen pins
-                t = np.where(allowed[off // ell], scores, -1.0).argmax(axis=1)
+                t = np.where(allowed[off // ell], scores, -np.inf).argmax(axis=1)
                 u_hat[:, at] = syms[t]
             rest = rest[every, t]
             if hook is not None:
-                hook.decide(off + c, walk[0, at], scores_to_llr(scores[0]))
+                to_llr = _log_scores_to_llr if logs is not None and logs[0] else scores_to_llr
+                hook.decide(off + c, walk[0, at], to_llr(scores[0]))
         return kernel.table[walk[:, off : off + ell] @ radix]
 
     def rec(w_d: np.ndarray, off: int) -> np.ndarray:

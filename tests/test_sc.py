@@ -199,13 +199,15 @@ def _single_or_none(spec, lam, **kw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.data())
+@given(st.integers(1, 6), st.data())
 def test_sc_batch_failed_rows_match_single_calls(m, data):
     # a (B, N) call marks exactly the frames whose (N,) call raises, and
     # every other frame equals its single call, genie mode included. An
     # unobserved call (no hook), which walks erasure evidence on trits and
-    # without genie skips f under a frozen leaf, gives bit for bit what the
-    # float walk a recording hook observes gives, batch and single frame
+    # without genie skips f under a frozen leaf and looks nodes frozen to 0
+    # up in tables (at m = 6, under two walked levels), gives bit for bit
+    # what the float walk a recording hook observes gives, batch and single
+    # frame
     n = 2**m
     frozen = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1)))
     spec = CodeSpec(kernel_arikan(), m, frozen)
@@ -282,6 +284,101 @@ def test_sc_erasure_walk_skips_the_float_rules(monkeypatch):
             decode_sc_arikan(spec, bad, genie_u=u)
         with pytest.raises(FloatRule):
             decode_sc_arikan(spec, bad[2])
+
+
+def test_sc_erasure_tables_are_looked_up_by_unobserved_erasure_walks_only(monkeypatch):
+    # node tables serve an unobserved, non-genie walk on evidence of 0 and
+    # +-inf; a hook, a genie word, 1.5 or a NaN keeps the walk from them.
+    # The tables of a code are built once per process and then reused.
+    import polarbench.sc as sc
+
+    spec = construct_bec(6, 0.4, 0.5)
+    u, lam = draw_frames(spec, bec(0.4), 16, np.random.default_rng(5))
+    monkeypatch.setattr(sc, "_TABLES", {})
+    want = decode_sc_arikan(spec, lam, hook=Recorder())
+    got = decode_sc_arikan(spec, lam)
+    built = dict(sc._TABLES)
+    mask, vals = spec.frozen_arrays()
+    nodes = {tuple(row) for row in mask.reshape(-1, sc.TABLE_WIDTH)}
+    assert sum(width == sc.TABLE_WIDTH for width, _ in built) == len(nodes) == 6
+    assert not vals.any()
+    decode_sc_arikan(spec, lam)
+    decode_sc_arikan(spec, lam[3], min_sum=True)
+    assert sc._TABLES.keys() == built.keys()
+    assert all(sc._TABLES[key] is table for key, table in built.items())
+    for field in ("u_hat", "x_hat", "failed"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    class Lookup(Exception):
+        pass
+
+    class Refusing:
+        # a node table whose every read raises
+        def take(self, *args, **kwargs):
+            raise Lookup
+
+    def refusing_tables(mask, vals, width):
+        return dict.fromkeys(range(0, len(mask), width), Refusing())
+
+    monkeypatch.setattr(sc, "_erasure_tables", refusing_tables)
+    with pytest.raises(Lookup):
+        decode_sc_arikan(spec, lam)
+    with pytest.raises(Lookup):
+        decode_sc_arikan(spec, lam[0])
+    decode_sc_arikan(spec, lam, hook=Recorder())
+    decode_sc_arikan(spec, lam, genie_u=u)
+    decode_sc_arikan(spec, lam[0], genie_u=u[0])
+    for entry in (1.5, np.nan):
+        bad = lam.copy()
+        bad[2, 5] = entry
+        decode_sc_arikan(spec, bad)
+        _single_or_none(spec, bad[2])
+
+
+def _trit_inputs(width):
+    # every erasure input of a node, row i holding base-3 digit j of i as
+    # the LLR (-inf, 0, +inf)[digit] of input j
+    digits = np.indices((3,) * width).reshape(width, -1)[::-1].T
+    return np.array([-np.inf, 0.0, np.inf])[digits]
+
+
+def test_sc_erasure_tables_match_the_float_walk(arikan):
+    # every table a width-8 node frozen to 0 can have, on each of its 3**8
+    # inputs, holds what the observed float walk of that node gives
+    import polarbench.sc as sc
+
+    width = sc.TABLE_WIDTH
+    lam = _trit_inputs(width)
+    bits = 1 << np.arange(width)
+    for frozen in range(2**width):
+        spec = CodeSpec(arikan, 3, {i: 0 for i in range(width) if frozen >> i & 1})
+        want = decode_sc_arikan(spec, lam, hook=Recorder())
+        table = sc._erasure_table(width, frozen)
+        assert np.array_equal(table & 0xFF, want.u_hat @ bits), frozen
+        assert np.array_equal(table >> width == 1, want.failed), frozen
+        assert np.array_equal(sc._word_rows(width)[1][table], want.x_hat), frozen
+
+
+@pytest.mark.parametrize("frozen", [{}, {9: 0, 10: 0, 12: 0}, {i: 0 for i in range(16)}, {9: 0, 12: 1}])
+def test_sc_erasure_table_node_in_a_walk(arikan, frozen):
+    # LLRs 0 on the even inputs of an N = 16 code hand its right width-8
+    # node the odd inputs unchanged, so that node sees all 3**8 inputs. A
+    # node frozen to 0 is looked up there, one with a frozen 1 is walked;
+    # the unobserved walk equals the observed float walk either way, failed
+    # rows included
+    import polarbench.sc as sc
+
+    spec = CodeSpec(arikan, 4, frozen)
+    lam = np.zeros((3**8, 16))
+    lam[:, 1::2] = _trit_inputs(8)
+    tables = sc._erasure_tables(*spec.frozen_arrays(), 8)
+    assert (8 in tables) == (1 not in frozen.values())
+    want = decode_sc_arikan(spec, lam, hook=Recorder())
+    got = decode_sc_arikan(spec, lam)
+    for field in ("u_hat", "x_hat", "failed"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    # only frozen inputs make opposite certainties meet
+    assert want.failed.any() == bool(frozen)
 
 
 def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
@@ -525,11 +622,17 @@ def test_general_huge_rows_do_not_overflow():
     rec = Recorder()
     with np.errstate(over="raise"):
         res = decode_sc_general(spec, rows, hook=rec)
-    (i, u, llr), _ = rec.decisions
+    (i, u, llr), (j, v, llr2) = rec.decisions
     assert (i, len(u)) == (0, 1)
     # scores of u0 = 0, 1, 2: 1e600 + 1, 1e300 + 1, 2e300
     assert np.all(np.isfinite(llr))
     assert llr == pytest.approx([0.0, 300 * np.log(10), 300 * np.log(10) - np.log(2)])
+    # given u0 = 0, the scores of u1 = 0, 1, 2 are 1e600, 0 and 1: the
+    # scaled rows make the last a product of two entries near 1e-300, which
+    # underflows, yet value 2 is possible and only value 1 is not
+    assert (j, v.tolist()) == (1, [0])
+    assert llr2[:2].tolist() == [0.0, np.inf]
+    assert llr2[2] == pytest.approx(600 * np.log(10))
     assert res.u_hat.tolist() == [0, 0]
 
 
