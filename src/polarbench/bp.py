@@ -12,28 +12,29 @@ Infinite messages of opposite sign can meet on erasure-type evidence; BP
 resolves the conflict to 0, raises a flag, and keeps going, so decoding
 failures surface as flags rather than exceptions.
 
-One frame or a batch: LLRs of shape (N,) or (B, N). The sweep runs over
-the last axis, so every array of BpState takes the batch axis first and
-the contradiction flag becomes a (B,) array. Every message depends on its
-own frame alone, and bp_decode sweeps only the frames that have not yet
-stopped, so each row of a batch result equals a single-frame call on that
-row: decisions, iteration count, convergence and contradiction. The
-size-2 base step stays scalar, row by row, on Python floats: numpy's SIMD
-exp and log1p can round differently from math.exp and math.log1p in the
-last bit, and the scalar loop is also the faster one at this size.
+One frame is a batch of one. Every array of BpState takes the batch axis
+first, (B, .), and the contradiction flag is a (B,) array; the sweep runs
+over the last axis. Every message depends on its own frame alone, and
+bp_decode sweeps only the frames that have not yet stopped, so each row
+of a batch result equals a single-frame call on that row: decisions,
+iteration count, convergence and contradiction. The size-2 base step
+stays scalar, row by row, on Python floats: numpy's SIMD exp and log1p
+can round differently from math.exp and math.log1p in the last bit, and
+the scalar loop is also the faster one at this size.
 
 The sweep is also the schedule of the hardware BP line model: an optional
 tick(depth, node, op, outputs) is called once per message operation, in
-sweep order, for one frame only. The size-2 base step ticks u0, u1, x0, x1
-after its scalar updates; every other node ticks e1a0 and u_out before its
-first child, a0e1 and v_out before its second, then e1a0, x0_out and
-x1_out. A tick only observes; node ids follow 2 * parent + child.
+sweep order, and only on a batch of one frame. The size-2 base step ticks
+u0, u1, x0, x1 after its scalar updates; every other node ticks e1a0 and
+u_out before its first child, a0e1 and v_out before its second, then
+e1a0, x0_out and x1_out. A tick only observes; node ids follow
+2 * parent + child.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,81 +62,59 @@ class BpResult:
 
 @dataclass
 class BpState:
-    """Everything BP keeps between and during sweeps.
+    """Everything BP keeps between and during sweeps, for B frames.
 
-    mu_v[d] persists across iterations (slot r*(N_d/2)+i for butterfly i of
-    node r at depth d); at the deepest depth it holds the odd-coordinate
-    priors and is never rewritten. mu_u, u_msg and x_out are scratch,
-    rewritten every sweep; scrub_transients poisons them to prove nothing
-    else persists. For a batch every array has a leading frame axis,
-    contradiction is a (B,) bool array and message_updates counts the
-    updates of every frame swept.
+    Every array has the frame axis first. Only mu_v persists across
+    sweeps: mu_v[d][:, r*(N_d/2)+i] for butterfly i of node r at depth
+    d; at the deepest depth it holds the odd-coordinate priors and is never
+    rewritten. u_msg and x_out are rewritten every sweep;
+    scrub_transients poisons them to prove nothing else persists.
+    contradiction is (B,), and message_updates counts the updates of
+    every frame swept.
     """
 
     m: int
-    n: int
     priors: np.ndarray
-    mu_v: list = field(default_factory=list)
-    mu_u: list = field(default_factory=list)
-    u_msg: np.ndarray = None
-    x_out: np.ndarray = None
+    mu_v: list
+    u_msg: np.ndarray
+    x_out: np.ndarray
+    contradiction: np.ndarray
     message_updates: int = 0
-    contradiction: bool | np.ndarray = False
     min_sum: bool = False
 
     def scrub_transients(self):
-        for arr in self.mu_u:
-            arr.fill(np.nan)
         self.u_msg.fill(np.nan)
         self.x_out.fill(np.nan)
 
     def take(self, rows: np.ndarray) -> "BpState":
-        """A batch state holding copies of the given frames of this batch
-        state, with message_updates counting from 0."""
-        return BpState(
-            m=self.m, n=self.n, priors=self.priors,
-            mu_v=[v[rows] for v in self.mu_v], mu_u=[u[rows] for u in self.mu_u],
-            u_msg=self.u_msg[rows], x_out=self.x_out[rows],
-            contradiction=self.contradiction[rows], min_sum=self.min_sum,
-        )
+        """A state holding copies of the given frames, with message_updates
+        counting from 0."""
+        return BpState(self.m, self.priors, [v[rows] for v in self.mu_v], self.u_msg[rows],
+                       self.x_out[rows], self.contradiction[rows], min_sum=self.min_sum)
 
     def put(self, rows: np.ndarray, sub: "BpState") -> None:
         """Write back the frames of a state made by take(rows), and add its
         message_updates."""
-        for dst, src in zip(self.mu_v + self.mu_u, sub.mu_v + sub.mu_u):
+        for dst, src in zip(self.mu_v, sub.mu_v):
             dst[rows] = src
         self.u_msg[rows] = sub.u_msg
         self.x_out[rows] = sub.x_out
         self.contradiction[rows] = sub.contradiction
         self.message_updates += sub.message_updates
 
-    def flag(self, rows) -> None:
-        """Record a contradiction in the given frames of a batch (a mask or
-        row indices); a single-frame state ignores rows."""
-        if np.ndim(self.contradiction):
-            self.contradiction[rows] = True
-        else:
-            self.contradiction = True
 
-
-def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int | None = None) -> BpState:
-    """Fresh state for one frame, or for `batch` frames when it is given."""
+def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int = 1) -> BpState:
+    """Fresh state for `batch` frames; one frame is a batch of one."""
     if not spec.kernel.is_arikan:
         raise ValueError("belief propagation is defined for the (u+v, v) kernel")
     m, n = spec.m, spec.n
-    lead = () if batch is None else (batch,)
     mask, vals = spec.frozen_arrays()
     priors = np.zeros(n, dtype=np.float64)
     priors[mask] = np.where(vals[mask] == 0, np.inf, -np.inf)
-    st = BpState(m=m, n=n, priors=priors, min_sum=min_sum)
-    st.mu_v = [np.zeros(lead + (n // 2,)) for _ in range(m)]
-    st.mu_v[m - 1][:] = priors[1::2]
-    st.mu_u = [np.zeros(lead + (n // 2,)) for _ in range(m)]
-    st.u_msg = np.zeros(lead + (n,))
-    st.x_out = np.zeros(lead + (n,))
-    if batch is not None:
-        st.contradiction = np.zeros(batch, dtype=bool)
-    return st
+    mu_v = [np.zeros((batch, n // 2)) for _ in range(m)]
+    mu_v[m - 1][:] = priors[1::2]
+    return BpState(m, priors, mu_v, np.zeros((batch, n)), np.zeros((batch, n)),
+                   np.zeros(batch, dtype=bool), min_sum=min_sum)
 
 
 def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +126,7 @@ def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a NaN sum of two infinities is a conflict; other NaNs came in as NaN
         conflict = nan & np.isinf(a) & np.isinf(b)
         if conflict.any():
-            state.flag(conflict.any(axis=-1))
+            state.contradiction[conflict.any(axis=-1)] = True
             s[conflict] = 0.0
     return np.where(np.isfinite(s), np.minimum(np.maximum(s, -BP_CLIP), BP_CLIP), s)
 
@@ -174,7 +153,7 @@ def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.nda
         u.append((fp(a, e1a0), _combine_scalar(hits, row, a0e1, b)))
         x.append((fp(e1a0, pe), _combine_scalar(hits, row, a0e1, po)))
     if hits:
-        state.flag(hits)
+        state.contradiction[hits] = True
     state.u_msg[..., 2 * r : 2 * r + 2] = np.array(u).reshape(x_in.shape)
     state.message_updates += 3 * x_in.size
     if tick is not None:
@@ -189,8 +168,10 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
 
     half = x_in.shape[-1] // 2
     sl = slice(r * half, (r + 1) * half)
-    x0 = x_in[..., 0::2]
-    x1 = x_in[..., 1::2]
+    # contiguous copies: ufuncs on strided (B, .) views take numpy's slower
+    # path, and the node reads x0 and x1 five times
+    x0 = np.ascontiguousarray(x_in[..., 0::2])
+    x1 = np.ascontiguousarray(x_in[..., 1::2])
     ms = state.min_sum
 
     e1a0 = _combine_vec(state, state.mu_v[d][..., sl], x1)
@@ -199,7 +180,6 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "u_out", u_out)
     mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
-    state.mu_u[d][..., sl] = mu_u
     a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
     if tick is not None:
@@ -224,12 +204,12 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
 
 def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
     """One full sweep. Channel LLRs enter unchanged at the top, with the
-    shape of the state: (N,) or (B, N). tick, if given, sees every message
-    operation of a single frame (see the module docstring)."""
+    state's shape (B, N). tick, if given, sees every message operation of
+    a batch of one frame (see the module docstring)."""
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != state.x_out.shape:
         raise ValueError(f"llr shape {llr.shape} does not match the state's {state.x_out.shape}")
-    if tick is not None and state.x_out.ndim != 1:
+    if tick is not None and len(llr) != 1:
         raise ValueError("tick observes a single frame; a batch sweep takes none")
     with np.errstate(invalid="ignore"):
         state.x_out[...] = _sweep(state, 0, 0, llr, tick)

@@ -25,6 +25,7 @@ from .kernels import (
     code_depth,
     dump_codespec,
     encode,
+    kernel_arikan,
     kernel_linear,
     load_codespec,
     load_kernel,
@@ -107,13 +108,18 @@ def _write_out(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_numbers(path: str, conv) -> list:
-    """conv of each whitespace-separated token; a bad token is a usage error."""
+def _load_file(path: str, loader):
+    """loader(text of path); a malformed file is a usage error."""
     try:
         with open(path) as fh:
-            return [conv(t) for t in fh.read().split()]
+            return loader(fh.read())
     except ValueError as e:  # UnicodeDecodeError included
         raise SystemExit(f"error: {path}: {e}")
+
+
+def _read_numbers(path: str, conv) -> list:
+    """conv of each whitespace-separated token; a bad token is a usage error."""
+    return _load_file(path, lambda text: [conv(t) for t in text.split()])
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -128,39 +134,23 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not argv:
         raise SystemExit("error: --config requires a subcommand")
     inject: list[str] = []
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise SystemExit(f"error: bad config line {line!r}")
-                flag = "--" + key.strip().replace("_", "-")
-                val = val.strip()
-                if val.lower() in ("true", "yes"):
-                    inject.append(flag)
-                elif val.lower() in ("false", "no"):
-                    continue
-                else:
-                    inject.extend([flag, val])
-    except UnicodeDecodeError as e:
-        raise SystemExit(f"error: {path}: {e}")
+    for raw in _load_file(path, lambda text: text.split("\n")):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise SystemExit(f"error: bad config line {line!r}")
+        flag = "--" + key.strip().replace("_", "-")
+        val = val.strip()
+        if val.lower() in ("true", "yes"):
+            inject.append(flag)
+        elif val.lower() not in ("false", "no"):
+            inject.extend([flag, val])
     return [argv[0]] + inject + argv[1:]
 
 
 # subcommand handlers --------------------------------------------------------
-
-
-def _load_file(path: str, loader):
-    """loader(text of path); a malformed file is a usage error."""
-    try:
-        with open(path) as fh:
-            return loader(fh.read())
-    except ValueError as e:  # UnicodeDecodeError included
-        raise SystemExit(f"error: {path}: {e}")
-
 
 def _check_kernel(kernel: Kernel, decoder: str, channel: bool, min_sum: bool = False) -> None:
     """Refuse a kernel the command cannot take: channel trials (simulate and
@@ -180,28 +170,22 @@ def cmd_construct(args) -> int:
         kernel = _load_file(args.kernel, load_kernel)
         if args.m is None:
             raise SystemExit("error: --kernel needs --m")
-        m = args.m
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
         _check_kernel(kernel, "sc", channel=True)  # the genie decoder is SC
-        spec = construct_montecarlo(
-            kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
-        )
+        m = args.m
     else:
         if args.N is None:
             raise SystemExit("error: give --N or --kernel")
-        m = _depth(args.N, 2)
-        if args.mc_trials > 0:
-            from .kernels import kernel_arikan
-
-            spec = construct_montecarlo(
-                kernel_arikan(), m, args.channel, args.rate, args.mc_trials,
-                np.random.default_rng(seed),
-            )
-        else:
-            if args.channel.kind != "bec":
-                raise SystemExit("error: analytic construction covers bec only; use --mc-trials")
-            spec = construct_bec(m, args.channel.param, args.rate)
+        kernel, m = kernel_arikan(), _depth(args.N, 2)
+    if args.mc_trials > 0:
+        spec = construct_montecarlo(
+            kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
+        )
+    elif args.channel.kind != "bec":
+        raise SystemExit("error: analytic construction covers bec only; use --mc-trials")
+    else:
+        spec = construct_bec(m, args.channel.param, args.rate)
     _write_out(args.out, dump_codespec(spec))
     return 0
 
@@ -270,15 +254,12 @@ def cmd_hwsim(args) -> int:
 
     if arch in ("sc_pipeline", "sc_line", "sc_limited"):
         run = hwsim.run_sc(spec, rng.normal(0, 2, n), arch=arch, i_param=args.i, trace=want_trace)
-        report, trace = run.report, run.trace
     elif arch == "sc_multi":
         p = args.p if args.p else n - 1
         lams = [rng.normal(0, 2, n) for _ in range(p)]
         run = hwsim.run_sc_multi(spec, lams, trace=want_trace)
-        report, trace = run.report, run.trace
     elif arch == "bp_line":
         run = hwsim.run_bp_line(spec, rng.normal(0, 2, n), iterations=args.iters, trace=want_trace)
-        report, trace = run.report, run.trace
     else:
         q = spec.kernel.q
         if q == 2:
@@ -286,14 +267,13 @@ def cmd_hwsim(args) -> int:
         else:
             rows = rng.random((n, q)) + 1e-3
         run = hwsim.run_general_line(spec, rows, trace=want_trace)
-        report, trace = run.report, run.trace
 
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(run.report.to_text())
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(trace.to_text())
+            fh.write(run.trace.to_text())
     if args.check_formulas:
-        mismatches = hwsim.check_formulas(report)
+        mismatches = hwsim.check_formulas(run.report)
         for line in mismatches:
             sys.stderr.write(f"formula mismatch -- {line}\n")
         if mismatches:

@@ -6,6 +6,7 @@ from ..kernels import code_depth
 from .bp_line import BpLineRun, run_bp_line
 from .core import (
     CycleReport,
+    HwRun,
     TraceLog,
     formulas_bp_line,
     formulas_general_line,
@@ -15,8 +16,8 @@ from .core import (
     formulas_sc_pipeline,
     general_line_true_cycles,
 )
-from .general_line import GeneralLineRun, run_general_line
-from .sc_arch import PartialSumMismatch, ScHwRun, ScMultiRun, run_sc, run_sc_multi
+from .general_line import run_general_line
+from .sc_arch import PartialSumMismatch, ScMultiRun, run_sc, run_sc_multi
 
 SC_ARCHS = ("sc_pipeline", "sc_line", "sc_limited")
 
@@ -51,10 +52,9 @@ def check_formulas(report: CycleReport) -> list[str]:
 __all__ = [
     "BpLineRun",
     "CycleReport",
-    "GeneralLineRun",
+    "HwRun",
     "PartialSumMismatch",
     "SC_ARCHS",
-    "ScHwRun",
     "ScMultiRun",
     "TraceLog",
     "check_formulas",

@@ -1,7 +1,8 @@
 """Cycle model of a folded line of belief-propagation units.
 
 One unit per tree depth, each owning the persistent child-1 message bank
-for its level (N/2 cells, so (N/2) log2 N total). A sweep walks the tree
+for its level (N/2 cells, so (N/2) log2 N total): mu_v is the only part
+of BP's state that persists across sweeps. A sweep walks the tree
 exactly like the software pass; the size-2 base step is an atomic
 four-cycle quantum, every other node spends 2 + 2 + 3 cycles around its
 child visits, which telescopes to (11N - 14)/2 cycles per iteration.
@@ -10,8 +11,10 @@ Units are addressed in the trace as u<depth>.r<id> where a node's id is
 2 * parent_id + (0 for the check-side child, 1 for the variable-side one).
 The model has no sweep of its own: it is the tick hook of the software
 sweep (bp_iteration), which reports each message operation in order, and
-it spends one cycle per operation. So after any number of iterations the
-state matches the software decoder run with stopping disabled.
+it spends one cycle per operation. The model runs BP's state as a batch
+of one frame, the one shape the software decoder has, so after any number
+of iterations that state matches the software decoder run with stopping
+disabled.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class _BpLineEngine:
 
     def tick(self, d: int, r: int, op: str, outs):
         if self.trace.enabled:
-            self.trace.fire(self.cycle, f"u{d}.r{r}", op, [], np.atleast_1d(outs))
+            self.trace.fire(self.cycle, f"u{d}.r{r}", op, [], np.ravel(outs))
         self.cycle += 1
 
 
@@ -58,7 +61,7 @@ def run_bp_line(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = spec.n
-    lam = channel_llr(spec, llr)
+    lam = channel_llr(spec, llr)[None]
     mask, vals = spec.frozen_arrays()
 
     eng = _BpLineEngine(spec, min_sum=min_sum, trace=trace)
@@ -79,9 +82,10 @@ def run_bp_line(
         arch="bp_line",
         n=n,
         cycles=eng.cycle,
-        mem_cells=sum(len(v) for v in st.mu_v),
+        mem_cells=sum(v.shape[-1] for v in st.mu_v),
         units=spec.m,
         iterations=iterations,
         extra={"cycles_per_iteration": per_iter},
     )
-    return BpLineRun(u_hat, x_hat, iterations, st.contradiction, report, eng.trace, st)
+    return BpLineRun(u_hat[0], x_hat[0], iterations, bool(st.contradiction[0]), report,
+                     eng.trace, st)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CycleReport:
@@ -56,6 +58,16 @@ class TraceLog:
         for row in self.rows:
             lines.append(",".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
+
+
+@dataclass
+class HwRun:
+    """Decisions of one frame with the report and trace of the model run."""
+
+    u_hat: np.ndarray
+    x_hat: np.ndarray
+    report: CycleReport
+    trace: TraceLog
 
 
 def _fmt(values) -> str:

@@ -23,23 +23,12 @@ re-encoded through the kernel table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..kernels import CodeSpec
 from ..sc import UnsupportedCodeError, decode_sc_general
-from .core import CycleReport, TraceLog
+from .core import CycleReport, HwRun, TraceLog
 from .sc_arch import PartialSumMismatch
-
-
-@dataclass
-class GeneralLineRun:
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    report: CycleReport
-    trace: TraceLog
-
 
 class _GeneralLineEngine:
     def __init__(self, spec: CodeSpec, trace: bool):
@@ -93,7 +82,7 @@ class _GeneralLineEngine:
             self.acc[depth - 1] = contrib if r == 0 else self.add_table[self.acc[depth - 1], contrib]
 
 
-def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> GeneralLineRun:
+def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> HwRun:
     n, ell = spec.n, spec.kernel.ell
     eng = _GeneralLineEngine(spec, trace)
     res = decode_sc_general(spec, rows, hook=eng)
@@ -105,4 +94,4 @@ def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> G
         llr_regs=(n - ell) // (ell - 1),
         extra={"ell": ell},
     )
-    return GeneralLineRun(res.u_hat, res.x_hat, report, eng.trace)
+    return HwRun(res.u_hat, res.x_hat, report, eng.trace)

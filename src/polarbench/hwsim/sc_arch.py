@@ -35,7 +35,7 @@ import numpy as np
 from ..kernels import CodeSpec, encode_unchecked
 from ..llrops import LlrContradiction
 from ..sc import decode_sc_arikan
-from .core import CycleReport, TraceLog
+from .core import CycleReport, HwRun, TraceLog
 
 _ARIKAN_GMAT: dict[int, np.ndarray] = {}
 
@@ -50,14 +50,6 @@ def _arikan_gmat(kernel, width: int) -> np.ndarray:
 
 class PartialSumMismatch(AssertionError):
     """A flip-flop bank disagreed with the re-encoded left half."""
-
-
-@dataclass
-class ScHwRun:
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    report: CycleReport
-    trace: TraceLog
 
 
 class _ScEngine:
@@ -151,7 +143,7 @@ def run_sc(
     i_param: int = 1,
     min_sum: bool = False,
     trace: bool = False,
-) -> ScHwRun:
+) -> HwRun:
     eng = _ScEngine(spec, arch, i_param=i_param, min_sum=min_sum, trace=trace)
     u_hat, x_hat = eng.run(llr)
     extra = {}
@@ -167,7 +159,7 @@ def run_sc(
         ps_flops=eng.ps_flops,
         extra=extra,
     )
-    return ScHwRun(u_hat, x_hat, report, eng.trace)
+    return HwRun(u_hat, x_hat, report, eng.trace)
 
 
 def _contention(inst_ids: np.ndarray, cycles: np.ndarray, p: int, total: int) -> int:
@@ -220,26 +212,20 @@ def run_sc_multi(
         bad = np.flatnonzero(res.failed).tolist()
         raise LlrContradiction(f"evidence of codewords {bad} contradicts itself")
     results = list(zip(res.u_hat, res.x_hat))
-    sched = eng.sched
 
     tl = TraceLog(trace)
     if tl.enabled:
         for c in range(p):
-            for depth, t in sched:
+            for depth, t in eng.sched:
                 tl.fire(t + c, f"inst{depth}.{t % (n - 1)}", "act", [c], [])
 
-    cycles = np.array([t for _, t in sched])
-    inst_keys = sorted({(int(d), int(t) % (n - 1)) for d, t in sched})
-    inst_index = {k: j for j, k in enumerate(inst_keys)}
-    inst_ids = np.array([inst_index[(int(d), int(t) % (n - 1))] for d, t in sched])
+    # instance (depth, t mod (N-1)) as one key; unique keys sort by depth first
+    depths, cycles = np.array(eng.sched).T
+    keys, inst_ids = np.unique(depths * (n - 1) + cycles % (n - 1), return_inverse=True)
+    inst_depth = keys // (n - 1)
     total_cycles = int(cycles.max()) + p
     contention = _contention(inst_ids, cycles, p, total_cycles)
-
-    per_level = {}
-    for d, r in inst_keys:
-        per_level[d] = per_level.get(d, 0) + 1
-    inst_width = {j: spec.n // 2 ** (k[0] + 1) for j, k in enumerate(inst_keys)}
-    pe_count = p + sum(inst_width.values())
+    pe_count = p + int((n >> (inst_depth + 1)).sum())
 
     report = CycleReport(
         arch="sc_multi",
@@ -249,6 +235,6 @@ def run_sc_multi(
         llr_regs=p * (n - 1),
         codewords=p,
         contention=contention,
-        extra={f"instances_d{d}": c for d, c in sorted(per_level.items())},
+        extra={f"instances_d{d}": int(c) for d, c in enumerate(np.bincount(inst_depth))},
     )
     return ScMultiRun(results, report, tl)

@@ -1,7 +1,8 @@
 """Brute-force references: exhaustive ML decoding and exact marginal LLRs.
 
-Deliberately independent of the production decoders: plain Python loops,
-itertools enumeration, math.fsum accumulation. Slow on purpose; used to
+Deliberately independent of the production decoders: every hypothesis
+is enumerated, encoded and scored on its own, and totals are accumulated
+with math.fsum. Exponential on purpose, behind a size guard; used to
 freeze expected values for the test suite and to check list decoders.
 """
 
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .kernels import CodeSpec, encode_unchecked
+from polarbench.kernels import CodeSpec, encode_unchecked
 
 ORACLE_LIMIT = 1 << 20  # max enumerated hypotheses
 
@@ -107,28 +108,25 @@ def marginal_llr_bruteforce(
     q = spec.kernel.q
     n = spec.n
     rows = np.asarray(likelihood_rows, dtype=np.float64)
-    free_after = [i for i in range(target + 1, n)]
-    if q ** len(free_after) > ORACLE_LIMIT:
+    n_tail = n - target - 1
+    if q**n_tail > ORACLE_LIMIT:
         raise OracleTooLarge("too many free coordinates to sum over")
 
+    # one input word per tail: every coordinate after target enumerated
+    tails = list(itertools.product(range(q), repeat=n_tail))
+    u = np.zeros((len(tails), n), dtype=np.int64)
+    for i, v in decided.items():
+        u[:, i] = v
+    u[:, target + 1 :] = np.reshape(tails, (len(tails), n_tail))
     totals = []
     for t in range(q):
-        terms = []
-        for tail in itertools.product(range(q), repeat=len(free_after)):
-            u = np.zeros(n, dtype=np.int64)
-            for i, v in decided.items():
-                u[i] = v
-            u[target] = t
-            for i, v in zip(free_after, tail):
-                u[i] = v
-            x = encode_unchecked(spec.kernel, u)
-            prod = 1.0
-            for j in range(n):
-                prod *= rows[j, int(x[j])]
-                if prod == 0.0:
-                    break
-            terms.append(prod)
-        totals.append(math.fsum(terms))
+        u[:, target] = t
+        x = encode_unchecked(spec.kernel, u)
+        # each word's product of likelihoods, left to right; a zero stays zero
+        prod = np.ones(len(u))
+        for j in range(n):
+            np.multiply(prod, rows[j, x[:, j]], out=prod, where=prod != 0.0)
+        totals.append(math.fsum(prod.tolist()))
 
     out = np.zeros(q, dtype=np.float64)
     s0 = totals[0]

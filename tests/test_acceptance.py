@@ -35,11 +35,11 @@ from polarbench.kernels import (
     kernel_linear,
 )
 from polarbench.montecarlo import run_trials
-from polarbench.oracle import ml_decode
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 from polarbench.scl import decode_scl
 
 from conftest import G4, Recorder
+from oracle import ml_decode
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -267,17 +267,18 @@ def test_criterion4_bp_invariants():
         llr = np.array([v if rng.random() > 0.45 else 0.0 for v in np.where(x == 0, np.inf, -np.inf)])
         st = bp_state(spec)
         for _ in range(4):
-            bp_iteration(st, llr)
+            seen = set()  # every message value the sweep computes
+            bp_iteration(st, llr[None], tick=lambda d, r, op, outs: seen.update(np.ravel(outs).tolist()))
+            assert seen <= closed
             for d in range(st.m):
-                assert set(st.mu_v[d].tolist()) <= closed
-                assert set(st.mu_u[d].tolist()) <= closed
-            assert set(st.u_msg.tolist()) <= closed
-            assert set(st.x_out.tolist()) <= closed
+                assert set(st.mu_v[d].ravel().tolist()) <= closed
+            assert set(st.u_msg.ravel().tolist()) <= closed
+            assert set(st.x_out.ravel().tolist()) <= closed
 
     # (b) only the v-side messages persist: poisoning all other storage
     # between iterations changes nothing
     spec32 = _rate_half(5)
-    llr = np.random.default_rng(41).normal(0, 2, 32)
+    llr = np.random.default_rng(41).normal(0, 2, 32)[None]
     st_a, st_b = bp_state(spec32), bp_state(spec32)
     for _ in range(5):
         bp_iteration(st_a, llr)
@@ -295,7 +296,7 @@ def test_criterion4_bp_invariants():
         spec_m = CodeSpec(kernel_arikan(), m, {})
         n = spec_m.n
         st = bp_state(spec_m)
-        bp_iteration(st, np.zeros(n))
+        bp_iteration(st, np.zeros((1, n)))
         assert st.message_updates == (n // 2) * (7 * (m - 1) + 6), m
     dt = time.perf_counter() - t0
     _report(

@@ -34,10 +34,12 @@ def test_bp_state_layout(arikan):
     spec = CodeSpec(kernel=arikan, m=3, frozen={0: 0, 1: 1})
     st = bp_state(spec)
     assert len(st.mu_v) == 3
-    assert all(len(v) == 4 for v in st.mu_v)
+    assert all(v.shape == (1, 4) for v in st.mu_v)  # one frame is a batch of one
+    assert st.u_msg.shape == st.x_out.shape == (1, 8)
+    assert st.contradiction.shape == (1,)
     # deepest-level v-messages hold the odd-coordinate priors
-    assert st.mu_v[2][0] == -np.inf  # coordinate 1 pinned to value 1
-    assert list(st.mu_v[2][1:]) == [0.0, 0.0, 0.0]
+    assert st.mu_v[2][0, 0] == -np.inf  # coordinate 1 pinned to value 1
+    assert list(st.mu_v[2][0, 1:]) == [0.0, 0.0, 0.0]
     assert st.priors[0] == np.inf
     assert st.priors[1] == -np.inf
     assert list(st.priors[2:]) == [0.0] * 6
@@ -48,10 +50,10 @@ def test_bp_n2_single_iteration_semantics(arikan):
     spec = CodeSpec(kernel=arikan, m=1, frozen={0: 0})
     lam = np.array([1.3, -0.4])
     st = bp_state(spec)
-    bp_iteration(st, lam)
-    assert st.u_msg[0] == pytest.approx(f_plus(1.3, -0.4))
+    bp_iteration(st, lam[None])
+    assert st.u_msg[0, 0] == pytest.approx(f_plus(1.3, -0.4))
     # u1 message: prior(u0) boxplus lam0, plus lam1
-    assert st.u_msg[1] == pytest.approx(f_plus(np.inf, 1.3) + (-0.4))
+    assert st.u_msg[0, 1] == pytest.approx(f_plus(np.inf, 1.3) + (-0.4))
     assert st.message_updates == 6
 
 
@@ -67,6 +69,11 @@ def test_bp_decode_noiseless(arikan, rng):
     assert not res.contradiction
 
 
+def message_values(seen: set):
+    """A tick that records every value of every message the sweep computes."""
+    return lambda d, r, op, outs: seen.update(np.ravel(outs).tolist())
+
+
 def test_bp_bec_closure(arikan):
     # on erasure evidence every message stays in {0, +-inf}: after any
     # number of iterations no finite nonzero value appears anywhere
@@ -78,12 +85,13 @@ def test_bp_bec_closure(arikan):
     st = bp_state(spec)
     closed = {0.0, math.inf, -math.inf}
     for _ in range(6):
-        bp_iteration(st, llr)
+        seen = set()
+        bp_iteration(st, llr[None], tick=message_values(seen))
+        assert seen <= closed
         for d in range(st.m):
-            assert set(np.asarray(st.mu_v[d]).tolist()) <= closed
-            assert set(np.asarray(st.mu_u[d]).tolist()) <= closed
-        assert set(st.u_msg.tolist()) <= closed
-        assert set(st.x_out.tolist()) <= closed
+            assert set(st.mu_v[d].ravel().tolist()) <= closed
+        assert set(st.u_msg.ravel().tolist()) <= closed
+        assert set(st.x_out.ravel().tolist()) <= closed
 
 
 def test_bp_bec_resolved_bits_are_correct(arikan):
@@ -98,9 +106,9 @@ def test_bp_bec_resolved_bits_are_correct(arikan):
         llr = transmit(bec(0.4), x, rng)
         st = bp_state(spec)
         for _ in range(12):
-            bp_iteration(st, llr)
-        resolved = np.isinf(st.u_msg)
-        assert np.array_equal(st.u_msg[resolved] < 0, u[resolved] == 1)
+            bp_iteration(st, llr[None])
+        resolved = np.isinf(st.u_msg[0])
+        assert np.array_equal(st.u_msg[0][resolved] < 0, u[resolved] == 1)
 
 
 def test_bp_only_mu_v_persists(arikan):
@@ -110,7 +118,7 @@ def test_bp_only_mu_v_persists(arikan):
     rng = np.random.default_rng(5)
     u = spec.assemble(rng.integers(0, 2, 8))
     x = encode(spec, u)
-    llr = transmit(bec(0.4), x, rng)
+    llr = transmit(bec(0.4), x, rng)[None]
 
     st_plain = bp_state(spec)
     st_scrub = bp_state(spec)
@@ -131,9 +139,9 @@ def test_bp_message_count_audit(arikan):
         spec = CodeSpec(kernel=arikan, m=m, frozen={})
         n = spec.n
         st = bp_state(spec)
-        bp_iteration(st, np.zeros(n))
+        bp_iteration(st, np.zeros((1, n)))
         assert st.message_updates == (n // 2) * (7 * (m - 1) + 6)
-        bp_iteration(st, np.zeros(n))
+        bp_iteration(st, np.zeros((1, n)))
         assert st.message_updates == 2 * (n // 2) * (7 * (m - 1) + 6)
 
 
@@ -143,10 +151,10 @@ def test_bp_matches_sc_on_first_bit(arikan, rng):
     spec = spec_all_free(arikan, 3)
     llr = random_llr(rng, 8)
     st = bp_state(spec)
-    bp_iteration(st, llr)
+    bp_iteration(st, llr[None])
     rec = Recorder()
     decode_sc_arikan(spec, llr, hook=rec)
-    assert st.u_msg[0] == pytest.approx(rec.llrs()[0], abs=1e-9)
+    assert st.u_msg[0, 0] == pytest.approx(rec.llrs()[0], abs=1e-9)
 
 
 def test_bp_stop_rules(arikan, rng):
@@ -186,7 +194,7 @@ def test_bp_contradiction_flag_not_exception(arikan):
 def test_bp_clips_finite_messages(arikan):
     spec = CodeSpec(kernel=arikan, m=2, frozen={0: 0})
     st = bp_state(spec)
-    bp_iteration(st, np.array([39.0, 39.0, 39.0, 39.0]))
+    bp_iteration(st, np.array([[39.0, 39.0, 39.0, 39.0]]))
     finite = st.u_msg[np.isfinite(st.u_msg)]
     assert np.all(np.abs(finite) <= BP_CLIP)
     # infinities pass through the clamp untouched
@@ -207,8 +215,8 @@ def test_bp_decisions_pin_frozen(arikan):
     spec = CodeSpec(kernel=arikan, m=2, frozen={0: 0, 1: 1})
     mask, vals = spec.frozen_arrays()
     st = bp_state(spec)
-    bp_iteration(st, np.array([0.5, -0.5, 0.25, -0.25]))
-    u = _decisions(st, mask, vals)
+    bp_iteration(st, np.array([[0.5, -0.5, 0.25, -0.25]]))
+    u = _decisions(st, mask, vals)[0]
     assert u[0] == 0 and u[1] == 1
 
 
@@ -269,12 +277,12 @@ def _pin_case(kind, n):
     return spec, lam
 
 
-def _message_digest(st, row=None):
-    # one frame's bytes: the whole state, or one row of a batch state
+def _message_digest(st, row):
+    # the bytes of one frame (row) of a state
     h = hashlib.sha256()
     for arr in (st.u_msg, st.x_out, *st.mu_v):
-        h.update(np.ascontiguousarray(arr if row is None else arr[row]).tobytes())
-    h.update(bytes([bool(st.contradiction if row is None else st.contradiction[row])]))
+        h.update(np.ascontiguousarray(arr[row]).tobytes())
+    h.update(bytes([bool(st.contradiction[row])]))
     return h.hexdigest()[:16]
 
 
@@ -283,8 +291,8 @@ def _pin_digests(kind, n, min_sum):
     st = bp_state(spec, min_sum=min_sum)
     out = []
     for _ in range(3):
-        bp_iteration(st, channel_llr(spec, lam))
-        out.append(_message_digest(st))
+        bp_iteration(st, channel_llr(spec, lam)[None])
+        out.append(_message_digest(st, 0))
     return tuple(out)
 
 
@@ -412,21 +420,20 @@ def test_bp_batch_message_updates_sum_single_sweeps(arikan, rng):
     st = bp_state(spec, batch=3)
     bp_iteration(st, lam)
     for one, row in zip(singles, lam):
-        bp_iteration(one, row)
+        bp_iteration(one, row[None])
     active = np.array([0, 2])
     sub = st.take(active)
     bp_iteration(sub, lam[active])
     st.put(active, sub)
     for i in active:
-        bp_iteration(singles[i], lam[i])
+        bp_iteration(singles[i], lam[i][None])
     assert st.message_updates == sum(one.message_updates for one in singles)
     for i, one in enumerate(singles):
         for d in range(spec.m):
-            assert np.array_equal(st.mu_v[d][i], one.mu_v[d]), (i, d)
-            assert np.array_equal(st.mu_u[d][i], one.mu_u[d]), (i, d)
-        assert np.array_equal(st.u_msg[i], one.u_msg), i
-        assert np.array_equal(st.x_out[i], one.x_out), i
-        assert st.contradiction[i] == one.contradiction, i
+            assert np.array_equal(st.mu_v[d][i], one.mu_v[d][0]), (i, d)
+        assert np.array_equal(st.u_msg[i], one.u_msg[0]), i
+        assert np.array_equal(st.x_out[i], one.x_out[0]), i
+        assert st.contradiction[i] == one.contradiction[0], i
     assert st.contradiction[1]  # the +-inf row contradicts its frozen pins
 
 

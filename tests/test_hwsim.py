@@ -361,7 +361,7 @@ def test_bp_line_internal_state_matches_software(rng):
     llr = random_llr(rng, 8)
     run = run_bp_line(spec, llr, iterations=5)
     st = bp_state(spec)
-    lam = np.where(np.isfinite(llr), np.clip(llr, -40, 40), llr)
+    lam = np.where(np.isfinite(llr), np.clip(llr, -40, 40), llr)[None]
     for _ in range(5):
         bp_iteration(st, lam)
     for d in range(3):

@@ -5,15 +5,15 @@ import pytest
 
 from polarbench.channels import likelihood_rows_binary
 from polarbench.kernels import CodeSpec, encode_unchecked
-from polarbench.oracle import (
+
+from conftest import spec_all_free
+from oracle import (
     OracleTooLarge,
     marginal_llr_bruteforce,
     ml_decode,
     ml_scores,
     marginal_llr_bruteforce as brute_llr,
 )
-
-from conftest import spec_all_free
 
 
 def test_ml_decode_noiseless(arikan, rng):

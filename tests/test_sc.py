@@ -19,7 +19,6 @@ from polarbench.kernels import (
 )
 from polarbench.llrops import LlrContradiction
 from polarbench.montecarlo import draw_frames
-from polarbench.oracle import marginal_llr_bruteforce
 from polarbench.sc import (
     UnsupportedCodeError,
     _prep_outer,
@@ -29,6 +28,7 @@ from polarbench.sc import (
 )
 
 from conftest import G4, Recorder, random_llr, spec_all_free
+from oracle import marginal_llr_bruteforce
 
 
 def test_sc_n4_trace_fixture(arikan):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -9,11 +10,11 @@ from polarbench.channels import bec, biawgn, bsc, likelihood_rows, likelihood_ro
 from polarbench.construction import construct_bec
 from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
-from polarbench.oracle import ml_decode
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan
 from polarbench.scl import Crc, _Ctx, _prep_outer_list, decode_scl
 
 from conftest import G4, random_llr, spec_all_free
+from oracle import ml_decode
 
 
 def _bytes_to_bits(data: bytes) -> list[int]:
@@ -232,6 +233,32 @@ def test_scl_prep_columns_independent(G, q):
                 alone = _prep_outer_list(ctx, pi[..., b * ell : (b + 1) * ell], src,
                                          xcols[:, :, b : b + 1, :r], r)
                 assert np.array_equal(got[..., b], alone[..., 0]), (src.shape[1], r, b)
+
+
+def test_scl_prep_uv_fast_path_matches_general_branch():
+    # the (u+v, v) branch of _prep_outer_list against the general branch on
+    # the same kernel with is_arikan cleared: same evidence, same failed
+    # marks; ops are counted differently by design and are not compared
+    fast = kernel_arikan()
+    general = copy.copy(fast)
+    general.is_arikan = False
+    rng = np.random.default_rng(29)
+    for case in range(400):
+        nb, n_in, blk = rng.integers(1, 4, 3)
+        pi = rng.random((2, nb, n_in, 2 * blk))
+        pi[rng.random(pi.shape) < rng.choice([0.0, 0.1, 0.4])] = 0.0
+        pi[rng.random(pi.shape) < rng.choice([0.0, 0.5])] *= 1e-300  # products underflow
+        src = None if case % 2 else rng.integers(0, n_in, (nb, rng.integers(1, 5)))
+        rho = n_in if src is None else src.shape[1]
+        xcols = rng.integers(0, 2, (nb, rho, blk, 1))
+        for r in (0, 1):
+            got = []
+            for k in (fast, general):
+                ctx = _Ctx(kernel=k, m_list=4, groups=[], failed=np.zeros(nb, dtype=bool))
+                got.append((_prep_outer_list(ctx, pi, src, xcols[..., :r], r), ctx.failed))
+            (p_fast, failed_fast), (p_general, failed_general) = got
+            assert np.array_equal(p_fast, p_general), (case, r)
+            assert np.array_equal(failed_fast, failed_general), (case, r)
 
 
 # batch contract --------------------------------------------------------------
