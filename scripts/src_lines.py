@@ -5,10 +5,9 @@ lie inside a docstring (the leading string of a module, class or
 function). Blank lines, comment-only lines and docstring lines are left
 out. Prints one line per module and the total.
 
-    python3 scripts/src_lines.py [--exclude NAME ...] [ROOT]
+    python3 scripts/src_lines.py [ROOT]
 
-ROOT defaults to the src/ directory next to this script; --exclude drops
-every module whose file name is NAME (for example oracle.py).
+ROOT defaults to the src/ directory next to this script.
 """
 
 from __future__ import annotations
@@ -46,13 +45,10 @@ def code_lines(text: str) -> int:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default=pathlib.Path(__file__).resolve().parent.parent / "src")
-    ap.add_argument("--exclude", action="append", default=[], metavar="NAME")
     args = ap.parse_args()
     root = pathlib.Path(args.root)
     total = 0
     for path in sorted(root.rglob("*.py")):
-        if path.name in args.exclude:
-            continue
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.relative_to(root)}")

@@ -30,6 +30,11 @@ def spec_all_free(kernel, m) -> CodeSpec:
     return CodeSpec(kernel, m, {})
 
 
+def message_values(seen: set):
+    """A tick that records every value of every message the sweep computes."""
+    return lambda d, r, op, outs: seen.update(np.ravel(outs).tolist())
+
+
 class Recorder:
     """Schedule hook of both SC decoders that keeps every decision.
 

@@ -113,11 +113,10 @@ def marginal_llr_bruteforce(
         raise OracleTooLarge("too many free coordinates to sum over")
 
     # one input word per tail: every coordinate after target enumerated
-    tails = list(itertools.product(range(q), repeat=n_tail))
-    u = np.zeros((len(tails), n), dtype=np.int64)
+    u = np.zeros((q**n_tail, n), dtype=np.int64)
     for i, v in decided.items():
         u[:, i] = v
-    u[:, target + 1 :] = np.reshape(tails, (len(tails), n_tail))
+    u[:, target + 1 :] = np.arange(q**n_tail)[:, None] // q ** np.arange(n_tail - 1, -1, -1) % q
     totals = []
     for t in range(q):
         u[:, target] = t

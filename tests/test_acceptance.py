@@ -38,7 +38,7 @@ from polarbench.montecarlo import run_trials
 from polarbench.sc import decode_sc_arikan, decode_sc_general
 from polarbench.scl import decode_scl
 
-from conftest import G4, Recorder
+from conftest import G4, Recorder, message_values
 from oracle import ml_decode
 
 ACCEPTANCE_LINES: list[str] = []
@@ -267,8 +267,8 @@ def test_criterion4_bp_invariants():
         llr = np.array([v if rng.random() > 0.45 else 0.0 for v in np.where(x == 0, np.inf, -np.inf)])
         st = bp_state(spec)
         for _ in range(4):
-            seen = set()  # every message value the sweep computes
-            bp_iteration(st, llr[None], tick=lambda d, r, op, outs: seen.update(np.ravel(outs).tolist()))
+            seen = set()
+            bp_iteration(st, llr[None], tick=message_values(seen))
             assert seen <= closed
             for d in range(st.m):
                 assert set(st.mu_v[d].ravel().tolist()) <= closed

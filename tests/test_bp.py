@@ -21,7 +21,7 @@ from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
 
-from conftest import Recorder, random_llr, spec_all_free
+from conftest import Recorder, message_values, random_llr, spec_all_free
 
 
 def test_bp_requires_arikan():
@@ -67,11 +67,6 @@ def test_bp_decode_noiseless(arikan, rng):
     assert np.array_equal(res.x_hat, x)
     assert res.converged
     assert not res.contradiction
-
-
-def message_values(seen: set):
-    """A tick that records every value of every message the sweep computes."""
-    return lambda d, r, op, outs: seen.update(np.ravel(outs).tolist())
 
 
 def test_bp_bec_closure(arikan):
