@@ -13,7 +13,6 @@ from polarbench.channels import likelihood_rows_binary
 from polarbench.construction import construct_bec
 from polarbench.hwsim import (
     check_formulas,
-    formulas_general_line,
     run_bp_line,
     run_general_line,
     run_sc,
@@ -63,8 +62,7 @@ for ell, G in ((2, [[1, 0], [1, 1]]), (4, G4)):
         bad = check_formulas(rep)
         note = ""
         if bad:
-            want = formulas_general_line(ell, m)["cycles"]
-            note = f"formula {want} undercounts"
+            note = f"formula {rep.closed_form['cycles']} undercounts"
         rows.append((f"general-line ell={ell}", n, rep.cycles, rep.pe_count, note))
 
 wid = max(len(r[0]) for r in rows)

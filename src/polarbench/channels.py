@@ -136,7 +136,11 @@ def likelihood_rows(llr: np.ndarray) -> np.ndarray:
         raise DegenerateEvidenceError(f"{where}: no symbol has support")
     shift = np.where(finite, flat, np.inf).min(axis=1, keepdims=True)
     shift[np.isinf(shift)] = 0.0  # no finite entry: the row has a -inf, set below
-    out = np.where(finite, np.exp(-(flat - shift)), 0.0)
+    # a row may span more than the float range: its difference then
+    # overflows to inf, and exp(-inf) = 0 is the right likelihood
+    with np.errstate(over="ignore"):
+        gap = flat - shift
+    out = np.where(finite, np.exp(-gap), 0.0)
     sure = surely.any(axis=1)
     out[sure] = surely[sure]
     return out.reshape(vals.shape)

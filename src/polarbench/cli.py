@@ -22,6 +22,7 @@ from .kernels import (
     FrozenMismatchError,
     CodeSpec,
     Kernel,
+    check_length,
     code_depth,
     dump_codespec,
     encode,
@@ -93,9 +94,10 @@ def _default_seed() -> int:
         raise SystemExit(f"error: POLARBENCH_SEED: {e}")
 
 
-def _depth(n: int, ell: int) -> int:
+def _usage(call, *args):
+    """call(*args); a ValueError is a usage error."""
     try:
-        return code_depth(n, ell)
+        return call(*args)
     except ValueError as e:
         raise SystemExit(f"error: {e}")
 
@@ -173,11 +175,12 @@ def cmd_construct(args) -> int:
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
         _check_kernel(kernel, "sc", channel=True)  # the genie decoder is SC
+        _usage(check_length, kernel.ell, args.m)
         m = args.m
     else:
         if args.N is None:
             raise SystemExit("error: give --N or --kernel")
-        kernel, m = kernel_arikan(), _depth(args.N, 2)
+        kernel, m = kernel_arikan(), _usage(code_depth, args.N, 2)
     if args.mc_trials > 0:
         spec = construct_montecarlo(
             kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
@@ -197,7 +200,7 @@ def cmd_simulate(args) -> int:
     else:
         if args.N is None or args.rate is None:
             raise SystemExit("error: give --code or both --N and --rate")
-        m = _depth(args.N, 2)
+        m = _usage(code_depth, args.N, 2)
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
@@ -231,11 +234,11 @@ def _hwsim_spec(args, arch: str, n: int):
             kernel = kernel_linear(G4_DEFAULT)
         else:
             raise SystemExit("error: give --kernel for this ell")
-        m = _depth(n, kernel.ell)
+        m = _usage(code_depth, n, kernel.ell)
         # frozen-set choice does not affect the cycle audit
         n_frozen = n - int(rate * n)
         return CodeSpec(kernel, m, {i: 0 for i in range(n_frozen)})
-    m = _depth(n, 2)
+    m = _usage(code_depth, n, 2)
     return construct_bec(m, 0.5, rate)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChannelModel
-from .kernels import CodeSpec, Kernel, kernel_arikan
+from .kernels import CodeSpec, Kernel, check_length, kernel_arikan
 from .llrops import LlrContradiction
 from .montecarlo import LANE_SIZE, decode_frame, draw_frames
 
@@ -44,6 +44,7 @@ def bec_erasure_profile(m: int, eps: float) -> np.ndarray:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must be in [0, 1]")
+    check_length(2, m)
     vec = [float(eps)]
     for _ in range(m):
         vec = [f(z) for z in vec for f in (lambda z: 2 * z - z * z, lambda z: z * z)]

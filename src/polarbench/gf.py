@@ -7,6 +7,10 @@ arithmetic on those digit vectors. Products are reduced modulo the first
 monic degree-k polynomial, its k lower coefficients taken in
 itertools.product order (constant term most significant), that is not a
 product of two monic polynomials of lower degree.
+
+The tables are the field's arithmetic: callers index them directly, and an
+Alphabet adds only check_symbols and matvec, the generator-matrix product
+that encoding is checked against.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def _modulus(p: int, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Alphabet:
-    """Finite field on symbols 0..q-1, held as its add, mul and neg tables."""
+    """Finite field on symbols 0..q-1, held as its add, mul and neg tables:
+    a + b is add_table[a, b], a * b is mul_table[a, b], -a is neg_table[a]."""
 
     q: int
     p: int = field(init=False)
@@ -98,46 +103,13 @@ class Alphabet:
         self.mul_table = prod[..., :k] % p @ radix
         self.neg_table = -digits % p @ radix
 
-    # scalar ops -----------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("division by zero symbol")
-        return int(np.argmax(self.mul_table[a] == 1))
-
-    # vector ops -----------------------------------------------------------
-    def add_vec(self, a, b):
-        return self.add_table[np.asarray(a), np.asarray(b)]
-
-    def mul_vec(self, a, b):
-        return self.mul_table[np.asarray(a), np.asarray(b)]
-
-    def scalar_row_mul(self, s: int, row):
-        """s * row elementwise (used by coset/partial-encoding updates)."""
-        return self.mul_table[s, np.asarray(row)]
-
     def matvec(self, u, mat):
-        """u . mat over the field, u length n, mat (n, m)."""
-        u = np.asarray(u)
+        """u . mat over the field, u length n, mat (n, m): the reference
+        that encode is checked against."""
         mat = np.asarray(mat)
         acc = np.zeros(mat.shape[1], dtype=np.int64)
-        for i, ui in enumerate(u):
-            if ui:
-                acc = self.add_vec(acc, self.scalar_row_mul(int(ui), mat[i]))
+        for ui, row in zip(np.asarray(u), mat):
+            acc = self.add_table[acc, self.mul_table[ui, row]]
         return acc
 
     def check_symbols(self, arr) -> None:

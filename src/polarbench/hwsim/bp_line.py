@@ -25,17 +25,14 @@ import numpy as np
 
 from ..bp import BpState, bp_decisions, bp_iteration, bp_state, channel_llr
 from ..kernels import CodeSpec
-from .core import CycleReport, TraceLog
+from .core import CycleReport, HwRun, TraceLog, formulas_bp_line
 
 
 @dataclass
-class BpLineRun:
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    iterations: int
+class BpLineRun(HwRun):
+    """HwRun with BP's contradiction flag and its state after the last sweep."""
+
     contradiction: bool
-    report: CycleReport
-    trace: TraceLog
     state: BpState
 
 
@@ -86,6 +83,6 @@ def run_bp_line(
         units=spec.m,
         iterations=iterations,
         extra={"cycles_per_iteration": per_iter},
+        closed_form=formulas_bp_line(n, iterations),
     )
-    return BpLineRun(u_hat[0], x_hat[0], iterations, bool(st.contradiction[0]), report,
-                     eng.trace, st)
+    return BpLineRun(u_hat[0], x_hat[0], report, eng.trace, bool(st.contradiction[0]), st)

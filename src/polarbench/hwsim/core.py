@@ -1,6 +1,10 @@
 """Shared pieces of the cycle-accurate decoder models: resource report,
 trace collection, and the closed-form resource/latency expressions the
-simulators are checked against."""
+simulators are checked against.
+
+Each model stores its own closed form in the report it returns
+(CycleReport.closed_form), so check_formulas compares counted against
+predicted figures without knowing which model made the report."""
 
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ class CycleReport:
     iterations: int = 0
     contention: int = 0
     extra: dict = field(default_factory=dict)
+    # the model's closed form: report field or extra key -> predicted value
+    closed_form: dict[str, int] | None = None
 
     def to_text(self) -> str:
         pairs = [("arch", self.arch), ("n", self.n), ("cycles", self.cycles)]
@@ -40,6 +46,17 @@ class CycleReport:
             pairs.append(("contention", self.contention))
         pairs.extend(sorted(self.extra.items()))
         return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+
+
+def check_formulas(report: CycleReport) -> list[str]:
+    """Counted-vs-closed-form comparison; returns one line per mismatch, in
+    the closed form's key order. A report without a closed form is a
+    ValueError."""
+    if report.closed_form is None:
+        raise ValueError(f"no closed forms for arch {report.arch!r}")
+    counted = {**vars(report), **report.extra}  # an extra key names a counted figure too
+    return [f"{key}: counted {counted[key]}, formula {value}"
+            for key, value in report.closed_form.items() if counted[key] != value]
 
 
 class TraceLog:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..kernels import CodeSpec
 from ..sc import UnsupportedCodeError, decode_sc_general
-from .core import CycleReport, HwRun, TraceLog
+from .core import CycleReport, HwRun, TraceLog, formulas_general_line
 from .sc_arch import PartialSumMismatch
 
 class _GeneralLineEngine:
@@ -93,5 +93,6 @@ def run_general_line(spec: CodeSpec, rows: np.ndarray, trace: bool = False) -> H
         pe_count=n // ell,
         llr_regs=(n - ell) // (ell - 1),
         extra={"ell": ell},
+        closed_form=formulas_general_line(ell, spec.m),
     )
     return HwRun(res.u_hat, res.x_hat, report, eng.trace)

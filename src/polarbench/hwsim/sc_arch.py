@@ -22,30 +22,30 @@ and the engine counts cycles and processing elements for each activation
 it reports. The line models also keep the per-depth partial-sum flip-flop
 banks, updated from the leaf decisions alone and checked at every STEP III
 against the re-encoded left half the decoder used. Decisions match the
-software decoder bit for bit because they are its decisions.
+software decoder bit for bit because they are its decisions. Each engine
+picks its architecture's closed form with its resources, and the report
+carries it for check_formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from ..kernels import CodeSpec, encode_unchecked
+from ..kernels import CodeSpec, encode_unchecked, kernel_arikan
 from ..llrops import LlrContradiction
 from ..sc import decode_sc_arikan
-from .core import CycleReport, HwRun, TraceLog
+from .core import (CycleReport, HwRun, TraceLog, formulas_sc_limited, formulas_sc_line,
+                   formulas_sc_multi, formulas_sc_pipeline)
 
-_ARIKAN_GMAT: dict[int, np.ndarray] = {}
 
-
-def _arikan_gmat(kernel, width: int) -> np.ndarray:
+@cache
+def _arikan_gmat(width: int) -> np.ndarray:
     """Rows of the width x width encode matrix, used as update indicators."""
-    mat = _ARIKAN_GMAT.get(width)
-    if mat is None:
-        mat = _ARIKAN_GMAT[width] = encode_unchecked(kernel, np.eye(width, dtype=np.int64))
-    return mat
+    return encode_unchecked(kernel_arikan(), np.eye(width, dtype=np.int64))
 
 
 class PartialSumMismatch(AssertionError):
@@ -70,6 +70,7 @@ class _ScEngine:
             self.pe_count = self.n - 1
             self.llr_regs = 2 * (self.n - 1)
             self.banks = {}
+            self.closed_form = formulas_sc_pipeline(self.n)
         elif arch in ("sc_line", "sc_limited"):
             i = 1 if arch == "sc_line" else i_param
             if not 1 <= i <= self.m:
@@ -77,6 +78,8 @@ class _ScEngine:
             self.pe_limit = self.n // 2**i
             self.pe_count = self.pe_limit
             self.llr_regs = self.n - 1
+            self.closed_form = (formulas_sc_line(self.n) if arch == "sc_line"
+                                else formulas_sc_limited(self.n, i))
             # per-depth partial codeword storage for nodes of size >= 4
             self.banks = {
                 d: np.zeros(2 ** (self.m - d - 1), dtype=np.int64)
@@ -126,7 +129,7 @@ class _ScEngine:
         # only the line models open banks, and they decode one frame
         if self.left_phase and u[0]:
             for depth, start, width in self.left_phase:
-                self.banks[depth][:width] ^= _arikan_gmat(self.spec.kernel, width)[off - start]
+                self.banks[depth][:width] ^= _arikan_gmat(width)[off - start]
 
     def run(self, llr: np.ndarray):
         lam = np.asarray(llr, dtype=np.float64)
@@ -158,6 +161,7 @@ def run_sc(
         llr_regs=eng.llr_regs,
         ps_flops=eng.ps_flops,
         extra=extra,
+        closed_form=eng.closed_form,
     )
     return HwRun(u_hat, x_hat, report, eng.trace)
 
@@ -236,5 +240,6 @@ def run_sc_multi(
         codewords=p,
         contention=contention,
         extra={f"instances_d{d}": int(c) for d, c in enumerate(np.bincount(inst_depth))},
+        closed_form=formulas_sc_multi(n, p),
     )
     return ScMultiRun(results, report, tl)

@@ -24,6 +24,8 @@ class FrozenMismatchError(ValueError):
 
 
 TABLE_LIMIT = 1 << 20  # exhaustive bijectivity check bound
+# longest code length: 1,024x the longest a test, workload or example uses
+MAX_N = 2**20
 
 # the (u+v, v) map over GF(2): row i is the output for input i = 2*u0 + u1
 _ARIKAN_TABLE = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
@@ -164,11 +166,20 @@ def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
 # --------------------------------------------------------------------------
 
 
+def check_length(ell: int, m: int) -> None:
+    """ValueError unless ell**m <= MAX_N. A depth of MAX_N.bit_length() or
+    more is refused without forming ell**m (ell >= 2)."""
+    if m >= MAX_N.bit_length() or ell**m > MAX_N:
+        raise ValueError(f"N = {ell}**{m} exceeds the longest supported code length {MAX_N}")
+
+
 def code_depth(n: int, ell: int) -> int:
-    """The depth m >= 1 with ell**m == n; a ValueError if there is none."""
+    """The depth m >= 1 with ell**m == n; a ValueError if there is none or
+    if n exceeds MAX_N."""
     m = 1
     while ell**m < n:
         m += 1
+    check_length(ell, m)
     if ell**m != n:
         raise ValueError(f"N={n} is not a power {ell}**m with m >= 1")
     return m
@@ -191,6 +202,7 @@ class CodeSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        check_length(self.kernel.ell, self.m)
         n = self.n
         mask = np.zeros(n, dtype=bool)
         vals = np.zeros(n, dtype=np.int64)

@@ -233,18 +233,6 @@ def run_lane(
     return TrialStats(count, int(errs.sum()), int(((errs > 0) | failed).sum()), k)
 
 
-def _lane_counts(trials: int) -> list[tuple[int, int]]:
-    lanes = []
-    idx = 0
-    left = trials
-    while left > 0:
-        take = min(LANE_SIZE, left)
-        lanes.append((idx, take))
-        idx += 1
-        left -= take
-    return lanes
-
-
 def _lane_job(args) -> TrialStats:
     spec, ch, decoder, lane_idx, count, seed, list_size, iters, min_sum = args
     rng = np.random.default_rng([seed, lane_idx])
@@ -264,12 +252,11 @@ def run_trials(
 ) -> TrialStats:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    lanes = _lane_counts(trials)
     args = [
-        (spec, ch, decoder, idx, count, seed, list_size, iters, min_sum)
-        for idx, count in lanes
+        (spec, ch, decoder, idx, min(LANE_SIZE, trials - start), seed, list_size, iters, min_sum)
+        for idx, start in enumerate(range(0, trials, LANE_SIZE))
     ]
-    if jobs > 1 and len(lanes) > 1:
+    if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_lane_job, args))
     else:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ def test_likelihood_rows_validation():
             likelihood_rows(bad)
     # LLRs against symbol 0 may carry any per-row offset
     assert np.array_equal(likelihood_rows([[0.0, 1.0, 3.0]]), likelihood_rows([[0.5, 1.5, 3.5]]))
+
+
+def test_likelihood_rows_span_beyond_float_range():
+    # 1e308 - (-1e308) overflows to inf, and exp(-inf) = 0 is the right value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = likelihood_rows(np.array([[0.0, 1e308, -1e308]]))
+    assert out.tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_likelihoods_round_trip():

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +422,35 @@ def test_python_dash_m_runs_the_cli():
     assert "simulate" in done.stdout
 
 
+def _small_address_space():
+    # set in the child only: an allocation of anything N long fails there
+    # instead of filling the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv,length", [
+    (("simulate", "--N", "1099511627776", "--rate", "0.5"), "2**40"),
+    (("simulate", "--code", "{code}", "--trials", "5"), "2**30"),
+    (("construct", "--kernel", "{kernel}", "--m", "30", "--mc-trials", "5", "--rate", "0.5"), "2**30"),
+])
+def test_code_longer_than_max_n_usage_error(tmp_path, argv, length):
+    # refused before anything of length N is allocated: one error line,
+    # exit 2, well inside the time and memory limits
+    files = {"kernel": tmp_path / "k.txt", "code": tmp_path / "code.txt"}
+    files["kernel"].write_text("kernel ell=2 q=2\nG 1 0\nG 1 1\n")
+    files["code"].write_text("kernel ell=2 q=2\nm 30\nfrozen 0\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "polarbench", *(a.format(**files) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_small_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert line.endswith(f"N = {length} exceeds the longest supported code length 1048576")
+
+
 def test_encode_symbol_outside_alphabet_usage_error(tmp_path, capsys, small_code):
     infile = tmp_path / "info.txt"
     for text in ("1 0 2 1", "0 0 0 0 0 0 -1 0"):  # info word, full word
@@ -553,6 +583,17 @@ def test_decode_huge_finite_llrs_no_warning(tmp_path, capsys):
         assert err == ""
         decoded.append(out)
     assert decoded[0] == decoded[1]
+
+
+def test_decode_llr_rows_beyond_float_range_no_warning(tmp_path, capsys):
+    # every GF(3) row is [0, 1e308, -1e308]: symbol 2 surely, found without
+    # an overflow warning on stderr
+    codefile = tmp_path / "code.txt"
+    codefile.write_text(GF3_CODE)
+    llrfile = tmp_path / "llr.txt"
+    llrfile.write_text(" ".join(["1e308 -1e308"] * 4))
+    code, out, err = run_cli(capsys, "decode", "--code", str(codefile), "--in", str(llrfile))
+    assert (code, out, err) == (0, "0 0 0 2\n", "")
 
 
 def test_decode_nonbinary_llr_layout(tmp_path, capsys):

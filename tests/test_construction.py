@@ -31,6 +31,12 @@ def test_bec_profile_degenerate_ends():
         bec_erasure_profile(2, 1.2)
 
 
+def test_bec_profile_refuses_codes_beyond_max_n():
+    # the profile is a list of N floats: a depth past MAX_N is refused first
+    with pytest.raises(ValueError, match="exceeds the longest supported code length"):
+        bec_erasure_profile(10**18, 0.5)
+
+
 def test_bec_profile_conservation():
     # polarization preserves the average erasure probability
     for eps in (0.3, 0.5, 0.7):

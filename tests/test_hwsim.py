@@ -10,6 +10,7 @@ from polarbench.channels import bec, likelihood_rows_binary
 from polarbench.construction import construct_bec
 from polarbench.hwsim import (
     SC_ARCHS,
+    CycleReport,
     check_formulas,
     formulas_bp_line,
     formulas_general_line,
@@ -350,7 +351,7 @@ def test_bp_line_matches_software(rng):
     ref = bp_decode(spec, llr, max_iters=4, stop="none")
     assert np.array_equal(run.u_hat, ref.u_hat)
     assert np.array_equal(run.x_hat, ref.x_hat)
-    assert run.iterations == 4
+    assert run.report.iterations == 4
     assert run.contradiction == ref.contradiction
 
 
@@ -451,6 +452,13 @@ def test_general_line_mismatch_reported(rng):
     lines = check_formulas(rep)
     assert len(lines) == 1
     assert lines[0].startswith("cycles: counted 14, formula 12")
+
+
+def test_check_formulas_needs_a_closed_form():
+    # the model that made a report stores its closed form there; a report
+    # built without one has nothing to be checked against
+    with pytest.raises(ValueError, match="no closed forms for arch 'sc_line'"):
+        check_formulas(CycleReport(arch="sc_line", n=8, cycles=14))
 
 
 def test_general_line_rejects_unsupported():

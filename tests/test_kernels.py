@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polarbench.gf import alphabet
 from polarbench.kernels import (
+    MAX_N,
     CodeSpec,
     FrozenMismatchError,
     InvalidKernelError,
@@ -15,6 +16,7 @@ from polarbench.kernels import (
     _encode_rec,
     _pack,
     _words,
+    code_depth,
     dump_codespec,
     dump_kernel,
     encode,
@@ -296,6 +298,22 @@ def test_codespec_validation(arikan):
         CodeSpec(kernel=arikan, m=2, frozen={4: 0})
     with pytest.raises(ValueError):
         CodeSpec(kernel=arikan, m=2, frozen={0: 2})
+
+
+def test_code_length_limit(arikan, k4):
+    # N up to MAX_N is a code; beyond it nothing of length N is built, and
+    # a huge depth is refused without forming ell**m
+    assert code_depth(MAX_N, 2) == 20
+    assert CodeSpec(kernel=k4, m=10, frozen={}).n == MAX_N
+    for call in (
+        lambda: code_depth(2 * MAX_N, 2),
+        lambda: code_depth(2**40, 4),
+        lambda: CodeSpec(kernel=arikan, m=21, frozen={}),
+        lambda: CodeSpec(kernel=k4, m=11, frozen={}),
+        lambda: CodeSpec(kernel=arikan, m=10**18, frozen={}),
+    ):
+        with pytest.raises(ValueError, match="exceeds the longest supported code length"):
+            call()
 
 
 def test_encode_rejects_frozen_mismatch(arikan):

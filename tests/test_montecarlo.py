@@ -21,7 +21,6 @@ from polarbench.montecarlo import (
     CSV_HEADER,
     LANE_SIZE,
     TrialStats,
-    _lane_counts,
     csv_row,
     decode_frame,
     draw_frames,
@@ -56,12 +55,16 @@ def test_trialstats_merge_associative():
     assert left.frame_errors == 12
 
 
-def test_lane_counts_partition():
-    assert _lane_counts(1) == [(0, 1)]
-    assert _lane_counts(LANE_SIZE) == [(0, LANE_SIZE)]
-    lanes = _lane_counts(LANE_SIZE * 2 + 7)
-    assert lanes == [(0, LANE_SIZE), (1, LANE_SIZE), (2, 7)]
-    assert sum(c for _, c in lanes) == LANE_SIZE * 2 + 7
+@pytest.mark.parametrize("sizes", [[1], [LANE_SIZE], [LANE_SIZE, LANE_SIZE, 7]])
+def test_run_trials_sums_its_lanes(sizes):
+    # lane i takes the next LANE_SIZE trials (the last lane the rest),
+    # drawn from default_rng([seed, i])
+    spec = construct_bec(3, 0.5, 0.5)
+    seed = 11
+    want = TrialStats(0, 0, 0, spec.k_info)
+    for i, count in enumerate(sizes):
+        want = want.merge(run_lane(spec, bsc(0.05), "sc", count, np.random.default_rng([seed, i])))
+    assert run_trials(spec, bsc(0.05), "sc", sum(sizes), seed) == want
 
 
 def test_run_lane_clean_channel_no_errors():

@@ -636,6 +636,21 @@ def test_general_huge_rows_do_not_overflow():
     assert res.u_hat.tolist() == [0, 0]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: sc._prep_outer multiplies in the linear domain")
+def test_general_outer_stage_totals_beyond_float_range():
+    # input 2's totals lie beyond the float range: the log-domain values
+    # (brute force over all 81 words) are [0, -1104.55, -736.13], while the
+    # linear-domain outer stages give [0, -inf, -inf]
+    spec = spec_all_free(kernel_linear([[1, 0], [1, 1]], q=3), 2)
+    rows = np.array([[1e-160, 1, 1e160], [1e-160, 1e-160, 1e160], [1e160, 1e160, 1e-160], [1, 1e160, 1]])
+    rec = Recorder()
+    decode_sc_general(spec, rows, hook=rec)
+    i, _, llr = rec.decisions[2]
+    assert i == 2
+    assert llr == pytest.approx([0.0, -1104.55, -736.13], abs=0.01)
+
+
 def test_general_row_scaling_is_exact(k4, rng):
     # scaling rows by powers of two changes no decision LLR bit
     spec = CodeSpec(k4, 2, {0: 0, 5: 1})
