@@ -4,7 +4,9 @@ Subcommands: construct (write a code spec file), simulate (Monte-Carlo
 BER/FER to CSV), hwsim (cycle-accurate architecture run + closed-form
 audit), encode and decode (single-block file mode). A --config file of
 key=value lines fills in defaults; explicit flags win. POLARBENCH_SEED
-provides the default seed. Exit codes: 0 ok, 1 failed check, 2 usage.
+provides the default seed. Exit codes: 0 ok, 1 failed check, 2 usage: a
+bad flag or file, or a ValueError or UnsupportedCodeError raised by the
+library, each reported as one "error: <message>" line.
 """
 
 from __future__ import annotations
@@ -94,14 +96,6 @@ def _default_seed() -> int:
         raise SystemExit(f"error: POLARBENCH_SEED: {e}")
 
 
-def _usage(call, *args):
-    """call(*args); a ValueError is a usage error."""
-    try:
-        return call(*args)
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
-
-
 def _write_out(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -175,12 +169,12 @@ def cmd_construct(args) -> int:
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
         _check_kernel(kernel, "sc", channel=True)  # the genie decoder is SC
-        _usage(check_length, kernel.ell, args.m)
+        check_length(kernel.ell, args.m)
         m = args.m
     else:
         if args.N is None:
             raise SystemExit("error: give --N or --kernel")
-        kernel, m = kernel_arikan(), _usage(code_depth, args.N, 2)
+        kernel, m = kernel_arikan(), code_depth(args.N, 2)
     if args.mc_trials > 0:
         spec = construct_montecarlo(
             kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
@@ -200,7 +194,7 @@ def cmd_simulate(args) -> int:
     else:
         if args.N is None or args.rate is None:
             raise SystemExit("error: give --code or both --N and --rate")
-        m = _usage(code_depth, args.N, 2)
+        m = code_depth(args.N, 2)
         # non-erasure channels fall back to the epsilon=0.5 erasure profile
         eps = args.channel.param if args.channel.kind == "bec" else 0.5
         spec = construct_bec(m, eps, args.rate)
@@ -234,11 +228,11 @@ def _hwsim_spec(args, arch: str, n: int):
             kernel = kernel_linear(G4_DEFAULT)
         else:
             raise SystemExit("error: give --kernel for this ell")
-        m = _usage(code_depth, n, kernel.ell)
+        m = code_depth(n, kernel.ell)
         # frozen-set choice does not affect the cycle audit
         n_frozen = n - int(rate * n)
         return CodeSpec(kernel, m, {i: 0 for i in range(n_frozen)})
-    m = _usage(code_depth, n, 2)
+    m = code_depth(n, 2)
     return construct_bec(m, 0.5, rate)
 
 
@@ -421,8 +415,9 @@ def main(argv=None) -> int:
             sys.stderr.write(e.code + "\n")
             return 2
         return e.code if e.code is not None else 0
-    except UnsupportedCodeError as e:
-        # a code no decoder or model covers is a usage error, like a bad flag
+    except (ValueError, UnsupportedCodeError) as e:
+        # a value or a code that no decoder or model takes is a usage
+        # error, like a bad flag
         sys.stderr.write(f"error: {e}\n")
         return 2
     except OSError as e:

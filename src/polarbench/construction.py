@@ -31,8 +31,8 @@ def freeze_worst(badness: np.ndarray, rate: float) -> dict[int, int]:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     n_frozen = int(np.ceil(n * (1.0 - rate)))
-    order = sorted(range(n), key=lambda i: (-badness[i], i))
-    return {i: 0 for i in order[:n_frozen]}
+    order = np.argsort(-np.asarray(badness), kind="stable")
+    return {i: 0 for i in order[:n_frozen].tolist()}
 
 
 def bec_erasure_profile(m: int, eps: float) -> np.ndarray:
@@ -45,10 +45,10 @@ def bec_erasure_profile(m: int, eps: float) -> np.ndarray:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must be in [0, 1]")
     check_length(2, m)
-    vec = [float(eps)]
+    z = np.array([float(eps)])
     for _ in range(m):
-        vec = [f(z) for z in vec for f in (lambda z: 2 * z - z * z, lambda z: z * z)]
-    return np.array(vec)
+        z = np.stack([2 * z - z * z, z * z], axis=-1).reshape(-1)
+    return z
 
 
 def construct_bec(m: int, eps: float, rate: float) -> CodeSpec:

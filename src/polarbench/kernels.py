@@ -1,9 +1,16 @@
 """Kernels, code specs, recursive encoding, and their text serialization.
 
-A kernel is a bijection g: F^ell -> F^ell. A code of length ell^m applies g
-recursively: the input splits into ell consecutive blocks, each block is
-encoded by the length ell^(m-1) map, and output position ell*i+j carries
-g_j of the i-th column of the ell partial codewords.
+A kernel is a bijection g: F^ell -> F^ell, held as its table: row i holds
+g of the input word whose packing is i, its digits weighted by the
+kernel's radix (input 0 most significant). Every kernel, the (u+v, v) one
+included, is built by the same constructors, packed by its radix alone and
+applied by one encoder loop, and its glue groups are normalized and
+checked once, in Kernel.
+
+A code of length ell^m applies g recursively: the input splits into ell
+consecutive blocks, each block is encoded by the length ell^(m-1) map, and
+output position ell*i+j carries g_j of the i-th column of the ell partial
+codewords.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ TABLE_LIMIT = 1 << 20  # exhaustive bijectivity check bound
 # longest code length: 1,024x the longest a test, workload or example uses
 MAX_N = 2**20
 
-# the (u+v, v) map over GF(2): row i is the output for input i = 2*u0 + u1
+# the (u+v, v) map over GF(2): its generator, and its table, whose row i is
+# the output for input i = 2*u0 + u1
+_ARIKAN_G = ((1, 0), (1, 1))
 _ARIKAN_TABLE = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=np.int64)
 
 
@@ -55,49 +64,42 @@ def _check_size(q: int, ell: int) -> None:
 class Kernel:
     """Bijective map over F^ell with optional generator and glue grouping.
 
-    table[i] holds the ell output symbols for the input whose mixed-radix
-    packing is i (input 0 most significant). glue partitions the input
-    coordinates into consecutive groups that are decided jointly.
-    is_arikan is derived from that structure: the (u+v, v) table over
-    GF(2) with singleton glue groups.
-    Immutable after construction; safe to share between decoders.
+    table[i] holds the ell output symbols for the input word u with
+    u @ radix == i, radix being the packing weights q**(ell-1), ..., 1
+    (input 0 most significant). glue partitions the input coordinates
+    into consecutive groups that are decided jointly: None or an empty
+    sequence means singletons, and any list or tuple of groups becomes a
+    tuple of tuples. radix and is_arikan are derived from that structure;
+    is_arikan means the (u+v, v) table over GF(2) with singleton glue
+    groups. Immutable after construction; safe to share between decoders.
     """
 
     ell: int
     alph: Alphabet
     table: np.ndarray
     generator: np.ndarray | None = None
-    glue: tuple[tuple[int, ...], ...] = ()
+    glue: tuple[tuple[int, ...], ...] | None = None
+    radix: np.ndarray = field(init=False, repr=False)
     is_arikan: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        q = self.alph.q
-        _check_size(q, self.ell)
+        q, ell = self.alph.q, self.ell
+        _check_size(q, ell)
         self.table = np.asarray(self.table, dtype=np.int64)
-        if self.table.shape != (q**self.ell, self.ell):
+        if self.table.shape != (q**ell, ell):
             raise InvalidKernelError("kernel table has wrong shape")
         self.alph.check_symbols(self.table)
-        packed = self.table @ (q ** np.arange(self.ell - 1, -1, -1, dtype=np.int64))
-        if len(np.unique(packed)) != q**self.ell:
+        self.radix = q ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+        if len(np.unique(self.table @ self.radix)) != q**ell:
             raise InvalidKernelError("kernel map is not a bijection")
-        if not self.glue:
-            self.glue = tuple((i,) for i in range(self.ell))
-        self._check_glue()
+        self.glue = tuple(tuple(g) for g in self.glue or [(i,) for i in range(ell)])
+        if not all(self.glue) or [i for g in self.glue for i in g] != list(range(ell)):
+            raise InvalidKernelError("glue groups must be non-empty runs that concatenate to 0..ell-1")
         if self.generator is not None:
             self.generator = np.asarray(self.generator, dtype=np.int64)
-            if self.generator.shape != (self.ell, self.ell):
+            if self.generator.shape != (ell, ell):
                 raise InvalidKernelError("generator must be ell x ell")
         self.is_arikan = np.array_equal(self.table, _ARIKAN_TABLE) and len(self.glue) == 2
-
-    def _check_glue(self):
-        flat = [i for grp in self.glue for i in grp]
-        if flat != list(range(self.ell)):
-            raise InvalidKernelError(
-                "glue groups must partition 0..ell-1 into consecutive runs"
-            )
-        for grp in self.glue:
-            if list(grp) != list(range(grp[0], grp[0] + len(grp))):
-                raise InvalidKernelError("glue group is not consecutive")
 
     # mapping ---------------------------------------------------------------
     @property
@@ -109,8 +111,7 @@ class Kernel:
 
     def map_columns(self, cols: np.ndarray) -> np.ndarray:
         """Apply g to each row of cols (shape (..., ell)) at once."""
-        radix = self.q ** np.arange(self.ell - 1, -1, -1, dtype=np.int64)
-        return np.take(self.table, cols @ radix, axis=0)
+        return np.take(self.table, cols @ self.radix, axis=0)
 
     def group_at(self, boundary: int) -> tuple[int, ...]:
         """The glue group starting at input coordinate `boundary`."""
@@ -134,8 +135,7 @@ class Kernel:
 
 def kernel_arikan() -> Kernel:
     """The (u+v, v) kernel over GF(2)."""
-    gen = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    return Kernel(ell=2, alph=alphabet(2), table=_ARIKAN_TABLE.copy(), generator=gen)
+    return kernel_linear(_ARIKAN_G)
 
 
 def kernel_linear(G, q: int = 2, glue=None) -> Kernel:
@@ -151,16 +151,13 @@ def kernel_linear(G, q: int = 2, glue=None) -> Kernel:
     table = np.zeros((1, ell), dtype=np.int64)
     for g_i in G:
         table = a.add_table[table[:, None], a.mul_table[:, g_i]].reshape(-1, ell)
-    glue_t = tuple(tuple(g) for g in glue) if glue else ()
-    return Kernel(ell=ell, alph=a, table=table, generator=G, glue=glue_t)
+    return Kernel(ell=ell, alph=a, table=table, generator=G, glue=glue)
 
 
 def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
     """Kernel from an explicit output table (supports non-linear maps)."""
     table = np.asarray(table, dtype=np.int64)
-    ell = table.shape[1]
-    glue_t = tuple(tuple(g) for g in glue) if glue else ()
-    return Kernel(ell=ell, alph=alphabet(q), table=table, glue=glue_t)
+    return Kernel(ell=table.shape[1], alph=alphabet(q), table=table, glue=glue)
 
 
 # --------------------------------------------------------------------------
@@ -254,33 +251,6 @@ class CodeSpec:
         return u
 
 
-def _encode_rec(kernel: Kernel, u: np.ndarray) -> np.ndarray:
-    n = u.shape[-1]
-    ell = kernel.ell
-    if n == ell:
-        return kernel.map_columns(u)
-    blk = n // ell
-    parts = np.stack([_encode_rec(kernel, u[..., r * blk : (r + 1) * blk]) for r in range(ell)], axis=-1)
-    return kernel.map_columns(parts).reshape(u.shape)
-
-
-def _encode_arikan(u: np.ndarray) -> np.ndarray:
-    # iterative butterflies, small spans first: the top-level combine acts
-    # on already-encoded halves
-    x = u.copy()
-    n = x.shape[-1]
-    span = 2
-    while span <= n:
-        half = span // 2
-        x2 = x.reshape(x.shape[:-1] + (-1, span))
-        v = x2[..., :half] ^ x2[..., half:]
-        w = x2[..., half:].copy()
-        x2[..., 0::2] = v
-        x2[..., 1::2] = w
-        span *= 2
-    return x
-
-
 def encode(spec: CodeSpec, u) -> np.ndarray:
     """Codeword for an (N,) input u, or codewords for a (B, N) batch.
 
@@ -300,9 +270,28 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
 
 
 def encode_unchecked(kernel: Kernel, u) -> np.ndarray:
-    """Codewords of the (..., N) input words u, over the last axis, unchecked."""
-    u = np.asarray(u, dtype=np.int64)
-    return _encode_arikan(u) if kernel.is_arikan else _encode_rec(kernel, u)
+    """Codewords of the (..., N) input words u, over the last axis, unchecked.
+
+    One loop over the m levels, shortest blocks first: at the level of
+    blocks of length ell*s, part r of a block is its r-th run of s symbols,
+    already encoded, and output ell*i+j of the block is g_j of column i of
+    its parts, one table lookup per column. The (u+v, v) level is the same
+    lookup written as an XOR. Any number of leading axes, of any size
+    (zero included), is encoded; the result is always a new array.
+    """
+    x = np.asarray(u, dtype=np.int64)
+    lead, n, ell = x.shape[:-1], x.shape[-1], kernel.ell
+    s = 1
+    while s < n:
+        parts = x.reshape(lead + (n // (ell * s), ell, s))
+        if kernel.is_arikan:
+            x = np.empty(parts.shape[:-2] + (s, 2), dtype=np.int64)
+            np.bitwise_xor(parts[..., 0, :], parts[..., 1, :], out=x[..., 0])
+            x[..., 1] = parts[..., 1, :]
+        else:
+            x = np.take(kernel.table, kernel.radix @ parts, axis=0)
+        s *= ell
+    return x.reshape(lead + (n,))
 
 
 def encode_matrix(spec: CodeSpec) -> np.ndarray:
@@ -395,16 +384,13 @@ def _parse_lines(text: str):
 
 def load_kernel(text: str) -> Kernel:
     (ell, q), g_rows, glue, _m, _frozen = _parse_lines(text)
-    if g_rows:
-        if len(g_rows) != ell or any(len(r) != ell for r in g_rows):
-            raise SpecFormatError("expected ell generator rows of ell symbols")
-        return kernel_linear(np.array(g_rows), q=q, glue=glue)
-    if ell == 2 and q == 2:
-        k = kernel_arikan()
-        if glue:
-            k = kernel_linear(k.generator, q=2, glue=glue)
-        return k
-    raise SpecFormatError("no G rows given and no default map for this ell/q")
+    if not g_rows:
+        if (ell, q) != (2, 2):
+            raise SpecFormatError("no G rows given and no default map for this ell/q")
+        g_rows = _ARIKAN_G
+    if len(g_rows) != ell or any(len(r) != ell for r in g_rows):
+        raise SpecFormatError("expected ell generator rows of ell symbols")
+    return kernel_linear(np.array(g_rows), q=q, glue=glue)
 
 
 def load_codespec(text: str) -> CodeSpec:

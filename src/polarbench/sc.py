@@ -354,8 +354,8 @@ def conditioned_scores(kernel: Kernel, w: np.ndarray, prefix: np.ndarray, bounda
     on which other instances share the call.
     """
     q, ell = kernel.q, kernel.ell
-    radix = q ** np.arange(boundary - 1, -1, -1, dtype=np.int64)
-    tab = kernel.marginal_view(boundary)[prefix @ radix]  # (M, q**width, q**n_suffix, ell)
+    # (M, q**width, q**n_suffix, ell): the prefix packs into the low digits of radix
+    tab = kernel.marginal_view(boundary)[prefix @ kernel.radix[ell - boundary :]]
     # flat position of w[i, j, tab[i, t, s, j]]; tab is a new array, so in place
     tab += q * np.arange(ell) + (q * ell * np.arange(len(w)))[:, None, None, None]
     return np.take(w, tab).prod(axis=3).cumsum(axis=2)[..., -1]
@@ -365,8 +365,15 @@ def glue_values(kernel: Kernel, mask: np.ndarray, vals: np.ndarray) -> list:
     """Per glue group, in order: its first input c, its width w, the
     (q**w, w) symbols of each group value t, and the (N/ell, q**w) table of
     the values its frozen pins allow in each kernel block, from a code's
-    frozen mask and values over N inputs."""
+    frozen mask and values over N inputs.
+
+    The decoders read a code's groups here and nowhere else, so this is
+    where a glue group of more than one input is refused beyond depth 1
+    (N > ell), with UnsupportedCodeError.
+    """
     q, ell = kernel.q, kernel.ell
+    if len(mask) > ell and any(len(g) > 1 for g in kernel.glue):
+        raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     out = []
     for grp in kernel.glue:
         c, w = grp[0], len(grp)
@@ -444,8 +451,6 @@ def decode_sc_general(
         if genie_u.shape != frames:
             raise ValueError("genie_u must have the shape of the frames")
         genie_u = genie_u.reshape(-1, n)
-    if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
-        raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     # Scale each row by a power of two so that its peak lies in [1, 2).
     # That is exact: products and ratios keep every bit unless they would
     # have over- or underflowed, and huge finite rows no longer overflow
@@ -460,7 +465,6 @@ def decode_sc_general(
     u_hat = np.empty((nb, n), dtype=np.int64)
     walk = u_hat if genie_u is None else genie_u  # the inputs the walk goes on from
     every = np.arange(nb)
-    radix = q ** np.arange(ell - 1, -1, -1, dtype=np.int64)
     # flat position in one instance's (ell, q) rows of output j's symbol
     out_pos = kernel.table + q * np.arange(ell)
 
@@ -498,7 +502,7 @@ def decode_sc_general(
             if genie_u is not None:
                 # the decision is kept, the walk goes on from the true value
                 u_hat[:, at] = syms[scores.argmax(axis=1)]
-                t = genie_u[:, at] @ radix[ell - width :]
+                t = genie_u[:, at] @ kernel.radix[ell - width :]
             else:
                 # the most likely value that honours the group's frozen pins
                 t = np.where(allowed[off // ell], scores, -np.inf).argmax(axis=1)
@@ -507,7 +511,7 @@ def decode_sc_general(
             if hook is not None:
                 to_llr = _log_scores_to_llr if logs is not None and logs[0] else scores_to_llr
                 hook.decide(off + c, walk[0, at], to_llr(scores[0]))
-        return kernel.table[walk[:, off : off + ell] @ radix]
+        return kernel.map_columns(walk[:, off : off + ell])
 
     def rec(w_d: np.ndarray, off: int) -> np.ndarray:
         # w_d: (nb, nd, q); returns the re-encoded (nb, nd) codewords of

@@ -39,7 +39,7 @@ import numpy as np
 from .channels import check_likelihood_rows
 from .kernels import CodeSpec, Kernel
 from .llrops import LlrContradiction
-from .sc import UnsupportedCodeError, conditioned_scores, glue_values
+from .sc import conditioned_scores, glue_values
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,7 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
         u_blk = _gather(u_blk, pick_i)
         u_blk[..., c : c + width] = syms[cand[pick_k]]
         src = _chain(src, pick_i)
-    packed = u_blk @ (q ** np.arange(ell - 1, -1, -1, dtype=np.int64))
-    return src, u_blk, kernel.table[packed], rho
+    return src, u_blk, kernel.map_columns(u_blk), rho
 
 
 def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
@@ -268,8 +267,6 @@ def decode_scl(
     if crc is not None and q != 2:
         raise ValueError("CRC filtering needs a binary alphabet")
     rows = check_likelihood_rows(rows, n, q)
-    if spec.m > 1 and any(len(g) > 1 for g in kernel.glue):
-        raise UnsupportedCodeError("joint glue groups are only decoded at depth m = 1")
     single = rows.ndim == 2
     if single:
         rows = rows[None]

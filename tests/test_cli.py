@@ -569,6 +569,33 @@ def test_glued_kernel_beyond_depth_one_usage_error(tmp_path, capsys, argv):
     assert "glue" in err
 
 
+@pytest.mark.parametrize("glue", ["0 1 ;", "0 ; 1 ;"])
+def test_empty_glue_group_usage_error(tmp_path, capsys, glue):
+    # a trailing ';' leaves an empty glue group: the kernel refuses it, and
+    # the file is named on one error line, without a traceback
+    codefile = tmp_path / "code.txt"
+    codefile.write_text(f"kernel ell=2 q=2\nG 1 0\nG 1 1\nglue {glue}\nm 1\n")
+    llrfile = tmp_path / "llr.txt"
+    llrfile.write_text("1 1")
+    code, out, err = run_cli(capsys, "decode", "--code", str(codefile), "--in", str(llrfile))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {codefile}: "), err
+    assert "glue" in err
+
+
+def test_value_error_is_usage_error(capsys, monkeypatch):
+    # any ValueError out of the library is one error line and exit 2
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("polarbench.cli.construct_bec", boom)
+    code, out, err = run_cli(capsys, "construct", "--N", "8", "--rate", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: boom\n"
+
+
 def test_decode_huge_finite_llrs_no_warning(tmp_path, capsys):
     # LLRs near the float64 ceiling decode as large ones do, with nothing
     # on stderr (their sums used to overflow, with numpy warnings)

@@ -73,6 +73,41 @@ def test_freeze_worst_tie_breaks_low_index():
     assert set(frozen) == {0, 1}
 
 
+def _profile_by_position(m, eps):
+    # the recursion one position at a time, as a list of Python floats
+    vec = [float(eps)]
+    for _ in range(m):
+        vec = [f(z) for z in vec for f in (lambda z: 2 * z - z * z, lambda z: z * z)]
+    return vec
+
+
+def _freeze_by_position(badness, rate):
+    # worst first, equal scores toward the lower index
+    order = sorted(range(len(badness)), key=lambda i: (-badness[i], i))
+    return order[: int(np.ceil(len(badness) * (1.0 - rate)))]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.03, 0.3, 0.5, 0.77, 1.0])
+def test_bec_construction_on_arrays_matches_per_position(eps):
+    # the array recursion and the stable argsort give the per-position
+    # profile bit for bit, and the same frozen set in the same order
+    for m in range(1, 13):
+        ref = _profile_by_position(m, eps)
+        z = bec_erasure_profile(m, eps)
+        assert z.tolist() == ref
+        for rate in (0.0, 0.25, 0.5, 0.8, 1.0):
+            assert list(freeze_worst(z, rate)) == _freeze_by_position(ref, rate)
+
+
+def test_freeze_worst_many_ties_matches_per_position():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        badness = rng.integers(0, 4, n) / 4.0
+        rate = float(rng.random())
+        assert list(freeze_worst(badness, rate)) == _freeze_by_position(badness, rate)
+
+
 def test_construct_bec_spec():
     spec = construct_bec(3, 0.5, 0.5)
     assert spec.n == 8

@@ -13,7 +13,6 @@ from polarbench.kernels import (
     InvalidKernelError,
     Kernel,
     SpecFormatError,
-    _encode_rec,
     _pack,
     _words,
     code_depth,
@@ -137,6 +136,8 @@ def test_glue_groups_validated():
         kernel_linear(G4, q=2, glue=[(0, 2), (1,), (3,)])  # not consecutive
     with pytest.raises(InvalidKernelError):
         kernel_linear(G4, q=2, glue=[(0, 1), (2,)])  # does not cover
+    with pytest.raises(InvalidKernelError):
+        kernel_linear([[1, 0], [1, 1]], q=2, glue=[(0, 1), ()])  # an empty group
     k = kernel_linear(G4, q=2, glue=[(0, 1), (2,), (3,)])
     assert k.group_at(0) == (0, 1)
     with pytest.raises(ValueError):
@@ -175,7 +176,7 @@ def test_is_arikan_from_structure():
     u = np.random.default_rng(4).integers(0, 2, 16)
     ref = kernel_arikan()
     assert np.array_equal(encode_unchecked(built, u), encode_unchecked(ref, u))
-    assert np.array_equal(encode_unchecked(built, u), _encode_rec(ref, u))
+    assert list(encode_unchecked(built, u)) == _encode_by_definition(ref, list(u))
     assert kernel_linear([[1, 0], [1, 1]]).is_arikan
     assert not kernel_linear([[1, 0], [1, 1]], glue=[(0, 1)]).is_arikan
     assert not kernel_linear([[1, 0], [1, 1]], q=3).is_arikan
@@ -211,9 +212,14 @@ def _encode_by_definition(kernel, u):
     return [s for i in range(blk) for s in kernel.map([p[i] for p in parts])]
 
 
-@pytest.mark.parametrize("kernel", [
+ENCODE_KERNELS = pytest.mark.parametrize("kernel", [
     kernel_arikan(), kernel_linear(G4), kernel_linear([[1, 0], [1, 1]], q=3),
-], ids=["arikan", "g4", "gf3"])
+    kernel_from_table([[1, 1], [1, 0], [0, 0], [0, 1]], q=2),
+    kernel_linear(G4, glue=[(0, 1), (2,), (3,)]),
+], ids=["arikan", "g4", "gf3", "table", "glued"])
+
+
+@ENCODE_KERNELS
 def test_encode_unchecked_batch_matches_rows(kernel):
     rng = np.random.default_rng(17)
     for m in (1, 2, 3):
@@ -225,9 +231,24 @@ def test_encode_unchecked_batch_matches_rows(kernel):
             assert list(x) == _encode_by_definition(kernel, list(row))
             assert np.array_equal(x, encode_unchecked(kernel, row))
     # a one-frame codeword is a new array, not a view of the kernel table
+    table = kernel.table.copy()
     x = encode_unchecked(kernel, np.zeros(kernel.ell, dtype=np.int64))
-    x[:] = 1
-    assert not kernel.table[0].any()
+    x += 1
+    assert np.array_equal(kernel.table, table)
+
+
+@ENCODE_KERNELS
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3), (0,)], ids=["1d", "batch", "batch2", "empty"])
+def test_encode_unchecked_matches_definition_any_leading_shape(kernel, lead):
+    # every kernel takes the same level loop: one word, a batch, a batch of
+    # batches and an empty (0, N) batch all encode word by word
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3):
+        u = rng.integers(0, kernel.q, lead + (kernel.ell**m,))
+        got = encode_unchecked(kernel, u)
+        assert got.shape == u.shape and got.dtype == np.int64
+        for idx in np.ndindex(lead):
+            assert list(got[idx]) == _encode_by_definition(kernel, list(u[idx]))
 
 
 def test_encode_batch_checks_every_frame(arikan):
