@@ -5,8 +5,9 @@ BER/FER to CSV), hwsim (cycle-accurate architecture run + closed-form
 audit), encode and decode (single-block file mode). A --config file of
 key=value lines fills in defaults; explicit flags win. POLARBENCH_SEED
 provides the default seed. Exit codes: 0 ok, 1 failed check, 2 usage: a
-bad flag or file, or a ValueError or UnsupportedCodeError raised by the
-library, each reported as one "error: <message>" line.
+bad flag or file, or one of the library's input errors (INPUT_ERRORS),
+each reported as one "error: <message>" line. Any other exception is a
+fault of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ import numpy as np
 from . import hwsim
 from .channels import ChannelModel, DegenerateEvidenceError, likelihood_rows_binary
 from .construction import construct_bec, construct_montecarlo
+from .gf import AlphabetError
 from .kernels import (
-    FrozenMismatchError,
-    CodeSpec,
-    Kernel,
-    check_length,
-    code_depth,
-    dump_codespec,
-    encode,
-    kernel_arikan,
-    kernel_linear,
-    load_codespec,
-    load_kernel,
+    CodeLengthError, CodeSpec, FrozenMismatchError, InvalidKernelError, Kernel, SpecFormatError,
+    check_length, code_depth, dump_codespec, encode, kernel_arikan, kernel_linear,
+    load_codespec, load_kernel,
 )
 from .llrops import LlrContradiction
 from .montecarlo import CSV_HEADER, csv_row, decode_frame, reads_min_sum, run_trials
@@ -39,6 +33,11 @@ from .sc import UnsupportedCodeError
 
 # binary length-4 kernel used when general-line runs without a kernel file
 G4_DEFAULT = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+
+# the library's refusals of a value or a code it was given: a usage error,
+# like a bad flag
+INPUT_ERRORS = (AlphabetError, CodeLengthError, DegenerateEvidenceError, FrozenMismatchError,
+                InvalidKernelError, SpecFormatError, UnsupportedCodeError)
 
 ARCH_NAMES = {
     "sc-pipeline": "sc_pipeline",
@@ -415,9 +414,7 @@ def main(argv=None) -> int:
             sys.stderr.write(e.code + "\n")
             return 2
         return e.code if e.code is not None else 0
-    except (ValueError, UnsupportedCodeError) as e:
-        # a value or a code that no decoder or model takes is a usage
-        # error, like a bad flag
+    except INPUT_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except OSError as e:

@@ -2,10 +2,7 @@
 
 A kernel is a bijection g: F^ell -> F^ell, held as its table: row i holds
 g of the input word whose packing is i, its digits weighted by the
-kernel's radix (input 0 most significant). Every kernel, the (u+v, v) one
-included, is built by the same constructors, packed by its radix alone and
-applied by one encoder loop, and its glue groups are normalized and
-checked once, in Kernel.
+kernel's radix (input 0 most significant).
 
 A code of length ell^m applies g recursively: the input splits into ell
 consecutive blocks, each block is encoded by the length ell^(m-1) map, and
@@ -28,6 +25,10 @@ class InvalidKernelError(ValueError):
 
 class FrozenMismatchError(ValueError):
     pass
+
+
+class CodeLengthError(ValueError):
+    """A code length or depth that no code of the kernel has, or one beyond MAX_N."""
 
 
 TABLE_LIMIT = 1 << 20  # exhaustive bijectivity check bound
@@ -164,21 +165,21 @@ def kernel_from_table(table, q: int = 2, glue=None) -> Kernel:
 
 
 def check_length(ell: int, m: int) -> None:
-    """ValueError unless ell**m <= MAX_N. A depth of MAX_N.bit_length() or
-    more is refused without forming ell**m (ell >= 2)."""
+    """CodeLengthError unless ell**m <= MAX_N. A depth of MAX_N.bit_length()
+    or more is refused without forming ell**m (ell >= 2)."""
     if m >= MAX_N.bit_length() or ell**m > MAX_N:
-        raise ValueError(f"N = {ell}**{m} exceeds the longest supported code length {MAX_N}")
+        raise CodeLengthError(f"N = {ell}**{m} exceeds the longest supported code length {MAX_N}")
 
 
 def code_depth(n: int, ell: int) -> int:
-    """The depth m >= 1 with ell**m == n; a ValueError if there is none or
-    if n exceeds MAX_N."""
+    """The depth m >= 1 with ell**m == n; a CodeLengthError if there is none
+    or if n exceeds MAX_N."""
     m = 1
     while ell**m < n:
         m += 1
     check_length(ell, m)
     if ell**m != n:
-        raise ValueError(f"N={n} is not a power {ell}**m with m >= 1")
+        raise CodeLengthError(f"N={n} is not a power {ell}**m with m >= 1")
     return m
 
 
@@ -275,21 +276,15 @@ def encode_unchecked(kernel: Kernel, u) -> np.ndarray:
     One loop over the m levels, shortest blocks first: at the level of
     blocks of length ell*s, part r of a block is its r-th run of s symbols,
     already encoded, and output ell*i+j of the block is g_j of column i of
-    its parts, one table lookup per column. The (u+v, v) level is the same
-    lookup written as an XOR. Any number of leading axes, of any size
-    (zero included), is encoded; the result is always a new array.
+    its parts, one table lookup per column. Any number of leading axes, of
+    any size (zero included), is encoded; the result is always a new array.
     """
-    x = np.asarray(u, dtype=np.int64)
+    x = np.array(u, dtype=np.int64)
     lead, n, ell = x.shape[:-1], x.shape[-1], kernel.ell
     s = 1
     while s < n:
         parts = x.reshape(lead + (n // (ell * s), ell, s))
-        if kernel.is_arikan:
-            x = np.empty(parts.shape[:-2] + (s, 2), dtype=np.int64)
-            np.bitwise_xor(parts[..., 0, :], parts[..., 1, :], out=x[..., 0])
-            x[..., 1] = parts[..., 1, :]
-        else:
-            x = np.take(kernel.table, kernel.radix @ parts, axis=0)
+        x = np.take(kernel.table, kernel.radix @ parts, axis=0)
         s *= ell
     return x.reshape(lead + (n,))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarbench.cli import main
+from polarbench.cli import INPUT_ERRORS, main
 from polarbench.kernels import load_codespec
 
 
@@ -584,16 +584,28 @@ def test_empty_glue_group_usage_error(tmp_path, capsys, glue):
     assert "glue" in err
 
 
-def test_value_error_is_usage_error(capsys, monkeypatch):
-    # any ValueError out of the library is one error line and exit 2
+@pytest.mark.parametrize("error", INPUT_ERRORS)
+def test_input_error_is_usage_error(capsys, monkeypatch, error):
+    # the library's refusal of a value it was given is one error line and exit 2
     def boom(*args):
-        raise ValueError("boom")
+        raise error("boom")
 
     monkeypatch.setattr("polarbench.cli.construct_bec", boom)
     code, out, err = run_cli(capsys, "construct", "--N", "8", "--rate", "0.5")
     assert code == 2
     assert out == ""
     assert err == "error: boom\n"
+
+
+def test_other_value_error_propagates(capsys, monkeypatch):
+    # a ValueError of numpy's own is a fault of the program, not a usage
+    # error: it keeps its traceback instead of exiting 2
+    def reshape_empty(*args):
+        return np.zeros(0).reshape(3)
+
+    monkeypatch.setattr("polarbench.cli.construct_bec", reshape_empty)
+    with pytest.raises(ValueError, match="cannot reshape"):
+        run_cli(capsys, "construct", "--N", "8", "--rate", "0.5")
 
 
 def test_decode_huge_finite_llrs_no_warning(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarbench.gf import alphabet
 from polarbench.kernels import (
     MAX_N,
+    CodeLengthError,
     CodeSpec,
     FrozenMismatchError,
     InvalidKernelError,
@@ -235,6 +236,9 @@ def test_encode_unchecked_batch_matches_rows(kernel):
     x = encode_unchecked(kernel, np.zeros(kernel.ell, dtype=np.int64))
     x += 1
     assert np.array_equal(kernel.table, table)
+    # so is the codeword of a length-1 word, where no level runs
+    u1 = np.zeros((3, 1), dtype=np.int64)
+    assert not np.shares_memory(encode_unchecked(kernel, u1), u1)
 
 
 @ENCODE_KERNELS
@@ -333,8 +337,10 @@ def test_code_length_limit(arikan, k4):
         lambda: CodeSpec(kernel=k4, m=11, frozen={}),
         lambda: CodeSpec(kernel=arikan, m=10**18, frozen={}),
     ):
-        with pytest.raises(ValueError, match="exceeds the longest supported code length"):
+        with pytest.raises(CodeLengthError, match="exceeds the longest supported code length"):
             call()
+    with pytest.raises(CodeLengthError, match="is not a power"):
+        code_depth(6, 2)
 
 
 def test_encode_rejects_frozen_mismatch(arikan):
