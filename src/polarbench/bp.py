@@ -17,17 +17,31 @@ first, (B, .), and the contradiction flag is a (B,) array; the sweep runs
 over the last axis. Every message depends on its own frame alone, and
 bp_decode sweeps only the frames that have not yet stopped, so each row
 of a batch result equals a single-frame call on that row: decisions,
-iteration count, convergence and contradiction. The size-2 base step
-stays scalar, row by row, on Python floats: numpy's SIMD exp and log1p
-can round differently from math.exp and math.log1p in the last bit, and
-the scalar loop is also the faster one at this size.
+iteration count, convergence and contradiction.
+
+Every node is an outer code of its parent, so the frozen set decides
+much of the arithmetic. bp_state labels each node once: rate-0 (every
+coordinate frozen to 0, priors +inf), rate-1 (none frozen) or mixed. Fed
+inputs within +-BP_CLIP (two larger finite ones can sum to inf) while no
+message is NaN (BP makes no NaN from non-NaN inputs), a rate-0 node sends
+back +inf and, under the exact rule, a rate-1 node +0.0, bit for bit. An
+unobserved sweep then runs the node's subtree as one pass over its levels
+on (B, k, w) arrays of k nodes of width w, writing +inf or +0.0 into its
+mu_v. Under min-sum the zeros a rate-1 node sends back carry the signs of
+its data, so it walks. A mixed node whose left child sent back +inf skips
+the two f updates that reduce to a copy, and a size-2 node with a frozen
+left coordinate runs every frame at once in numpy. f of two finite LLRs
+at the leaves stays on Python floats, through math.exp and math.log1p:
+numpy's SIMD exp and log1p can round differently in the last bit. A sweep
+that finds a NaN in its LLRs or in mu_v takes every step.
 
 The sweep is also the schedule of the hardware BP line model: an optional
 tick(depth, node, op, outputs) is called once per message operation, in
 sweep order, and only on a batch of one frame. The size-2 base step ticks
 u0, u1, x0, x1 after its scalar updates; every other node ticks e1a0 and
 u_out before its first child, a0e1 and v_out before its second, then
-e1a0, x0_out and x1_out. A tick only observes; node ids follow
+e1a0, x0_out and x1_out. A tick only observes, and an observed sweep
+takes every step, so it sees every operation; node ids follow
 2 * parent + child.
 """
 
@@ -70,11 +84,13 @@ class BpState:
     rewritten. u_msg and x_out are rewritten every sweep;
     scrub_transients poisons them to prove nothing else persists.
     contradiction is (B,), and message_updates counts the updates of
-    every frame swept.
+    every frame swept. kinds[d][r] labels node r at depth d "rate0",
+    "rate1" or "mixed"; like priors it belongs to the code, not a frame.
     """
 
     m: int
     priors: np.ndarray
+    kinds: list
     mu_v: list
     u_msg: np.ndarray
     x_out: np.ndarray
@@ -89,7 +105,7 @@ class BpState:
     def take(self, rows: np.ndarray) -> "BpState":
         """A state holding copies of the given frames, with message_updates
         counting from 0."""
-        return BpState(self.m, self.priors, [v[rows] for v in self.mu_v], self.u_msg[rows],
+        return BpState(self.m, self.priors, self.kinds, [v[rows] for v in self.mu_v], self.u_msg[rows],
                        self.x_out[rows], self.contradiction[rows], min_sum=self.min_sum)
 
     def put(self, rows: np.ndarray, sub: "BpState") -> None:
@@ -111,9 +127,14 @@ def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int = 1) -> BpState:
     mask, vals = spec.frozen_arrays()
     priors = np.zeros(n, dtype=np.float64)
     priors[mask] = np.where(vals[mask] == 0, np.inf, -np.inf)
+    kinds = []
+    for d in range(m):
+        p = priors.reshape(2**d, -1)
+        kind = np.where((p == 0).all(1), "rate1", "mixed")
+        kinds.append(np.where((p == np.inf).all(1), "rate0", kind).tolist())
     mu_v = [np.zeros((batch, n // 2)) for _ in range(m)]
     mu_v[m - 1][:] = priors[1::2]
-    return BpState(m, priors, mu_v, np.zeros((batch, n)), np.zeros((batch, n)),
+    return BpState(m, priors, kinds, mu_v, np.zeros((batch, n)), np.zeros((batch, n)),
                    np.zeros(batch, dtype=bool), min_sum=min_sum)
 
 
@@ -143,9 +164,19 @@ def _combine_scalar(hits: list, row: int, a: float, b: float) -> float:
 
 
 def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.ndarray:
-    """The size-2 node r, one frame at a time on Python floats."""
+    """The size-2 node r. With its left coordinate frozen (pe = +-inf) every
+    f but u0's is a sign flip, so an unobserved step runs all frames at once
+    in numpy; otherwise it goes one frame at a time on Python floats."""
     fp = f_plus_minsum if state.min_sum else f_plus
     pe, po = state.priors[2 * r : 2 * r + 2].tolist()  # po == mu_v[d][..., r]
+    state.message_updates += 3 * x_in.size
+    if tick is None and math.isinf(pe):
+        a, b = x_in[:, :1], x_in[:, 1:]
+        a0e1 = a if pe > 0 else -a
+        e1a0 = _combine_vec(state, po, b)
+        state.u_msg[:, 2 * r] = list(map(fp, a.ravel().tolist(), e1a0.ravel().tolist()))
+        state.u_msg[:, 2 * r + 1 : 2 * r + 2] = _combine_vec(state, a0e1, b)
+        return np.hstack((e1a0 if pe > 0 else -e1a0, _combine_vec(state, a0e1, po)))
     u, x, hits = [], [], []
     for row, (a, b) in enumerate(x_in.reshape(-1, 2).tolist()):
         e1a0 = _combine_scalar(hits, row, po, b)
@@ -155,14 +186,46 @@ def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.nda
     if hits:
         state.contradiction[hits] = True
     state.u_msg[..., 2 * r : 2 * r + 2] = np.array(u).reshape(x_in.shape)
-    state.message_updates += 3 * x_in.size
     if tick is not None:
         for op, val in zip(("u0", "u1", "x0", "x1"), u[0] + x[0]):
             tick(d, r, op, val)
     return np.array(x).reshape(x_in.shape)
 
 
+def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, rate1: bool) -> np.ndarray:
+    """The rate-0 or rate-1 subtree of node r at depth d, one level at a
+    time on (B, k, w) inputs. A rate-0 child sends back +inf, so the left
+    input is f(x0, e1a0) and the right one x0 + x1; a rate-1 child sends
+    back +0.0, and f(+0.0, x0) is +0.0, so the right input is 0.0 + x1.
+    At the leaves e1a0 is +inf (rate-0) or the right input (rate-1)."""
+    rows, n = x_in.shape
+    out = 0.0 if rate1 else np.inf
+    x = x_in[:, None]
+    for dd in range(d, state.m):
+        k, w = x.shape[1], x.shape[2] // 2
+        x0, x1 = x[..., 0::2], x[..., 1::2]
+        right = _combine_vec(state, 0.0 if rate1 else x0, x1)
+        if dd < state.m - 1:
+            mu = state.mu_v[dd][:, r * w : (r + k) * w].reshape(rows, k, w)
+            left = x0 if not rate1 and (mu == np.inf).all() else f_plus_vec(
+                x0, _combine_vec(state, mu, x1), min_sum=state.min_sum)
+            mu[...] = out
+        elif rate1:
+            left = np.reshape(list(map(f_plus, x0.ravel().tolist(), right.ravel().tolist())), x0.shape)
+        else:
+            left = x0
+        x = np.stack((left, right), axis=2).reshape(rows, 2 * k, w)
+        r *= 2
+    state.u_msg[:, r : r + n] = x.reshape(rows, n)
+    state.message_updates += x_in.size // 2 * (7 * (state.m - 1 - d) + 6)
+    return np.full(x_in.shape, out)
+
+
 def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
+    kind = state.kinds[d][r]
+    if (tick is None and (kind == "rate0" or kind == "rate1" and not state.min_sum)
+            and (np.abs(x_in) <= BP_CLIP).all()):
+        return _level_pass(state, d, r, x_in, kind == "rate1")
     if x_in.shape[-1] == 2:
         return _base_step(state, d, r, x_in, tick)
 
@@ -180,7 +243,9 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "u_out", u_out)
     mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
-    a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
+    # f(+inf, y) and f(y, +inf) are y bit for bit
+    left0 = tick is None and state.kinds[d + 1][2 * r] == "rate0" and (mu_u == np.inf).all()
+    a0e1 = x0 if left0 else f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
     if tick is not None:
         tick(d, r, "a0e1", a0e1)
@@ -188,7 +253,7 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
     mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, tick)
     state.mu_v[d][..., sl] = mu_v
     e1a0 = _combine_vec(state, mu_v, x1)
-    x0_out = f_plus_vec(e1a0, mu_u, min_sum=ms)
+    x0_out = e1a0 if left0 else f_plus_vec(e1a0, mu_u, min_sum=ms)
     x1_out = _combine_vec(state, a0e1, mu_v)
     if tick is not None:
         tick(d, r, "e1a0", e1a0)
@@ -202,6 +267,10 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
     return out
 
 
+def _observe_nothing(d, r, op, outputs):
+    """A tick that observes nothing, for a sweep that must take every step."""
+
+
 def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
     """One full sweep. Channel LLRs enter unchanged at the top, with the
     state's shape (B, N). tick, if given, sees every message operation of
@@ -211,6 +280,8 @@ def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
         raise ValueError(f"llr shape {llr.shape} does not match the state's {state.x_out.shape}")
     if tick is not None and len(llr) != 1:
         raise ValueError("tick observes a single frame; a batch sweep takes none")
+    if tick is None and any(np.isnan(v).any() for v in (llr, *state.mu_v)):
+        tick = _observe_nothing  # a NaN breaks the identities of the unobserved shortcuts
     with np.errstate(invalid="ignore"):
         state.x_out[...] = _sweep(state, 0, 0, llr, tick)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from polarbench import bp
 from polarbench.bp import (
     STOP_RULES,
     BpState,
@@ -16,6 +17,7 @@ from polarbench.bp import (
     _decisions,
 )
 from polarbench.channels import bec, transmit
+from polarbench.construction import construct_bec
 from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
@@ -252,13 +254,17 @@ def test_bp_decides_nan_as_sc(arikan):
 # messages at six significant digits; these catch a last-ulp drift of the
 # scalar base step or of the vector node updates.
 
-PIN_KINDS = ("gauss", "pm", "inf")
+PIN_KINDS = ("gauss", "pm", "inf", "bec-code")
 PIN_SIZES = (2, 4, 8, 16, 32, 64, 128)
 
 
 def _pin_case(kind, n):
     m = n.bit_length() - 1
     rng = np.random.default_rng([n, PIN_KINDS.index(kind)])
+    if kind == "bec-code":
+        # the bp-awgn128 benchmark's code, every frozen value 0: it has wide
+        # rate-0 and rate-1 subtrees, which random frozen sets do not
+        return construct_bec(m, 0.5, 0.5), rng.normal(0.0, 2.0, n)
     frozen = rng.choice(n, size=n // 2, replace=False)
     spec = CodeSpec(kernel_arikan(), m, {int(i): int(rng.integers(0, 2)) for i in frozen})
     if kind == "gauss":
@@ -291,7 +297,8 @@ def _pin_digests(kind, n, min_sum):
     return tuple(out)
 
 
-# recorded before the batched sweep landed; (min_sum, kind, N) -> digests
+# recorded before the batched sweep landed, the bec-code rows before the
+# rate-0 and rate-1 level passes; (min_sum, kind, N) -> digests
 BP_PINS = {
     (False, "gauss", 2): ('4dd97c79c0c189dc', '4dd97c79c0c189dc', '4dd97c79c0c189dc'),
     (False, "gauss", 4): ('a7ffd0f109d87848', 'f34823bc6a9e2450', 'f34823bc6a9e2450'),
@@ -314,6 +321,7 @@ BP_PINS = {
     (False, "inf", 32): ('d58b1df87749765d', '3f600d30d21e6b72', '443cbea22d1b82bc'),
     (False, "inf", 64): ('cb69af8c934e2ed5', '4e878b39561f7aaf', '8e6c3802fcb7d6b3'),
     (False, "inf", 128): ('54aac538abb2092f', 'fb8ec3fa2854f09b', '0c424c9826e7041c'),
+    (False, "bec-code", 128): ('9a55d4994d780ed5', 'ef661e28e8e1588c', '467ea48c9ad88624'),
     (True , "gauss", 2): ('4dd97c79c0c189dc', '4dd97c79c0c189dc', '4dd97c79c0c189dc'),
     (True , "gauss", 4): ('806424934973866a', '5ef4b4f893aa3e2d', '5ef4b4f893aa3e2d'),
     (True , "gauss", 8): ('ead39ced92846a63', '8869814ab075fa1e', '8869814ab075fa1e'),
@@ -335,6 +343,7 @@ BP_PINS = {
     (True , "inf", 32): ('f756d7c4dc1a25d8', '3bbcb21fadcb2ac6', '48b02277b2837df7'),
     (True , "inf", 64): ('2c8afe1c62287b27', '44fe7e782ee31d88', 'f548cecaaf58e3fe'),
     (True , "inf", 128): ('42782b61e209aa2f', 'f9d1ea2112c7ddce', '145b07c01f4984e4'),
+    (True , "bec-code", 128): ('31ccbfbefe8d21dd', '26f621abb6115c15', '8a72c610c5b66f3c'),
 }
 
 
@@ -455,3 +464,142 @@ def test_bp_rejects_non_positive_iterations(arikan):
             bp_decode(spec, np.zeros(4), max_iters=iters)
         with pytest.raises(ValueError):
             bp_decode(spec, np.zeros((3, 4)), max_iters=iters)
+
+
+# unobserved shortcuts --------------------------------------------------------
+#
+# An unobserved sweep runs rate-0 and rate-1 subtrees as level passes,
+# skips f under a left child that sent back +inf and runs size-2 nodes
+# with a frozen left coordinate in numpy. An observed sweep takes every
+# step, so a no-op tick gives the reference.
+
+
+def _observe_nothing(d, r, op, outs):
+    pass
+
+
+def _draw_blocks(data, lo, n, frozen):
+    # frozen pins for coordinates lo..lo+n-1, block by block: frozen to 0,
+    # frozen with one pin of value 1, free, or two halves drawn alike
+    shape = data.draw(hs.sampled_from(("split", "zeros", "with-one", "free")[n == 1 :]))
+    if shape == "split":
+        _draw_blocks(data, lo, n // 2, frozen)
+        _draw_blocks(data, lo + n // 2, n // 2, frozen)
+    elif shape != "free":
+        frozen.update(dict.fromkeys(range(lo, lo + n), 0))
+        if shape == "with-one":
+            frozen[data.draw(hs.integers(lo, lo + n - 1))] = 1
+
+
+def _evidence_row(data, n):
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+    lam = rng.normal(0.0, 2.0, n)
+    kind = data.draw(hs.sampled_from(("gauss", "inf", "nan", "huge")))
+    if kind == "inf":
+        hard = rng.random(n) < 0.45
+        lam[hard] = rng.choice([np.inf, -np.inf], n)[hard]
+    elif kind == "nan":
+        lam[rng.random(n) < 0.15] = np.nan
+        lam[rng.integers(n)] = np.nan
+    elif kind == "huge":  # beyond BP_CLIP, as bp_iteration takes them: sums overflow
+        return np.where(rng.random(n) < 0.5, lam, np.copysign(1e308, lam))
+    return np.where(np.isfinite(lam), np.clip(lam, -BP_CLIP, BP_CLIP), lam)
+
+
+def _same_bytes(got, want):
+    # bit for bit, signed zeros included; NaN matches NaN by position, as a
+    # NaN's sign bit already differs between sweeps of one frame
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+@settings(max_examples=120, deadline=None)
+@given(hs.integers(1, 6), hs.data())
+def test_bp_unobserved_sweep_matches_observed_walk(m, data):
+    # every message, flag and count of an unobserved batch sweep equals the
+    # observed walk of each frame alone, sweep after sweep; fresh evidence
+    # at each sweep meets the messages the last one left, NaN included
+    n = 2**m
+    frozen = {}
+    _draw_blocks(data, 0, n, frozen)
+    spec = CodeSpec(kernel_arikan(), m, frozen)
+    rows = data.draw(hs.integers(1, 3))
+    fresh = data.draw(hs.booleans())
+    min_sum = data.draw(hs.booleans())
+    batch = bp_state(spec, min_sum=min_sum, batch=rows)
+    singles = [bp_state(spec, min_sum=min_sum) for _ in range(rows)]
+    for sweep in range(data.draw(hs.integers(1, 3))):
+        if sweep == 0 or fresh:
+            lam = np.array([_evidence_row(data, n) for _ in range(rows)])
+        with np.errstate(over="ignore"):
+            bp_iteration(batch, lam)
+            for row, one in zip(lam, singles):
+                bp_iteration(one, row[None], tick=_observe_nothing)
+        for i, one in enumerate(singles):
+            for got, want in zip((batch.u_msg, batch.x_out, *batch.mu_v), (one.u_msg, one.x_out, *one.mu_v)):
+                assert _same_bytes(got[i], want[0]), (sweep, i)
+            assert batch.contradiction[i] == one.contradiction[0], (sweep, i)
+        assert batch.message_updates == sum(one.message_updates for one in singles), sweep
+
+
+@pytest.mark.parametrize("frozen", [{}, {0: 0, 1: 0, 2: 0, 3: 0}])
+def test_bp_nan_left_in_mu_v_keeps_the_walk(frozen):
+    # a NaN stored by an earlier sweep is fed back by the next one, even on
+    # finite evidence, so that sweep must take every step too
+    spec = CodeSpec(kernel_arikan(), 2, frozen)
+    fast, walk = bp_state(spec), bp_state(spec)
+    for lam in ([[np.nan, 1.0, 2.0, -1.0]], [[0.5, 1.0, 2.0, -1.0]]):
+        bp_iteration(fast, np.array(lam))
+        bp_iteration(walk, np.array(lam), tick=_observe_nothing)
+        for got, want in zip((fast.u_msg, fast.x_out, *fast.mu_v), (walk.u_msg, walk.x_out, *walk.mu_v)):
+            assert _same_bytes(got[0], want[0]), lam
+
+
+def _count_f_calls(monkeypatch):
+    # the arguments of every scalar and every vector f the sweep makes
+    calls = {"scalar": [], "vector": []}
+    for name in ("f_plus", "f_plus_minsum"):
+        fn = getattr(bp, name)
+        monkeypatch.setattr(bp, name, lambda a, b, fn=fn: calls["scalar"].append((a, b)) or fn(a, b))
+    vec = bp.f_plus_vec
+    monkeypatch.setattr(bp, "f_plus_vec",
+                        lambda a, b, min_sum=False: calls["vector"].append((a, b)) or vec(a, b, min_sum=min_sum))
+    return calls
+
+
+def test_bp_second_sweep_makes_no_f_call_inside_rate0_subtrees(monkeypatch):
+    spec = construct_bec(7, 0.5, 0.5)
+    assert set(spec.frozen.values()) == {0}
+    lam = channel_llr(spec, np.random.default_rng(3).normal(1.0, 1.0, (4, 128)))
+    st = bp_state(spec, batch=4)
+    bp_iteration(st, lam)
+    calls = _count_f_calls(monkeypatch)
+    bp_iteration(st, lam)
+    # a scalar f inside a rate-0 pair would take its prior +inf; only the
+    # pairs with a free right coordinate make one, u0, per frame
+    pairs = [(2 * i in spec.frozen, 2 * i + 1 in spec.frozen) for i in range(64)]
+    assert (False, True) not in pairs
+    assert len(calls["scalar"]) == 4 * pairs.count((False, False)) + 4 * pairs.count((True, False))
+    assert all(math.isfinite(a) and math.isfinite(b) for a, b in calls["scalar"])
+    # a vector f on a message that is +inf throughout is a copy: none runs
+    assert calls["vector"]
+    assert not any((np.asarray(v) == np.inf).all() for args in calls["vector"] for v in args)
+
+
+@pytest.mark.parametrize("how", ["unobserved", "ticked", "nan", "min-sum"])
+def test_bp_rate1_subtree_f_counts(monkeypatch, arikan, how):
+    # an all-free code is one rate-1 subtree. The walk makes 3 scalar f per
+    # size-2 node and 3 vector f per other node; the level pass one scalar f
+    # per pair and one vector f per level above the pairs. A tick, a NaN or
+    # the min-sum rule keeps the walk.
+    spec = spec_all_free(arikan, 4)
+    lam = channel_llr(spec, np.random.default_rng(4).normal(0.0, 2.0, (1, 16)))
+    if how == "nan":
+        lam[0, 5] = np.nan
+    st = bp_state(spec, min_sum=how == "min-sum")
+    bp_iteration(st, lam)
+    calls = _count_f_calls(monkeypatch)
+    bp_iteration(st, lam, tick=_observe_nothing if how == "ticked" else None)
+    want = (8, 3) if how == "unobserved" else (24, 21)
+    assert (len(calls["scalar"]), len(calls["vector"])) == want

@@ -1,9 +1,11 @@
 """Seeded `polarbench simulate` rows, pinned byte for byte.
 
 Every row was recorded while its decoder still went frame by frame: the
-first seventeen before the SC Monte-Carlo lanes were batched, the last
-three (SCL at N = 64 and 128, lists of 4 and 8) before SCL was. The first
-row is the README example. Each case runs with --jobs 1 and --jobs 2, and
+first seventeen before the SC Monte-Carlo lanes were batched, the next
+three (SCL at N = 64 and 128, lists of 4 and 8) before SCL was, and the
+last two (BP at N = 128, exact and min-sum, on a code with wide rate-0
+and rate-1 subtrees) before BP ran those subtrees as level passes. The
+first row is the README example. Each case runs with --jobs 1 and --jobs 2, and
 the cases of more than LANE_SIZE trials span two or three lanes, so a
 change to the draw order, the lane split or any decision shows here.
 
@@ -58,6 +60,10 @@ CASES = [
      "scl,bec,0.4,64,0.5,8,0,520,0.050901442,0.16346154,5"),
     ("--decoder scl --list-size 4 --channel biawgn:0.8 --N 64 --rate 0.5 --trials 520 --seed 5",
      "scl,biawgn,0.8,64,0.5,4,0,520,0.029326923,0.10576923,5"),
+    ("--decoder bp --iters 10 --channel biawgn:0.8 --N 128 --rate 0.5 --trials 600 --seed 7",
+     "bp,biawgn,0.8,128,0.5,1,10,600,0.030130208,0.16333333,7"),
+    ("--decoder bp --min-sum --iters 10 --channel biawgn:0.8 --N 128 --rate 0.5 --trials 600 --seed 7",
+     "bp,biawgn,0.8,128,0.5,1,10,600,0.036770833,0.145,7"),
 ]
 
 

@@ -24,7 +24,7 @@ from polarbench.hwsim import (
     run_sc,
     run_sc_multi,
 )
-from polarbench.bp import bp_decode, bp_state, bp_iteration
+from polarbench.bp import bp_decode, bp_state, bp_iteration, channel_llr
 from polarbench.hwsim.general_line import _GeneralLineEngine
 from polarbench.kernels import CodeSpec, Kernel, kernel_arikan, kernel_linear
 from polarbench.hwsim.sc_arch import PartialSumMismatch, _contention, _ScEngine
@@ -368,6 +368,25 @@ def test_bp_line_internal_state_matches_software(rng):
     for d in range(3):
         assert np.array_equal(run.state.mu_v[d], st.mu_v[d])
     assert np.array_equal(run.state.u_msg, st.u_msg)
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_bp_line_matches_level_passes_on_bec_code(min_sum, rng):
+    # construct_bec's frozen set holds wide rate-0 and rate-1 subtrees: the
+    # software sweep runs them as level passes, the line model walks every
+    # node, and both leave the same state after each iteration
+    spec = construct_bec(8, 0.5, 0.5)
+    llr = random_llr(rng, spec.n)
+    st = bp_state(spec, min_sum=min_sum)
+    for iters in (1, 2, 3):
+        run = run_bp_line(spec, llr, iterations=iters, min_sum=min_sum)
+        ref = bp_decode(spec, llr, max_iters=iters, stop="none", min_sum=min_sum)
+        assert np.array_equal(run.u_hat, ref.u_hat), iters
+        assert np.array_equal(run.x_hat, ref.x_hat), iters
+        assert run.contradiction == ref.contradiction, iters
+        bp_iteration(st, channel_llr(spec, llr)[None])
+        for got, want in zip((run.state.u_msg, run.state.x_out, *run.state.mu_v), (st.u_msg, st.x_out, *st.mu_v)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), iters
 
 
 def test_bp_line_message_audit(rng):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarbench.bp import _combine_vec, bp_state
+from polarbench.kernels import CodeSpec, kernel_arikan
 from polarbench.llrops import (
     decide,
     f_equal_vec,
@@ -175,6 +177,37 @@ def test_f_plus_vec_edge_pairs_match_reference(min_sum, finite_only):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_vector_updates_of_a_concatenation_match_separate_calls(min_sum):
+    # BP's level passes update all nodes of a level in one call, nodes with
+    # +-inf messages beside nodes with none; every non-NaN entry must round
+    # as in a call on its own part, signed zeros included
+    rng = np.random.default_rng(19)
+    edges = [0.0, -0.0, 5e-324, 1e-300, 40.0, -40.0, 1.5, -2.5]
+
+    def draw(n, extra):
+        vals = rng.normal(0.0, 5.0, (2, n))
+        pick = rng.random((2, n)) < 0.4
+        vals[pick] = rng.choice(edges + extra, (2, n))[pick]
+        return vals
+
+    a_inf, b_inf = draw(24, [np.inf, -np.inf, np.nan]), draw(24, [np.inf, -np.inf, np.nan])
+    a_fin, b_fin = draw(40, []), draw(40, [])
+    assert np.isinf(a_inf).any() and np.isinf(b_inf).any() and np.isfinite(a_fin + b_fin).all()
+
+    def combine(a, b):
+        state = bp_state(CodeSpec(kernel_arikan(), 1, {}), min_sum=min_sum, batch=2)
+        return _combine_vec(state, a, b)
+
+    with np.errstate(invalid="ignore"):
+        for update in (lambda a, b: f_plus_vec(a, b, min_sum=min_sum), combine):
+            whole = update(np.hstack((a_inf, a_fin)), np.hstack((b_inf, b_fin)))
+            for got, want in ((whole[:, :24], update(a_inf, b_inf)), (whole[:, 24:], update(a_fin, b_fin))):
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
 def test_f_equal_vec_conflict_marks_only_its_row():
