@@ -20,6 +20,15 @@ unaffected. The final ranking re-scores each survivor against the original
 channel evidence, which absorbs any frozen-group likelihood the selection
 steps skipped.
 
+A rate-0 node, wider than one kernel block and with every input frozen,
+has nothing left to choose: its walk keeps the candidates in place, and
+its u and x are the frozen values and their encoding. So such a node is
+returned without walking it once its evidence passes a guard, one minimum
+over the batch, under which the walk provably marks no frame either (see
+_rec_list); below the guard it walks, and its children check their own
+guards. ops still counts the work the walk would have done, so every
+field of a result, ops included, is what the full walk gives.
+
 Batch contract of decode_scl: a frame for which no list path stays
 possible is marked where that is found, and its evidence is replaced by
 ones from then on, so it walks on to the end without putting a NaN or a
@@ -32,12 +41,12 @@ the message of the first failure found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import check_likelihood_rows
-from .kernels import CodeSpec, Kernel
+from .kernels import CodeSpec, Kernel, code_depth, encode_unchecked
 from .llrops import LlrContradiction
 from .sc import conditioned_scores, glue_values
 
@@ -111,6 +120,7 @@ class _Ctx:
     failed: np.ndarray  # (B,) bool, one entry per frame of the walk
     ops: int = 0
     reason: str | None = None  # message of the first failure
+    rate0: dict = field(default_factory=dict)  # _rate0_nodes of the code; empty walks every node
 
     def fail(self, dead: np.ndarray, msg: str) -> None:
         """Mark the frames `dead` (B,), which lost every path."""
@@ -149,6 +159,33 @@ def _chain(src: np.ndarray | None, sel: np.ndarray | None) -> np.ndarray | None:
     return sel if src is None else _gather(src, sel)
 
 
+def _rate0_nodes(spec: CodeSpec) -> dict:
+    """(offset, width) -> frozen values of every node wider than one kernel
+    block whose inputs are all frozen."""
+    mask, vals = spec.frozen_arrays()
+    widths = (spec.kernel.ell**k for k in range(2, spec.m + 1))
+    return {(int(i) * w, w): vals[i * w : (i + 1) * w]
+            for w in widths for i in np.flatnonzero(mask.reshape(-1, w).all(axis=1))}
+
+
+# No value that a walked rate-0 subtree computes may fall below this: 10
+# bits above the least normal double, which covers every rounding on the way.
+_RATE0_LOW = 2.0**-1012
+
+
+def _rate0_floor(kernel: Kernel, nd: int) -> float:
+    """Least evidence entry at which a rate-0 node of width nd is returned
+    without walking it; the bound is derived in _rec_list."""
+    return (kernel.q * _RATE0_LOW) ** (kernel.ell / nd)
+
+
+def _prep_ops(kernel: Kernel, rho: int, blk: int, r: int) -> int:
+    """Ops counted for preparing outer code r on blk columns of rho candidates."""
+    if kernel.is_arikan:
+        return 4 * rho * blk
+    return rho * blk * kernel.q ** (kernel.ell - r) * kernel.ell
+
+
 def _prep_outer_list(
     ctx: _Ctx, pi: np.ndarray, src: np.ndarray | None, xcols: np.ndarray, r: int
 ) -> np.ndarray:
@@ -166,6 +203,7 @@ def _prep_outer_list(
     ell = kernel.ell
     a = _gather(pi, src, axis=2)
     nb, rho, blk = a.shape[1], a.shape[2], a.shape[3] // ell
+    ctx.ops += _prep_ops(kernel, rho, blk, r)
     if kernel.is_arikan:
         e, o = a[..., 0::2], a[..., 1::2]
         if r == 0:
@@ -175,13 +213,11 @@ def _prep_outer_list(
             exb = np.where(x0 == 0, e[0], e[1])  # evidence at even slot for x0 ^ b = x0
             exb1 = np.where(x0 == 0, e[1], e[0])
             out = 0.5 * np.stack([exb * o[0], exb1 * o[1]])
-        ctx.ops += 4 * rho * blk
         return _normalize_columns(ctx, out)
 
     # every (frame, candidate, column) is one kernel instance
     a = a.transpose(1, 2, 3, 0).reshape(nb * rho * blk, ell, q)
     scores = conditioned_scores(kernel, a, xcols.reshape(nb * rho * blk, r), r)
-    ctx.ops += rho * blk * q ** (ell - r) * ell
     out = scores.reshape(nb, rho, blk, q).transpose(3, 0, 1, 2)
     return _normalize_columns(ctx, out / q)
 
@@ -199,11 +235,24 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
         if len(cand) == 1:
             u_blk[..., c : c + width] = syms[cand[0]]
             continue
-        rows = _gather(pi, src, axis=2).transpose(1, 2, 3, 0).reshape(nb * rho, ell, q)
-        scores = conditioned_scores(kernel, rows, u_blk[..., :c].reshape(nb * rho, c), c)
+        a = _gather(pi, src, axis=2)
         # per frame, candidates flattened in (i, ascending t) order: a stable
         # sort keeps that order among equal scores
-        scores = scores[:, cand].reshape(nb, rho * len(cand))
+        if kernel.is_arikan:
+            # both values are allowed; conditioned_scores' sums in closed form,
+            # P0(u0 ^ t) * P1(t) summed over u0 for group 0 and taken at the
+            # decided u0 for group 1, the same products added in the same order
+            e, o = a[..., 0], a[..., 1]
+            if c == 0:
+                scores = np.stack([e[0] * o[0] + e[1] * o[1], e[1] * o[0] + e[0] * o[1]], axis=2)
+            else:
+                u0 = u_blk[..., 0] == 0
+                scores = np.stack([np.where(u0, e[0], e[1]) * o[0], np.where(u0, e[1], e[0]) * o[1]], axis=2)
+            scores = scores.reshape(nb, 2 * rho)
+        else:
+            rows = a.transpose(1, 2, 3, 0).reshape(nb * rho, ell, q)
+            scores = conditioned_scores(kernel, rows, u_blk[..., :c].reshape(nb * rho, c), c)
+            scores = scores[:, cand].reshape(nb, rho * len(cand))
         ctx.ops += rho * len(cand)
         dead = scores.max(axis=1) <= 0.0
         if dead.any():
@@ -230,14 +279,37 @@ def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     if nd == ell:
         return _base_node(ctx, pi, off, rho)
     blk = nd // ell
+    vals = ctx.rate0.get((off, nd))
+    if vals is not None and pi.min() >= _rate0_floor(kernel, nd):
+        # A rate-0 node without its walk. Below it every base node has one
+        # allowed value per glue group, so the walk selects and counts
+        # nothing there: it returns src None, u = vals, x = their encoding
+        # and rho unchanged.
+        # The one other thing it could do is mark a frame whose prepared
+        # column has peak 0, and the guard rules that out. Evidence entries
+        # are <= 1 (normalized), and say >= t. A prep sums q**(ell-r-1)
+        # products of ell entries, times 1/q: so its raw values lie in
+        # [q**(ell-r-2) t**ell, q**(ell-r-2)], and after dividing by the
+        # column peak in [t**ell, 1]. Depth k below this node the evidence is
+        # then >= t**(ell**k), and the least value the walk computes is a
+        # raw prep output at width ell**2, >= t**(nd/ell) / q (partial
+        # products and sums are larger). With t >= _rate0_floor that is
+        # >= _RATE0_LOW: normal, > 0, with margin for rounding. So nothing
+        # dies; ops gets what the node's log_ell(nd) - 1 inner levels count,
+        # each preparing nd/ell columns per outer code.
+        ctx.ops += (code_depth(nd, ell) - 1) * sum(_prep_ops(kernel, rho, blk, r) for r in range(ell))
+        shape, x = (nb, rho, nd), encode_unchecked(kernel, vals)
+        return None, np.broadcast_to(vals, shape), np.broadcast_to(x, shape), rho
     src = None
-    xcols = np.empty((nb, rho, blk, ell), dtype=np.int64)  # outer codeword r in [..., r]
-    u_node = np.empty((nb, rho, nd), dtype=np.int64)
+    xcols = np.empty((nb, rho, blk, 0), dtype=np.int64)  # none yet; outer codeword r goes to [..., r]
     for r in range(ell):
         p_r = _prep_outer_list(ctx, pi, src, xcols[..., :r], r)
         s_r, u_r, x_r, rho = _rec_list(ctx, p_r, off + r * blk, rho)
-        xcols = _gather(xcols, s_r)
-        u_node = _gather(u_node, s_r)
+        if r == 0:  # nothing decoded yet to carry over to the survivors
+            xcols = np.empty((nb, rho, blk, ell), dtype=np.int64)
+            u_node = np.empty((nb, rho, nd), dtype=np.int64)
+        else:
+            xcols, u_node = _gather(xcols, s_r), _gather(u_node, s_r)
         src = _chain(src, s_r)
         xcols[..., r] = x_r
         u_node[..., r * blk : (r + 1) * blk] = u_r
@@ -273,7 +345,7 @@ def decode_scl(
     nb = len(rows)
 
     groups = glue_values(kernel, *spec.frozen_arrays())
-    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool))
+    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool), rate0=_rate0_nodes(spec))
     peak = rows.max(axis=2)
     dead = (peak <= 0.0).any(axis=1)
     if dead.any():

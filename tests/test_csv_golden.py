@@ -1,13 +1,16 @@
 """Seeded `polarbench simulate` rows, pinned byte for byte.
 
-Every row was recorded while its decoder still went frame by frame: the
-first seventeen before the SC Monte-Carlo lanes were batched, the next
-three (SCL at N = 64 and 128, lists of 4 and 8) before SCL was, and the
-last two (BP at N = 128, exact and min-sum, on a code with wide rate-0
-and rate-1 subtrees) before BP ran those subtrees as level passes. The
-first row is the README example. Each case runs with --jobs 1 and --jobs 2, and
-the cases of more than LANE_SIZE trials span two or three lanes, so a
-change to the draw order, the lane split or any decision shows here.
+Each row was recorded before the change it guards: the first seventeen
+before the SC Monte-Carlo lanes were batched, the next three (SCL at N = 64
+and 128, lists of 4 and 8) before SCL was, the next two (BP at N = 128,
+exact and min-sum, on a code with wide rate-0 and rate-1 subtrees) before
+BP ran those subtrees as level passes, and the last (SCL list 8 at
+N = 1024, whose rate-0 nodes reach width 128, where the guard on their
+evidence is tightest) before SCL returned rate-0 nodes without walking
+them. The first row is the README example. Each case runs with --jobs 1
+and --jobs 2, and the cases of more than LANE_SIZE trials span two or
+three lanes, so a change to the draw order, the lane split or any
+decision shows here.
 
 The code-file rows (the length-4 kernel G4, and an Arikan code with frozen
 pins of value 1), the noiseless bsc:0 rows and the `construct --mc-trials`
@@ -64,6 +67,8 @@ CASES = [
      "bp,biawgn,0.8,128,0.5,1,10,600,0.030130208,0.16333333,7"),
     ("--decoder bp --min-sum --iters 10 --channel biawgn:0.8 --N 128 --rate 0.5 --trials 600 --seed 7",
      "bp,biawgn,0.8,128,0.5,1,10,600,0.036770833,0.145,7"),
+    ("--decoder scl --list-size 8 --channel bsc:0.03 --N 1024 --rate 0.5 --trials 64 --seed 5",
+     "scl,bsc,0.03,1024,0.5,8,0,64,0.0024414062,0.03125,5"),
 ]
 
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from polarbench import scl
 from polarbench.channels import bec, biawgn, bsc, likelihood_rows, likelihood_rows_binary, transmit
 from polarbench.construction import construct_bec
 from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
-from polarbench.sc import UnsupportedCodeError, decode_sc_arikan
-from polarbench.scl import Crc, _Ctx, _prep_outer_list, decode_scl
+from polarbench.sc import UnsupportedCodeError, decode_sc_arikan, glue_values
+from polarbench.scl import Crc, _base_node, _Ctx, _prep_outer_list, decode_scl
 
 from conftest import G4, random_llr, spec_all_free
 from oracle import ml_decode
@@ -261,6 +262,35 @@ def test_scl_prep_uv_fast_path_matches_general_branch():
             assert np.array_equal(failed_fast, failed_general), (case, r)
 
 
+def test_scl_base_node_uv_fast_path_matches_general_branch():
+    # the (u+v, v) closed form of _base_node against conditioned_scores on
+    # the same kernel with is_arikan cleared, for both glue groups free, for
+    # group 1 alone after a pinned group 0 (src stays None there) and for
+    # group 0 alone: same survivors, inputs, codewords, marks and ops
+    fast = kernel_arikan()
+    general = copy.copy(fast)
+    general.is_arikan = False
+    rng = np.random.default_rng(31)
+    pins = [{}, {0: 0}, {0: 1}, {1: 0}, {1: 1}]
+    for case in range(400):
+        nb, rho = rng.integers(1, 4), rng.integers(1, 9)
+        frozen = pins[case % len(pins)]
+        mask = np.array([0 in frozen, 1 in frozen])
+        vals = np.array([frozen.get(0, 0), frozen.get(1, 0)])
+        pi = rng.random((2, nb, rho, 2))
+        pi[rng.random(pi.shape) < rng.choice([0.0, 0.1, 0.4])] = 0.0
+        pi[rng.random(pi.shape) < rng.choice([0.0, 0.5])] *= 1e-300  # products underflow
+        m_list = int(rng.integers(1, 9))
+        got = []
+        for k in (fast, general):
+            ctx = _Ctx(kernel=k, m_list=m_list, groups=glue_values(k, mask, vals),
+                       failed=np.zeros(nb, dtype=bool))
+            src, u_blk, x, rho_out = _base_node(ctx, pi, 0, int(rho))
+            got.append((None if src is None else src.tolist(), u_blk.tolist(), x.tolist(), rho_out,
+                        ctx.failed.tolist(), ctx.ops, ctx.reason))
+        assert got[0] == got[1], case
+
+
 # batch contract --------------------------------------------------------------
 
 # sha256 prefixes over 200 frames of (u_list, log_scores, ops) bytes,
@@ -396,3 +426,126 @@ def test_scl_batch_shapes_and_validation(arikan, rng):
     bad[2, 5, 1] = np.nan
     with pytest.raises(ValueError, match="frame 2, position 5"):
         decode_scl(spec, bad, 4)
+
+
+# rate-0 nodes ----------------------------------------------------------------
+
+
+def _count_scl_calls(monkeypatch):
+    # how often the decode prepares evidence and calls conditioned_scores
+    calls = {"_prep_outer_list": 0, "conditioned_scores": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(scl, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(scl, name, counted)
+    return calls
+
+
+def test_scl_bench_code_skips_every_rate0_node(monkeypatch):
+    # the scl-bsc128 code at list 8: the walk prepares 126 times and calls
+    # conditioned_scores 64 times; returning its rate-0 nodes whole leaves
+    # 94 preps, and the (u+v, v) base nodes score in closed form
+    spec = construct_bec(7, 0.5, 0.5)
+    rng = np.random.default_rng(1)
+    lam = np.array([
+        transmit(bsc(0.08), encode(spec, spec.assemble(rng.integers(0, 2, spec.k_info))), rng)
+        for _ in range(32)
+    ])
+    calls = _count_scl_calls(monkeypatch)
+    res = decode_scl(spec, likelihood_rows_binary(lam), 8)
+    assert calls == {"_prep_outer_list": 94, "conditioned_scores": 0}
+    assert not res.failed.any()
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_scl_rate0_guard_edge(monkeypatch, above):
+    # a code frozen everywhere is one rate-0 node whose evidence is the
+    # normalized rows. With one entry just above the guard's floor the node
+    # is returned whole; just below, it walks its two outer codes, whose
+    # evidence passes their own looser guards. Either way the result and
+    # ops are those of the full walk.
+    spec = CodeSpec(kernel_arikan(), 3, {i: i % 2 for i in range(8)})
+    rows = np.ones((8, 2))
+    rows[3, 1] = scl._rate0_floor(spec.kernel, 8) * (1 + 2.0**-40 if above else 1 - 2.0**-40)
+    calls = _count_scl_calls(monkeypatch)
+    res = decode_scl(spec, rows, 8)
+    assert calls["_prep_outer_list"] == (0 if above else 2)
+    monkeypatch.setattr(scl, "_rate0_floor", lambda kernel, nd: np.inf)
+    walk = decode_scl(spec, rows, 8)
+    assert calls["_prep_outer_list"] == (0 if above else 2) + 6
+    assert _scl_fields(res) == _scl_fields(walk)
+    assert res.u_hat.tolist() == [i % 2 for i in range(8)]
+
+
+def test_scl_rate0_guard_walks_positive_evidence_that_underflows():
+    # evidence can be positive and still kill a frame inside a rate-0 walk:
+    # the root's second outer code multiplies 2**-1000 by 2**-600 and 1 by
+    # 2**-1200, both 0, and the two zeros rule out both values of a column
+    # one level down. This node is far below its floor, so it walks and the
+    # frame fails as in the full walk; a floor that did not tighten with
+    # the node's width (q * 2**-1012 at every width) would skip the node
+    # and decode the frame.
+    spec = CodeSpec(kernel_arikan(), 3, {i: 0 for i in range(8)})
+    rows = np.ones((8, 2))
+    rows[4:] = 2.0 ** -np.array([[1000, 0], [600, 0], [0, 600], [0, 600]])
+    assert rows.min() > 0 and rows.min() < scl._rate0_floor(spec.kernel, 8)
+    for list_size in (1, 8):
+        with pytest.raises(LlrContradiction, match="every list path is impossible"):
+            decode_scl(spec, rows, list_size)
+    assert decode_scl(spec, rows[None], 2).failed.tolist() == [True]
+
+
+def _scl_fields(res):
+    # every field of a result, arrays with their dtype and shape, byte for byte
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes())
+                   for a in map(np.asarray, (res.u_list, res.x_list, res.log_scores, res.probs, res.best)))
+    return arrays, res.ops, None if res.failed is None else res.failed.tobytes()
+
+
+def _scl_outcomes(spec, rows, list_size):
+    # the batch result, then each frame's own result or its failure message
+    out = [_scl_fields(decode_scl(spec, rows, list_size))]
+    for frame in rows:
+        try:
+            out.append(_scl_fields(decode_scl(spec, frame, list_size)))
+        except LlrContradiction as e:
+            out.append(str(e))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs.sampled_from(sorted(SCL_KERNELS)), hs.data())
+def test_scl_rate0_skip_matches_forced_walk(name, data):
+    # codes with whole aligned blocks frozen, to 0 or to drawn values, on
+    # Gaussian rows, rows holding zeros and rows scaled toward underflow:
+    # returning rate-0 nodes whole changes no field, ops, mark or message
+    # against the walk that a guard of +inf forces
+    kernel, max_m = SCL_KERNELS[name]
+    q, ell = kernel.q, kernel.ell
+    m = data.draw(hs.integers(1, max_m))
+    n = ell**m
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+    pinned = rng.choice(n, rng.integers(0, n // 2 + 1), replace=False)
+    frozen = {int(i): int(rng.integers(0, q)) for i in pinned}
+    for _ in range(data.draw(hs.integers(1, 3))):
+        w = ell ** data.draw(hs.integers(1, m))
+        start = w * data.draw(hs.integers(0, n // w - 1))
+        vals = rng.integers(0, q, w) if data.draw(hs.booleans()) else np.zeros(w, dtype=np.int64)
+        frozen.update(zip(range(start, start + w), vals.tolist()))
+    spec = CodeSpec(kernel, m, frozen)
+    list_size = data.draw(hs.sampled_from((1, 2, 8)))
+    rows = np.exp(rng.normal(0.0, 2.0, (data.draw(hs.integers(1, 3)), n, q)))
+    for f, kind in enumerate(data.draw(hs.lists(hs.sampled_from(("gauss", "zero", "under")),
+                                                min_size=len(rows), max_size=len(rows)))):
+        if kind == "zero":
+            rows[f][rng.random((n, q)) < 0.3] = 0.0
+        elif kind == "under":
+            rows[f] **= 40
+            rows[f][rng.random((n, q)) < 0.1] = 1e-300
+    skip = _scl_outcomes(spec, rows, list_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scl, "_rate0_floor", lambda kernel, nd: np.inf)
+        walk = _scl_outcomes(spec, rows, list_size)
+    assert skip == walk
