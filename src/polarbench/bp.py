@@ -20,20 +20,21 @@ of a batch result equals a single-frame call on that row: decisions,
 iteration count, convergence and contradiction.
 
 Every node is an outer code of its parent, so the frozen set decides
-much of the arithmetic. bp_state labels each node once: rate-0 (every
-coordinate frozen to 0, priors +inf), rate-1 (none frozen) or mixed. Fed
-inputs within +-BP_CLIP (two larger finite ones can sum to inf) while no
-message is NaN (BP makes no NaN from non-NaN inputs), a rate-0 node sends
-back +inf and, under the exact rule, a rate-1 node +0.0, bit for bit. An
-unobserved sweep then runs the node's subtree as one pass over its levels
-on (B, k, w) arrays of k nodes of width w, writing +inf or +0.0 into its
+much of the arithmetic. The sweep reads each node's kind from the code's
+node plan (CodeSpec.node_plan): rate-0 when every coordinate is frozen
+to 0 (priors +inf), rate-1 when none is frozen. Fed inputs within
++-BP_CLIP (two larger finite ones can sum to inf) while no message is NaN
+(BP makes no NaN from non-NaN inputs), a rate-0 node sends back +inf and,
+under the exact rule, a rate-1 node +0.0, bit for bit. An unobserved
+sweep then runs the node's subtree as one pass over its levels on
+(B, k, w) arrays of k nodes of width w, writing +inf or +0.0 into its
 mu_v. Under min-sum the zeros a rate-1 node sends back carry the signs of
-its data, so it walks. A mixed node whose left child sent back +inf skips
-the two f updates that reduce to a copy, and a size-2 node with a frozen
-left coordinate runs every frame at once in numpy. f of two finite LLRs
-at the leaves stays on Python floats, through math.exp and math.log1p:
-numpy's SIMD exp and log1p can round differently in the last bit. A sweep
-that finds a NaN in its LLRs or in mu_v takes every step.
+its data, so it walks. A walked node whose rate-0 left child sent back
++inf skips the two f updates that reduce to a copy, and a size-2 node
+with a frozen left coordinate runs every frame at once in numpy. f of two
+finite LLRs at the leaves stays on Python floats, through math.exp and
+math.log1p: numpy's SIMD exp and log1p can round differently in the last
+bit. A sweep that finds a NaN in its LLRs or in mu_v takes every step.
 
 The sweep is also the schedule of the hardware BP line model: an optional
 tick(depth, node, op, outputs) is called once per message operation, in
@@ -84,13 +85,13 @@ class BpState:
     rewritten. u_msg and x_out are rewritten every sweep;
     scrub_transients poisons them to prove nothing else persists.
     contradiction is (B,), and message_updates counts the updates of
-    every frame swept. kinds[d][r] labels node r at depth d "rate0",
-    "rate1" or "mixed"; like priors it belongs to the code, not a frame.
+    every frame swept. spec is the code, whose node plan gives each
+    node's kind; like priors it belongs to the code, not a frame.
     """
 
     m: int
     priors: np.ndarray
-    kinds: list
+    spec: CodeSpec
     mu_v: list
     u_msg: np.ndarray
     x_out: np.ndarray
@@ -105,7 +106,7 @@ class BpState:
     def take(self, rows: np.ndarray) -> "BpState":
         """A state holding copies of the given frames, with message_updates
         counting from 0."""
-        return BpState(self.m, self.priors, self.kinds, [v[rows] for v in self.mu_v], self.u_msg[rows],
+        return BpState(self.m, self.priors, self.spec, [v[rows] for v in self.mu_v], self.u_msg[rows],
                        self.x_out[rows], self.contradiction[rows], min_sum=self.min_sum)
 
     def put(self, rows: np.ndarray, sub: "BpState") -> None:
@@ -127,14 +128,9 @@ def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int = 1) -> BpState:
     mask, vals = spec.frozen_arrays()
     priors = np.zeros(n, dtype=np.float64)
     priors[mask] = np.where(vals[mask] == 0, np.inf, -np.inf)
-    kinds = []
-    for d in range(m):
-        p = priors.reshape(2**d, -1)
-        kind = np.where((p == 0).all(1), "rate1", "mixed")
-        kinds.append(np.where((p == np.inf).all(1), "rate0", kind).tolist())
     mu_v = [np.zeros((batch, n // 2)) for _ in range(m)]
     mu_v[m - 1][:] = priors[1::2]
-    return BpState(m, priors, kinds, mu_v, np.zeros((batch, n)), np.zeros((batch, n)),
+    return BpState(m, priors, spec, mu_v, np.zeros((batch, n)), np.zeros((batch, n)),
                    np.zeros(batch, dtype=bool), min_sum=min_sum)
 
 
@@ -192,25 +188,26 @@ def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.nda
     return np.array(x).reshape(x_in.shape)
 
 
-def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, rate1: bool) -> np.ndarray:
+def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, free: bool) -> np.ndarray:
     """The rate-0 or rate-1 subtree of node r at depth d, one level at a
     time on (B, k, w) inputs. A rate-0 child sends back +inf, so the left
     input is f(x0, e1a0) and the right one x0 + x1; a rate-1 child sends
     back +0.0, and f(+0.0, x0) is +0.0, so the right input is 0.0 + x1.
-    At the leaves e1a0 is +inf (rate-0) or the right input (rate-1)."""
+    At the leaves e1a0 is +inf (rate-0) or the right input (rate-1). free
+    says which: True for a rate-1 subtree."""
     rows, n = x_in.shape
-    out = 0.0 if rate1 else np.inf
+    out = 0.0 if free else np.inf
     x = x_in[:, None]
     for dd in range(d, state.m):
         k, w = x.shape[1], x.shape[2] // 2
         x0, x1 = x[..., 0::2], x[..., 1::2]
-        right = _combine_vec(state, 0.0 if rate1 else x0, x1)
+        right = _combine_vec(state, 0.0 if free else x0, x1)
         if dd < state.m - 1:
             mu = state.mu_v[dd][:, r * w : (r + k) * w].reshape(rows, k, w)
-            left = x0 if not rate1 and (mu == np.inf).all() else f_plus_vec(
+            left = x0 if not free and (mu == np.inf).all() else f_plus_vec(
                 x0, _combine_vec(state, mu, x1), min_sum=state.min_sum)
             mu[...] = out
-        elif rate1:
+        elif free:
             left = np.reshape(list(map(f_plus, x0.ravel().tolist(), right.ravel().tolist())), x0.shape)
         else:
             left = x0
@@ -222,14 +219,15 @@ def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, rate1: bool) -
 
 
 def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
-    kind = state.kinds[d][r]
-    if (tick is None and (kind == "rate0" or kind == "rate1" and not state.min_sum)
-            and (np.abs(x_in) <= BP_CLIP).all()):
-        return _level_pass(state, d, r, x_in, kind == "rate1")
-    if x_in.shape[-1] == 2:
+    width = x_in.shape[-1]
+    frozen, zero = state.spec.node_plan(width)
+    free = frozen[r] == 0 and not state.min_sum  # a rate-1 node walks under min-sum
+    if tick is None and (free or frozen[r] == width and zero[r]) and (np.abs(x_in) <= BP_CLIP).all():
+        return _level_pass(state, d, r, x_in, free)
+    if width == 2:
         return _base_step(state, d, r, x_in, tick)
 
-    half = x_in.shape[-1] // 2
+    half = width // 2
     sl = slice(r * half, (r + 1) * half)
     # contiguous copies: ufuncs on strided (B, .) views take numpy's slower
     # path, and the node reads x0 and x1 five times
@@ -244,7 +242,8 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
         tick(d, r, "u_out", u_out)
     mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
     # f(+inf, y) and f(y, +inf) are y bit for bit
-    left0 = tick is None and state.kinds[d + 1][2 * r] == "rate0" and (mu_u == np.inf).all()
+    frozen, zero = state.spec.node_plan(half)
+    left0 = tick is None and frozen[2 * r] == half and zero[2 * r] and (mu_u == np.inf).all()
     a0e1 = x0 if left0 else f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
     if tick is not None:

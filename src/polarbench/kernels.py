@@ -54,6 +54,13 @@ def _words(q: int, width: int) -> np.ndarray:
     return _digits(q**width, q, width)[:, ::-1]
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: derived once and shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _check_size(q: int, ell: int) -> None:
     if ell < 2:
         raise InvalidKernelError("kernel dimension must be >= 2")
@@ -191,6 +198,12 @@ class CodeSpec:
     indices and the frozen mask and values are computed once, at
     construction, as read-only arrays, so frozen must not be mutated
     afterwards: build a new CodeSpec instead.
+
+    The node plan (node_plan) holds what the frozen set decides for every
+    node of the ell-ary tree, each node being an outer code of its parent:
+    the count of frozen inputs and whether every frozen value is 0. It is
+    a property of the code, so the decoders read their node kinds there
+    and classify nothing per decode.
     """
 
     kernel: Kernel
@@ -211,13 +224,12 @@ class CodeSpec:
                 raise ValueError(f"frozen value {v} not a field symbol")
             mask[i] = True
             vals[i] = v
-        self._info = np.flatnonzero(~mask)
-        self._mask, self._vals = mask, vals
-        for a in (self._info, mask, vals):
-            a.setflags(write=False)
+        self._info, self._mask, self._vals = _read_only(np.flatnonzero(~mask), mask, vals)
+        self._plans = {}  # node_plan by node width, built on first read
 
     def __setstate__(self, state):
-        # unpickled arrays come back writable: build them again
+        # unpickled arrays come back writable: build them again (the node
+        # plan on its next read)
         self.__dict__.update(state)
         self.__post_init__()
 
@@ -240,6 +252,19 @@ class CodeSpec:
     def frozen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(mask, values) over all N coordinates; values are 0 off the mask (read-only)."""
         return self._mask, self._vals
+
+    def node_plan(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(frozen, zero) for the nodes of width ell**k (0 <= k <= m), in
+        input order: frozen[j] counts the frozen inputs of the node at
+        offset j * width, and zero[j] says whether every one of them is
+        frozen to 0. That node is rate-0 (all frozen) when frozen[j] ==
+        width and rate-1 when it is 0; its frozen values are
+        frozen_arrays()[1][j * width : (j + 1) * width]. Read-only, and
+        built once per width: a second read returns the same arrays."""
+        if width not in self._plans:
+            mask, vals = self._mask.reshape(-1, width), self._vals.reshape(-1, width)
+            self._plans[width] = _read_only(mask.sum(axis=1), ~vals.any(axis=1))
+        return self._plans[width]
 
     def assemble(self, info_symbols) -> np.ndarray:
         """Full input words from (..., k) information payloads (frozen pinned)."""

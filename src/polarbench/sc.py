@@ -35,10 +35,12 @@ recursion of the general-kernel line model, through the hook described in
 its docstring, whose decide event is this one; that hook observes one
 frame.
 
-A decode_sc_arikan walk that nothing observes (no hook or genie) skips
-STEP I of a width-2 node whose left input is frozen: that leaf ignores its
-LLR, and f never fails a frame, so every output is the same (the simplest
-rate-0 case of simplified SC). Observed walks take every step.
+A decode_sc_arikan walk that nothing observes (no hook or genie) reads
+the code's node plan (CodeSpec.node_plan): a rate-0 left child needs no
+f. It skips STEP I of a width-2 node whose left input is frozen, since
+that leaf ignores its LLR and f never fails a frame, so every output is
+the same (the simplest rate-0 case of simplified SC). Observed walks take
+every step.
 
 A decode_sc_arikan walk without a hook (genie or not) whose every input
 LLR is 0 or +-inf, erasure evidence, runs on int8 signs ("trits" -1, 0,
@@ -55,14 +57,15 @@ On trits, what a node returns (its decisions, its re-encoding and whether
 it marks a frame) is a function of its input trits and its frozen inputs
 alone. So an unobserved trit walk (no hook, no genie) does not descend
 into a node of width TABLE_WIDTH below the root (half the root's width in
-a shorter code) whose frozen values are all 0: it reads the node's
-outputs from a table indexed by the node's input, built once per process
-and frozen mask by the same walk run on every possible input of that node
-(whose own children are looked up in the tables of half its width). A
-table row is the walk's own output, so SC's tie rule on zero LLRs and its
-failed rule carry over bit for bit; every node type is covered, where the
-rate-1, repetition and single-parity-check rules of fast simplified SC
-are not exact on zeros. A node with a frozen 1 is walked.
+a shorter code) whose frozen values are all 0, as the node plan says: it
+reads the node's outputs from a table indexed by the node's input, built
+once per process and frozen mask by the same walk run on every possible
+input of that node (whose own children are looked up in the tables of
+half its width). A table row is the walk's own output, so SC's tie rule
+on zero LLRs and its failed rule carry over bit for bit; every node type
+is covered, where the rate-1, repetition and single-parity-check rules of
+fast simplified SC are not exact on zeros. A node with a frozen 1 is
+walked.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from functools import cache
 import numpy as np
 
 from .channels import check_likelihood_rows, check_llr
-from .kernels import CodeSpec, Kernel, _words, encode_unchecked, kernel_arikan
+from .kernels import CodeSpec, Kernel, _read_only, _words, encode_unchecked, kernel_arikan
 from .llrops import LlrContradiction, f_equal_trit, f_equal_vec, f_plus_trit, f_plus_vec
 
 
@@ -108,8 +111,7 @@ def _node_inputs(width: int) -> np.ndarray:
     # i; a C-ordered copy, on which the table build runs fastest
     digits = np.indices((3,) * width, dtype=np.int8).reshape(width, -1)[::-1].T
     trits = np.ascontiguousarray(digits - 1)
-    trits.setflags(write=False)
-    return trits
+    return _read_only(trits)[0]
 
 
 @cache
@@ -118,10 +120,7 @@ def _word_rows(width: int) -> tuple[np.ndarray, np.ndarray]:
     # its failed mark in bit `width`. Row v of the first array holds the
     # decisions in word v, and of the second their re-encoding, as int8.
     bits = (np.arange(2 << width)[:, None] >> np.arange(width)) & 1
-    rows = bits.astype(np.int8), encode_unchecked(kernel_arikan(), bits).astype(np.int8)
-    for a in rows:
-        a.setflags(write=False)
-    return rows
+    return _read_only(bits.astype(np.int8), encode_unchecked(kernel_arikan(), bits).astype(np.int8))
 
 
 # Tables by node width and frozen mask (bit i for input i), for nodes frozen
@@ -135,22 +134,22 @@ def _erasure_table(width: int, frozen: int) -> np.ndarray:
     each of its 3**width trit inputs, built once per process."""
     table = _TABLES.get((width, frozen))
     if table is None:
-        mask = (frozen >> np.arange(width)) & 1 == 1
+        node = CodeSpec(kernel_arikan(), width.bit_length() - 1, {i: 0 for i in range(width) if frozen >> i & 1})
         # the node is this walk's root, which is never looked up; its
         # children are, in the tables of half its width
-        u_hat, _, failed = _walk(mask, np.zeros(width, dtype=np.int64), _node_inputs(width), False, None, None)
+        u_hat, _, failed = _walk(node, _node_inputs(width), False, None, None)
         words = u_hat @ 2 ** np.arange(width, dtype=np.float32)  # exact, in BLAS as above
-        table = words.astype(np.uint16) | failed.astype(np.uint16) << width
-        table.setflags(write=False)
+        table = _read_only(words.astype(np.uint16) | failed.astype(np.uint16) << width)[0]
         _TABLES[width, frozen] = table
     return table
 
 
-def _erasure_tables(mask: np.ndarray, vals: np.ndarray, width: int) -> dict[int, np.ndarray]:
-    """The table of each node of this width frozen to 0 only, by the node's
-    first input, for a code with this frozen mask and values."""
-    masks = np.packbits(mask.reshape(-1, width), axis=1, bitorder="little")[:, 0].tolist()
-    zero = (~vals.reshape(-1, width).any(axis=1)).tolist()
+def _erasure_tables(spec: CodeSpec, width: int) -> dict[int, np.ndarray]:
+    """The table of each node of this width frozen to 0 only, as the code's
+    node plan says, by the node's first input."""
+    nodes = spec.frozen_arrays()[0].reshape(-1, width)
+    masks = np.packbits(nodes, axis=1, bitorder="little")[:, 0].tolist()
+    zero = spec.node_plan(width)[1].tolist()
     return {width * j: _erasure_table(width, k) for j, (k, z) in enumerate(zip(masks, zero)) if z}
 
 
@@ -215,7 +214,7 @@ def decode_sc_arikan(
         big = (mag > bound) & (mag < np.inf)
         if big.any():
             lam = np.where(big, np.copysign(bound, lam), lam)
-    u_hat, x_hat, failed = _walk(*spec.frozen_arrays(), lam, min_sum, genie_u, hook)
+    u_hat, x_hat, failed = _walk(spec, lam, min_sum, genie_u, hook)
     if lam.ndim == 1:
         if failed:
             raise LlrContradiction("opposite infinite LLRs combined at equality node")
@@ -223,18 +222,20 @@ def decode_sc_arikan(
     return ScResult(u_hat.astype(np.int64, copy=False), x_hat.astype(np.int64, copy=False), failed)
 
 
-def _walk(mask, vals, lam, min_sum, genie_u, hook):
+def _walk(spec, lam, min_sum, genie_u, hook):
     """decode_sc_arikan's recursion on float64 LLRs or int8 trits, lam of
     shape (N,) or (B, N); returns u_hat and x_hat (int8 on trits, else
     int64) and failed."""
+    vals = spec.frozen_arrays()[1]
+    frozen = spec.node_plan(1)[0]  # 1 for a frozen input, a rate-0 leaf
     trits = lam.dtype == np.int8
     quiet = hook is None and genie_u is None
     table_width, tables = 0, {}  # node tables by first input
     if trits:
         f_rule, g_rule, flip, bit_type = f_plus_trit, f_equal_trit, _flip_trit, np.int8
-        if quiet and len(mask) > 2:
-            table_width = min(TABLE_WIDTH, len(mask) // 2)
-            tables = _erasure_tables(mask, vals, table_width)
+        if quiet and spec.n > 2:
+            table_width = min(TABLE_WIDTH, spec.n // 2)
+            tables = _erasure_tables(spec, table_width)
             radix, center = _TRIT_RADIX[:table_width], 3**table_width // 2
             u_rows, x_rows = _word_rows(table_width)
     else:
@@ -261,15 +262,15 @@ def _walk(mask, vals, lam, min_sum, genie_u, hook):
                 u = genie_u[..., at]
             else:
                 # a frozen value has shape (1,) and broadcasts over the batch
-                u = vals[at] if mask[off] else ~(lam_d >= 0)
+                u = vals[at] if frozen[off] else ~(lam_d >= 0)
                 u_hat[..., at] = u
             if hook is not None:
                 hook.decide(off, u, lam_d)
             return u
         even = lam_d[..., 0::2]
         odd = lam_d[..., 1::2]
-        if quiet and width == 2 and mask[off]:
-            # f would only feed a frozen leaf, which ignores its LLR
+        if quiet and width == 2 and frozen[off]:
+            # a rate-0 left child needs no f: this leaf ignores its LLR
             x0 = vals[off : off + 1]
             u_hat[..., off : off + 1] = x0
         else:

@@ -20,14 +20,15 @@ unaffected. The final ranking re-scores each survivor against the original
 channel evidence, which absorbs any frozen-group likelihood the selection
 steps skipped.
 
-A rate-0 node, wider than one kernel block and with every input frozen,
-has nothing left to choose: its walk keeps the candidates in place, and
-its u and x are the frozen values and their encoding. So such a node is
-returned without walking it once its evidence passes a guard, one minimum
-over the batch, under which the walk provably marks no frame either (see
-_rec_list); below the guard it walks, and its children check their own
-guards. ops still counts the work the walk would have done, so every
-field of a result, ops included, is what the full walk gives.
+A rate-0 node, wider than one kernel block and with every input frozen
+(the code's node plan, CodeSpec.node_plan, says which), has nothing left
+to choose: its walk keeps the candidates in place, and its u and x are
+the frozen values and their encoding. So such a node is returned without
+walking it once its evidence passes a guard, one minimum over the batch,
+under which the walk provably marks no frame either (see _rec_list);
+below the guard it walks, and its children check their own guards. ops
+still counts the work the walk would have done, so every field of a
+result, ops included, is what the full walk gives.
 
 Batch contract of decode_scl: a frame for which no list path stays
 possible is marked where that is found, and its evidence is replaced by
@@ -41,7 +42,7 @@ the message of the first failure found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class _Ctx:
     failed: np.ndarray  # (B,) bool, one entry per frame of the walk
     ops: int = 0
     reason: str | None = None  # message of the first failure
-    rate0: dict = field(default_factory=dict)  # _rate0_nodes of the code; empty walks every node
+    spec: CodeSpec | None = None  # the code, whose node plan marks rate-0 nodes; None walks every node
 
     def fail(self, dead: np.ndarray, msg: str) -> None:
         """Mark the frames `dead` (B,), which lost every path."""
@@ -157,15 +158,6 @@ def _chain(src: np.ndarray | None, sel: np.ndarray | None) -> np.ndarray | None:
     if sel is None:
         return src
     return sel if src is None else _gather(src, sel)
-
-
-def _rate0_nodes(spec: CodeSpec) -> dict:
-    """(offset, width) -> frozen values of every node wider than one kernel
-    block whose inputs are all frozen."""
-    mask, vals = spec.frozen_arrays()
-    widths = (spec.kernel.ell**k for k in range(2, spec.m + 1))
-    return {(int(i) * w, w): vals[i * w : (i + 1) * w]
-            for w in widths for i in np.flatnonzero(mask.reshape(-1, w).all(axis=1))}
 
 
 # No value that a walked rate-0 subtree computes may fall below this: 10
@@ -279,8 +271,8 @@ def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     if nd == ell:
         return _base_node(ctx, pi, off, rho)
     blk = nd // ell
-    vals = ctx.rate0.get((off, nd))
-    if vals is not None and pi.min() >= _rate0_floor(kernel, nd):
+    all_frozen = ctx.spec is not None and ctx.spec.node_plan(nd)[0][off // nd] == nd
+    if all_frozen and pi.min() >= _rate0_floor(kernel, nd):
         # A rate-0 node without its walk. Below it every base node has one
         # allowed value per glue group, so the walk selects and counts
         # nothing there: it returns src None, u = vals, x = their encoding
@@ -298,6 +290,7 @@ def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
         # dies; ops gets what the node's log_ell(nd) - 1 inner levels count,
         # each preparing nd/ell columns per outer code.
         ctx.ops += (code_depth(nd, ell) - 1) * sum(_prep_ops(kernel, rho, blk, r) for r in range(ell))
+        vals = ctx.spec.frozen_arrays()[1][off : off + nd]
         shape, x = (nb, rho, nd), encode_unchecked(kernel, vals)
         return None, np.broadcast_to(vals, shape), np.broadcast_to(x, shape), rho
     src = None
@@ -345,7 +338,7 @@ def decode_scl(
     nb = len(rows)
 
     groups = glue_values(kernel, *spec.frozen_arrays())
-    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool), rate0=_rate0_nodes(spec))
+    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool), spec=spec)
     peak = rows.max(axis=2)
     dead = (peak <= 0.0).any(axis=1)
     if dead.any():

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,8 @@ class Recorder:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(libm_agreement())
     # surface the acceptance verdict lines even under captured output
     try:
         import test_acceptance
@@ -69,3 +74,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@functools.cache
+def libm_agreement() -> str:
+    """One line: whether np.exp, np.log1p and np.log equal math.exp,
+    math.log1p and math.log on a fixed probe vector.
+
+    The full-precision message pins were recorded on a host where numpy's
+    AVX-512 loops for these ufuncs round differently from libm in the last
+    bit. The line goes into the run's log (the header, or the summary under
+    -q, which hides the header), so a pin that fails on another host can be
+    traced to that dispatch from the log alone. It changes no test outcome.
+    """
+    probe = np.random.default_rng(0).random(20_000) * 40.0
+    verdicts = []
+    for name in ("exp", "log1p", "log"):
+        same = np.array_equal(getattr(np, name)(probe), [getattr(math, name)(v) for v in probe.tolist()])
+        verdicts.append(f"np.{name} {'equals' if same else 'differs from'} math.{name}")
+    return f"numpy {np.__version__} on a fixed probe of {len(probe)} values: " + ", ".join(verdicts)
+
+
+def pytest_report_header(config):
+    return libm_agreement()

@@ -305,15 +305,58 @@ def test_codespec_properties(arikan):
     assert list(np.flatnonzero(mask)) == [0, 1, 2]
     assert list(vals[:3]) == [0, 0, 1]
     assert not vals[3:].any()
-    # computed once and shared by every caller, so read-only, also after a pickle
+    # computed once and shared by every caller, so read-only, also after a
+    # pickle; a node plan read before pickling comes back equal
+    plans = [spec.node_plan(2**k) for k in range(4)]
     again = pickle.loads(pickle.dumps(spec))
     for s in (spec, again):
         assert not any(a.flags.writeable for a in (s.info_indices(), *s.frozen_arrays()))
+        assert not any(a.flags.writeable for k in range(4) for a in s.node_plan(2**k))
     assert list(again.info_indices()) == [3, 4, 5, 6, 7]
+    for k, plan in enumerate(plans):
+        assert all(np.array_equal(a, b) for a, b in zip(again.node_plan(2**k), plan)), k
     u = spec.assemble([1, 0, 1, 1, 0])
     assert list(u) == [0, 0, 1, 1, 0, 1, 1, 0]
     with pytest.raises(ValueError):
         spec.assemble([1, 0])
+
+
+def _node_plan_reference(spec, width):
+    # per node, by brute force: its frozen-input count, and whether every
+    # frozen value is 0 (true for a node with no frozen input)
+    frozen, zero = [], []
+    for off in range(0, spec.n, width):
+        pins = [spec.frozen[i] for i in range(off, off + width) if i in spec.frozen]
+        frozen.append(len(pins))
+        zero.append(not any(pins))
+    return frozen, zero
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("ell,m", [(2, 5), (3, 3), (4, 3)])
+def test_node_plan_matches_per_node_reference(ell, m, q):
+    # random frozen sets with random values, and whole random nodes frozen
+    # to 0 or to random values, so that every kind of node occurs at every
+    # width ell**k, k = 0..m
+    kernel = kernel_linear(np.tril(np.ones((ell, ell), dtype=np.int64)), q=q)
+    n = ell**m
+    rng = np.random.default_rng(100 * ell + q)
+    for case in range(40):
+        pinned = rng.choice(n, rng.integers(0, n + 1), replace=False)
+        frozen = {int(i): (int(rng.integers(0, q)) if case % 2 else 0) for i in pinned}
+        for _ in range(rng.integers(0, 3)):
+            w = ell ** int(rng.integers(1, m + 1))
+            start = w * int(rng.integers(0, n // w))
+            vals = rng.integers(0, q, w) if rng.random() < 0.5 else np.zeros(w, dtype=np.int64)
+            frozen.update(zip(range(start, start + w), vals.tolist()))
+        spec = CodeSpec(kernel, m, frozen)
+        for k in range(m + 1):
+            width = ell**k
+            plan = spec.node_plan(width)
+            assert [a.tolist() for a in plan] == list(_node_plan_reference(spec, width)), (case, k)
+            assert not any(a.flags.writeable for a in plan)
+            # built once per width: a second read gives the same arrays
+            assert all(a is b for a, b in zip(spec.node_plan(width), plan))
 
 
 def test_codespec_validation(arikan):

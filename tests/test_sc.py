@@ -317,8 +317,8 @@ def test_sc_erasure_tables_are_looked_up_by_unobserved_erasure_walks_only(monkey
         def take(self, *args, **kwargs):
             raise Lookup
 
-    def refusing_tables(mask, vals, width):
-        return dict.fromkeys(range(0, len(mask), width), Refusing())
+    def refusing_tables(spec, width):
+        return dict.fromkeys(range(0, spec.n, width), Refusing())
 
     monkeypatch.setattr(sc, "_erasure_tables", refusing_tables)
     with pytest.raises(Lookup):
@@ -371,7 +371,7 @@ def test_sc_erasure_table_node_in_a_walk(arikan, frozen):
     spec = CodeSpec(arikan, 4, frozen)
     lam = np.zeros((3**8, 16))
     lam[:, 1::2] = _trit_inputs(8)
-    tables = sc._erasure_tables(*spec.frozen_arrays(), 8)
+    tables = sc._erasure_tables(spec, 8)
     assert (8 in tables) == (1 not in frozen.values())
     want = decode_sc_arikan(spec, lam, hook=Recorder())
     got = decode_sc_arikan(spec, lam)
