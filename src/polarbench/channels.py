@@ -79,18 +79,17 @@ def apply_noise(ch: ChannelModel, x: np.ndarray, noise: np.ndarray) -> np.ndarra
     """Received LLRs lambda(1) of bits x under draw_noise's noise, both of shape (..., N).
 
     bec erases where the uniform is below epsilon, bsc flips where it is
-    below p, and biawgn sends 0 -> +1, 1 -> -1 and adds the Gaussian.
+    below p, and biawgn sends 0 -> +1, 1 -> -1 and adds the Gaussian. bec
+    and bsc look each LLR up in one small table: (inf, -inf, 0.0, 0.0) at
+    x + 2 * erased for bec, (mag, -mag) at x ^ flipped for bsc, with
+    mag = ln((1 - p) / p), or inf for a noiseless bsc (p = 0).
     """
     if ch.kind == "bec":
-        llr = np.where(x == 0, np.inf, -np.inf)
-        return np.where(noise < ch.param, 0.0, llr)
+        return np.array([np.inf, -np.inf, 0.0, 0.0]).take(x + 2 * (noise < ch.param))
     if ch.kind == "bsc":
         p = ch.param
-        if p == 0.0:
-            return np.where(x == 0, np.inf, -np.inf)
-        y = x ^ (noise < p)
-        mag = math.log((1.0 - p) / p)
-        return np.where(y == 0, mag, -mag)
+        mag = math.log((1.0 - p) / p) if p else np.inf
+        return np.array([mag, -mag]).take(x ^ (noise < p))
     y = (1.0 - 2.0 * x) + noise
     return 2.0 * y / (ch.param**2)
 

@@ -7,7 +7,13 @@ kernel's radix (input 0 most significant).
 A code of length ell^m applies g recursively: the input splits into ell
 consecutive blocks, each block is encoded by the length ell^(m-1) map, and
 output position ell*i+j carries g_j of the i-th column of the ell partial
-codewords.
+codewords. The code of length ell^k so built is itself a kernel, g's
+k-fold power, of size ell^k, and a code of length ell^m built from g is
+the code built from that power over m/k levels (the recursive,
+generalized-concatenated description of polar codes). encode_unchecked
+uses this: each of its passes applies K levels at once by one lookup in
+the power's table (Kernel.power_tables), K the largest power whose table
+has at most POWER_ROWS rows.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ class CodeLengthError(ValueError):
 
 
 TABLE_LIMIT = 1 << 20  # exhaustive bijectivity check bound
+# most rows of a kernel power's table that encode_unchecked applies, beyond
+# the kernel's own: small enough to stay in cache and be built in
+# microseconds
+POWER_ROWS = 256
 # longest code length: 1,024x the longest a test, workload or example uses
 MAX_N = 2**20
 
@@ -89,6 +99,7 @@ class Kernel:
     glue: tuple[tuple[int, ...], ...] | None = None
     radix: np.ndarray = field(init=False, repr=False)
     is_arikan: bool = field(init=False, default=False)
+    _powers: dict = field(init=False, repr=False, default_factory=dict)  # power_tables, once read
 
     def __post_init__(self):
         q, ell = self.alph.q, self.ell
@@ -109,6 +120,11 @@ class Kernel:
                 raise InvalidKernelError("generator must be ell x ell")
         self.is_arikan = np.array_equal(self.table, _ARIKAN_TABLE) and len(self.glue) == 2
 
+    def __getstate__(self):
+        # the power tables are derived: built again, read-only, on their
+        # first read after unpickling
+        return {**self.__dict__, "_powers": {}}
+
     # mapping ---------------------------------------------------------------
     @property
     def q(self) -> int:
@@ -120,6 +136,29 @@ class Kernel:
     def map_columns(self, cols: np.ndarray) -> np.ndarray:
         """Apply g to each row of cols (shape (..., ell)) at once."""
         return np.take(self.table, cols @ self.radix, axis=0)
+
+    def power_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """(radix, table) of the kernel's k-fold power by its size w = ell**k,
+        for k = 1 .. K: K is the largest k whose table has at most
+        POWER_ROWS rows (q**w), or 1 where the kernel's own table has more.
+        The k-fold power is the code of length w built from the kernel, and
+        table row radix @ v is its codeword of v, with radix = q**(w-1),
+        ..., 1. Both are float32, which holds every
+        symbol and row index exactly (q**ell <= TABLE_LIMIT < 2**24), so
+        that the index product runs in BLAS. Built once, by encode_unchecked
+        on every word, and read-only: the dict must not be changed."""
+        if not self._powers:
+            q, w = self.q, self.ell
+            powers, table = {}, self.table.astype(np.float32)
+            while True:
+                powers[w] = _read_only((q ** np.arange(w - 1, -1, -1)).astype(np.float32), table)
+                w *= self.ell
+                if q**w > POWER_ROWS:
+                    break
+                words = _words(q, w).astype(np.float32)
+                table = _encode_by_passes(powers, words).reshape(words.shape)
+            self._powers = powers
+        return self._powers
 
     def group_at(self, boundary: int) -> tuple[int, ...]:
         """The glue group starting at input coordinate `boundary`."""
@@ -225,7 +264,7 @@ class CodeSpec:
             mask[i] = True
             vals[i] = v
         self._info, self._mask, self._vals = _read_only(np.flatnonzero(~mask), mask, vals)
-        self._plans = {}  # node_plan by node width, built on first read
+        self._plans = {}  # cached: node_plan by node width, and more, built on first read
 
     def __setstate__(self, state):
         # unpickled arrays come back writable: build them again (the node
@@ -261,10 +300,16 @@ class CodeSpec:
         width and rate-1 when it is 0; its frozen values are
         frozen_arrays()[1][j * width : (j + 1) * width]. Read-only, and
         built once per width: a second read returns the same arrays."""
-        if width not in self._plans:
-            mask, vals = self._mask.reshape(-1, width), self._vals.reshape(-1, width)
-            self._plans[width] = _read_only(mask.sum(axis=1), ~vals.any(axis=1))
-        return self._plans[width]
+        return self.cached(width, _node_plan)
+
+    def cached(self, key, build):
+        """build(self), computed on the first read of key and kept with the
+        node plans, which are its entries under their widths: for other
+        properties of the code that a decoder derives from them. What
+        build returns is shared by every reader and must not be changed."""
+        if key not in self._plans:
+            self._plans[key] = build(self, key)
+        return self._plans[key]
 
     def assemble(self, info_symbols) -> np.ndarray:
         """Full input words from (..., k) information payloads (frozen pinned)."""
@@ -277,6 +322,11 @@ class CodeSpec:
         return u
 
 
+def _node_plan(spec: CodeSpec, width: int) -> tuple[np.ndarray, np.ndarray]:
+    mask, vals = spec.frozen_arrays()
+    return _read_only(mask.reshape(-1, width).sum(axis=1), ~vals.reshape(-1, width).any(axis=1))
+
+
 def encode(spec: CodeSpec, u) -> np.ndarray:
     """Codeword for an (N,) input u, or codewords for a (B, N) batch.
 
@@ -287,9 +337,9 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
         raise ValueError(f"u must have length {spec.n}")
     spec.kernel.alph.check_symbols(u)
     mask, vals = spec.frozen_arrays()
-    bad = np.argwhere(mask & (u != vals))
-    if len(bad):
-        *frame, i = bad[0]
+    if (u[..., mask] != vals[mask]).any():
+        # found, then named: the lowest mismatching index of the first such frame
+        *frame, i = np.argwhere(mask & (u != vals))[0]
         where = f"frame {frame[0]}: " if frame else ""
         raise FrozenMismatchError(f"{where}u[{i}]={u[(*frame, i)]} but coordinate is pinned to {vals[i]}")
     return encode_unchecked(spec.kernel, u)
@@ -298,20 +348,36 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
 def encode_unchecked(kernel: Kernel, u) -> np.ndarray:
     """Codewords of the (..., N) input words u, over the last axis, unchecked.
 
-    One loop over the m levels, shortest blocks first: at the level of
-    blocks of length ell*s, part r of a block is its r-th run of s symbols,
-    already encoded, and output ell*i+j of the block is g_j of column i of
-    its parts, one table lookup per column. Any number of leading axes, of
-    any size (zero included), is encoded; the result is always a new array.
+    One loop, shortest blocks first, each pass applying k levels of the
+    recursion with the table of the kernel's k-fold power, of size
+    w = ell**k (see Kernel.power_tables): at blocks of length w*s, part r
+    of a block is its r-th run of s symbols, already encoded, and output
+    w*i+j of the block is symbol j of the power's codeword of column i of
+    its parts, one table lookup per column. That is the code the level by
+    level recursion builds (see the module docstring). Every pass takes
+    the K levels of the largest power, the last the m mod K left. Any
+    number of leading axes, of any size (zero included), is encoded; the
+    result is always a new int64 array.
     """
-    x = np.array(u, dtype=np.int64)
-    lead, n, ell = x.shape[:-1], x.shape[-1], kernel.ell
+    x = np.asarray(u, dtype=np.float32)
+    return _encode_by_passes(kernel.power_tables(), x).reshape(x.shape).astype(np.int64)
+
+
+def _encode_by_passes(powers: dict, x: np.ndarray) -> np.ndarray:
+    """encode_unchecked's loop on float32 symbols x, by the power tables
+    `powers`: the codewords, float32, in x's order but not x's shape."""
+    n = x.shape[-1]
+    widest = max(powers)
     s = 1
     while s < n:
-        parts = x.reshape(lead + (n // (ell * s), ell, s))
-        x = np.take(kernel.table, kernel.radix @ parts, axis=0)
-        s *= ell
-    return x.reshape(lead + (n,))
+        w = min(n // s, widest)
+        radix, table = powers[w]
+        # the first pass's parts are runs of one symbol: one matrix-vector
+        # product, where a stack of w x 1 products costs several times more
+        index = x.reshape(-1, w) @ radix if s == 1 else radix @ x.reshape(-1, w, s)
+        x = table.take(index.astype(np.intp), axis=0)
+        s *= w
+    return x
 
 
 def encode_matrix(spec: CodeSpec) -> np.ndarray:

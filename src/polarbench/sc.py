@@ -147,10 +147,17 @@ def _erasure_table(width: int, frozen: int) -> np.ndarray:
 def _erasure_tables(spec: CodeSpec, width: int) -> dict[int, np.ndarray]:
     """The table of each node of this width frozen to 0 only, as the code's
     node plan says, by the node's first input."""
-    nodes = spec.frozen_arrays()[0].reshape(-1, width)
-    masks = np.packbits(nodes, axis=1, bitorder="little")[:, 0].tolist()
-    zero = spec.node_plan(width)[1].tolist()
-    return {width * j: _erasure_table(width, k) for j, (k, z) in enumerate(zip(masks, zero)) if z}
+    nodes = spec.cached(("erasure", width), _erasure_nodes)
+    return {off: _erasure_table(width, frozen) for off, frozen in nodes}
+
+
+def _erasure_nodes(spec: CodeSpec, key: tuple[str, int]) -> tuple[tuple[int, int], ...]:
+    # (first input, frozen bit mask) of each node of this width frozen to 0
+    # only: a property of the code, kept with its node plan
+    width = key[1]
+    masks = np.packbits(spec.frozen_arrays()[0].reshape(-1, width), axis=1, bitorder="little")[:, 0]
+    zero = spec.node_plan(width)[1]
+    return tuple((width * j, k) for j, (k, z) in enumerate(zip(masks.tolist(), zero.tolist())) if z)
 
 
 def _flip_float(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -120,6 +121,42 @@ def test_transmit_draws_one_frame_of_noise(ch, draw):
     rows = apply_noise(ch, np.stack([x, 1 - x, x]), noise)
     assert np.array_equal(rows[0], llr) and np.array_equal(rows[2], llr)
     assert np.array_equal(rows[1], transmit(ch, 1 - x, np.random.default_rng(8)))
+
+
+def _apply_noise_by_where(ch, x, noise):
+    # the np.where form of apply_noise's bec and bsc steps: the reference
+    # its table lookups must match byte for byte
+    if ch.kind == "bec":
+        llr = np.where(x == 0, np.inf, -np.inf)
+        return np.where(noise < ch.param, 0.0, llr)
+    p = ch.param
+    if p == 0.0:
+        return np.where(x == 0, np.inf, -np.inf)
+    y = x ^ (noise < p)
+    mag = math.log((1.0 - p) / p)
+    return np.where(y == 0, mag, -mag)
+
+
+@pytest.mark.parametrize("kind,param", [("bec", 0.4), ("bsc", 0.0), ("bsc", 0.08), ("bsc", 0.5)])
+def test_apply_noise_lookup_matches_where_form(kind, param):
+    # bsc at p = 0.5 (outside ChannelModel's range, so given as a bare
+    # kind and param) has mag = 0.0, where the sign of each zero shows
+    ch = types.SimpleNamespace(kind=kind, param=param)
+    rng = np.random.default_rng(31)
+    x = rng.integers(0, 2, (3, 5, 64))
+    assert x.dtype == np.int64
+    noise = np.zeros(x.shape) if (kind, param) == ("bsc", 0.0) else rng.random(x.shape)
+    # uniforms exactly at the threshold neither erase nor flip
+    noise[0, 0, :8] = param
+    noise[0, 1, :8] = np.nextafter(param, 0.0) if param else 0.0
+    got, want = apply_noise(ch, x, noise), _apply_noise_by_where(ch, x, noise)
+    assert got.dtype == want.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    # the sign bit is the received bit, -0.0 included; an erasure is +0.0
+    received = x ^ (noise < param) if kind == "bsc" else x & (noise >= param)
+    assert (np.signbit(got) == received.astype(bool)).all()
+    at = noise == param
+    assert (received[at] == x[at]).all() and (kind == "bsc" or np.isinf(got[at]).all())
 
 
 def test_likelihood_rows_validation():

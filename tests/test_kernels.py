@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarbench.gf import alphabet
 from polarbench.kernels import (
     MAX_N,
+    POWER_ROWS,
     CodeLengthError,
     CodeSpec,
     FrozenMismatchError,
@@ -253,6 +254,95 @@ def test_encode_unchecked_matches_definition_any_leading_shape(kernel, lead):
         assert got.shape == u.shape and got.dtype == np.int64
         for idx in np.ndindex(lead):
             assert list(got[idx]) == _encode_by_definition(kernel, list(u[idx]))
+
+
+def _encode_by_levels(kernel, u):
+    # the loop of one level per pass, one kernel-table lookup per column,
+    # that encode_unchecked's multi-level passes must reproduce
+    x = np.array(u, dtype=np.int64)
+    lead, n, ell = x.shape[:-1], x.shape[-1], kernel.ell
+    s = 1
+    while s < n:
+        parts = x.reshape(lead + (n // (ell * s), ell, s))
+        x = np.take(kernel.table, kernel.radix @ parts, axis=0)
+        s *= ell
+    return x.reshape(lead + (n,))
+
+
+# each kernel with the depths it is encoded at and the sizes of its power
+# tables: Arikan at m = 0..10 meets every remainder of m mod 3
+POWER_CASES = pytest.mark.parametrize("kernel,depths,widths", [
+    (kernel_arikan(), range(11), [2, 4, 8]),
+    (kernel_linear([[1, 0], [1, 1]], q=3), range(6), [2, 4]),
+    (kernel_linear(G4), range(4), [4]),
+    (kernel_from_table([[1, 1], [1, 0], [0, 0], [0, 1]], q=2), range(7), [2, 4, 8]),
+    (kernel_linear([[1, 0], [2, 1]], q=4), range(6), [2, 4]),
+], ids=["arikan", "gf3", "g4", "table", "q4"])
+
+
+@POWER_CASES
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3), (0,)], ids=["1d", "batch", "batch2", "empty"])
+@pytest.mark.parametrize("pickled", [False, True], ids=["kernel", "unpickled"])
+def test_encode_power_passes_match_level_loop(kernel, depths, widths, lead, pickled):
+    # a pass of the K-fold power's table encodes what K passes of the
+    # kernel's table encode, and so does the shorter last pass; a kernel
+    # sent to a worker process (run_trials with jobs > 1) encodes the same
+    if pickled:
+        kernel = pickle.loads(pickle.dumps(kernel))
+    rng = np.random.default_rng(29)
+    for m in depths:
+        u = rng.integers(0, kernel.q, lead + (kernel.ell**m,))
+        got = encode_unchecked(kernel, u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        assert np.array_equal(got, _encode_by_levels(kernel, u)), m
+        if m == 0:
+            assert np.array_equal(got, u) and not np.shares_memory(got, u)
+        elif m <= 5:
+            for idx in np.ndindex(lead):
+                assert list(got[idx]) == _encode_by_definition(kernel, list(u[idx])), (m, idx)
+
+
+@POWER_CASES
+def test_power_tables_are_read_only_and_built_once(kernel, depths, widths):
+    kernel = pickle.loads(pickle.dumps(kernel))  # a kernel of its own
+    powers = kernel.power_tables()
+    assert sorted(powers) == widths
+    for w, (radix, table) in powers.items():
+        assert not radix.flags.writeable and not table.flags.writeable
+        assert table.shape == (kernel.q**w, w)
+        assert table.shape[0] <= POWER_ROWS or w == kernel.ell
+        assert np.array_equal(radix, kernel.q ** np.arange(w - 1, -1, -1))
+        assert np.array_equal(table, _encode_by_levels(kernel, _words(kernel.q, w)))
+    # the largest power that fits: the next one would exceed POWER_ROWS
+    assert kernel.q ** (max(widths) * kernel.ell) > POWER_ROWS
+    encode_unchecked(kernel, np.zeros((2, kernel.ell ** max(depths)), dtype=np.int64))
+    again = kernel.power_tables()
+    assert again is powers
+    assert all(again[w][1] is powers[w][1] for w in widths)
+    # an unpickled copy builds its own, read-only again
+    copy = pickle.loads(pickle.dumps(kernel))
+    for w, (radix, table) in copy.power_tables().items():
+        assert table is not powers[w][1] and np.array_equal(table, powers[w][1])
+        assert not radix.flags.writeable and not table.flags.writeable
+
+
+def test_encode_names_first_mismatch_of_first_bad_frame(arikan):
+    # pins broken in frames 1 and 3 (frame 3 at a lower index): the error
+    # names frame 1, at its lowest mismatching coordinate
+    spec = CodeSpec(arikan, 4, {0: 0, 3: 1, 6: 0, 9: 1, 12: 0})
+    u = spec.assemble(np.random.default_rng(4).integers(0, 2, (5, spec.k_info)))
+    u[1, 12] = 1
+    u[1, 9] = 0
+    u[3, 0] = 1
+    with pytest.raises(FrozenMismatchError, match=r"^frame 1: u\[9\]=0 but coordinate is pinned to 1$"):
+        encode(spec, u)
+    with pytest.raises(FrozenMismatchError, match=r"^frame 0: u\[0\]=1 but coordinate is pinned to 0$"):
+        encode(spec, u[3:])
+    with pytest.raises(FrozenMismatchError, match=r"^u\[9\]=0 but coordinate is pinned to 1$"):
+        encode(spec, u[1])
+    u[1, [9, 12]] = 1, 0
+    u[3, 0] = 0
+    assert np.array_equal(encode(spec, u), encode_unchecked(arikan, u))
 
 
 def test_encode_batch_checks_every_frame(arikan):

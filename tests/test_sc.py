@@ -1,4 +1,5 @@
 import gc
+import pickle
 import warnings
 import weakref
 
@@ -333,6 +334,36 @@ def test_sc_erasure_tables_are_looked_up_by_unobserved_erasure_walks_only(monkey
         bad[2, 5] = entry
         decode_sc_arikan(spec, bad)
         _single_or_none(spec, bad[2])
+
+
+def test_sc_erasure_table_keys_are_derived_once_per_code(monkeypatch):
+    # which nodes are looked up, and in which table, is a property of the
+    # code: derived on its first erasure decode, read on every later one,
+    # and derived again by an unpickled copy
+    import polarbench.sc as sc
+
+    spec = construct_bec(6, 0.4, 0.5)
+    _, lam = draw_frames(spec, bec(0.4), 16, np.random.default_rng(6))
+    calls, derive = [], sc._erasure_nodes
+
+    def counted(code, key):
+        # the table builds walk codes of width 8 and less: count this one
+        # and its unpickled copy
+        if code.n == spec.n:
+            calls.append(key)
+        return derive(code, key)
+
+    monkeypatch.setattr(sc, "_erasure_nodes", counted)
+    want = decode_sc_arikan(spec, lam)
+    for _ in range(3):
+        got = decode_sc_arikan(spec, lam)
+    assert calls == [("erasure", sc.TABLE_WIDTH)]
+    assert np.array_equal(got.u_hat, want.u_hat) and np.array_equal(got.failed, want.failed)
+    nodes = spec.cached(("erasure", sc.TABLE_WIDTH), counted)
+    assert len(calls) == 1 and nodes == derive(spec, ("erasure", sc.TABLE_WIDTH))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert np.array_equal(decode_sc_arikan(copy, lam).u_hat, want.u_hat)
+    assert len(calls) == 2
 
 
 def _trit_inputs(width):
