@@ -136,8 +136,15 @@ def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int = 1) -> BpState:
 
 def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a + b, finite sums clamped to +-BP_CLIP; opposite infinities give 0
-    and flag their frame. Callers silence numpy's invalid-value warning."""
+    and flag their frame. Callers silence numpy's invalid-value warning.
+
+    Most sums already lie within +-BP_CLIP; they come back as they are,
+    which is exact: the clamp returns an in-range value unchanged, -0.0
+    included. A NaN or an infinity fails that test and takes the full
+    path."""
     s = a + b
+    if np.abs(s).max(initial=0.0) <= BP_CLIP:
+        return s
     nan = np.isnan(s)
     if nan.any():
         # a NaN sum of two infinities is a conflict; other NaNs came in as NaN
@@ -172,7 +179,7 @@ def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.nda
         e1a0 = _combine_vec(state, po, b)
         state.u_msg[:, 2 * r] = list(map(fp, a.ravel().tolist(), e1a0.ravel().tolist()))
         state.u_msg[:, 2 * r + 1 : 2 * r + 2] = _combine_vec(state, a0e1, b)
-        return np.hstack((e1a0 if pe > 0 else -e1a0, _combine_vec(state, a0e1, po)))
+        return np.concatenate((e1a0 if pe > 0 else -e1a0, _combine_vec(state, a0e1, po)), axis=1)
     u, x, hits = [], [], []
     for row, (a, b) in enumerate(x_in.reshape(-1, 2).tolist()):
         e1a0 = _combine_scalar(hits, row, po, b)
@@ -211,7 +218,9 @@ def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, free: bool) ->
             left = np.reshape(list(map(f_plus, x0.ravel().tolist(), right.ravel().tolist())), x0.shape)
         else:
             left = x0
-        x = np.stack((left, right), axis=2).reshape(rows, 2 * k, w)
+        x = np.empty((rows, 2 * k, w))
+        x[:, 0::2] = left
+        x[:, 1::2] = right
         r *= 2
     state.u_msg[:, r : r + n] = x.reshape(rows, n)
     state.message_updates += x_in.size // 2 * (7 * (state.m - 1 - d) + 6)

@@ -50,37 +50,34 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
 
     Every finite entry of the exact update rounds as (core + A) - B. Where
     a finite input is +-0, |a + b| == |a - b| makes A == B, so the entry
-    is exactly core + 0.0 (+0.0); a call holding infinities, such as one on
-    BP's frozen priors or in an observed SC walk on erasure evidence, runs
-    exp and log1p only on the other finite entries. (An unobserved SC walk
-    on erasure evidence uses f_plus_trit instead.)
+    is exactly +0.0. A call holding infinities, such as one on BP's frozen
+    priors or in an observed SC walk on erasure evidence, runs the same
+    formula on every entry and then overwrites the entries with an
+    infinite input by the scalar shortcuts, so each finite entry rounds as
+    in a call without infinities. (An unobserved SC walk on erasure
+    evidence uses f_plus_trit instead.)
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    sign = np.sign(a) * np.sign(b)
-    core = sign * np.minimum(np.abs(a), np.abs(b))
-    inf_a = np.isinf(a)
-    inf_b = np.isinf(b)
-    if not (inf_a | inf_b).any():
-        if min_sum:
-            return core
-        return core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    core = np.asarray(core)  # a 0-d call gives a scalar, written in place below
-    if not min_sum:
-        core += 0.0
-        live = (core != 0) & ~inf_a & ~inf_b
-        if live.any():
-            fa, fb = a[live], b[live]
-            corr = np.log1p(np.exp(-np.abs(fa + fb)))
-            core[live] = (core[live] + corr) - np.log1p(np.exp(-np.abs(fa - fb)))
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    core = np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
+    # no infinity, by reductions that cannot overflow and skip NaN
+    if np.fmax.reduce(np.fmax(abs_a, abs_b), axis=None, initial=0.0) < np.inf:
+        return core if min_sum else _exact(core, a, b)
     # inf against anything collapses to +-other, as the scalar shortcuts do:
     # f_plus(inf, 0) = 0 and two infinities give the product of their signs.
-    # Where both are infinite, the second copy wins; the slots it discards
-    # may compute 0 * inf.
+    # Where both are infinite, the second copy wins; the slots it discards,
+    # and the formula on infinite entries, may compute 0 * inf or inf - inf.
     with np.errstate(invalid="ignore"):
-        np.copyto(core, a * np.sign(b), where=inf_b)
-        np.copyto(core, b * np.sign(a), where=inf_a)
+        core = np.asarray(core if min_sum else _exact(core, a, b))  # 0-d: written in place below
+        np.copyto(core, a * np.sign(b), where=np.isinf(b))
+        np.copyto(core, b * np.sign(a), where=np.isinf(a))
     return core
+
+
+def _exact(core, a, b):
+    """The exact update from its min-sum core, rounded as (core + A) - B."""
+    return core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
 
 
 def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:

@@ -193,15 +193,16 @@ def _draw_raw(bg: np.random.PCG64, count: int, k: int, n: int) -> tuple[np.ndarr
     # payload word p is drawn in frame (2p + h0) // k, after that frame's
     # predecessors' noise; frame i's noise follows its own payload words
     pay_at = p + n * ((2 * p + h0) // max(k, 1))
-    frames = np.arange(count)
-    noise_at = np.maximum(0, ((frames + 1) * k - h0 + 1) // 2) + frames * n
     raw = bg.random_raw(words + count * n)
     w = raw[pay_at]
+    # the words left over are the noise, frame after frame
+    keep = np.ones(len(raw), dtype=bool)
+    keep[pay_at] = False
     bits = np.stack(((w >> 31) & 1, w >> 63), axis=-1).reshape(-1)[: max(halves, 0)]
     if h0 and count * k:
         bits = np.concatenate(([buf0 >> 31], bits))
     payload = bits.astype(np.int64).reshape(count, k)
-    noise = (raw[noise_at[:, None] + np.arange(n)] >> 11) * 2.0**-53
+    noise = (raw[keep].reshape(count, n) >> 11) * 2.0**-53
     if count * k:
         state = bg.state
         state["has_uint32"] = halves % 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarbench.bp import _combine_vec, bp_state
 from polarbench.kernels import CodeSpec, kernel_arikan
 from polarbench.llrops import (
+    BP_CLIP,
     decide,
     f_equal_vec,
     f_plus,
@@ -177,6 +178,135 @@ def test_f_plus_vec_edge_pairs_match_reference(min_sum, finite_only):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+def _f_plus_vec_masked(a, b, min_sum=False):
+    # the formulation before the single infinity path, kept as a second
+    # reference: a call holding infinities runs the formula only on the
+    # finite entries with a nonzero core and adds 0.0 to the others
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sign = np.sign(a) * np.sign(b)
+    core = sign * np.minimum(np.abs(a), np.abs(b))
+    inf_a = np.isinf(a)
+    inf_b = np.isinf(b)
+    if not (inf_a | inf_b).any():
+        if min_sum:
+            return core
+        return core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    core = np.asarray(core)
+    if not min_sum:
+        core += 0.0
+        live = (core != 0) & ~inf_a & ~inf_b
+        if live.any():
+            fa, fb = a[live], b[live]
+            corr = np.log1p(np.exp(-np.abs(fa + fb)))
+            core[live] = (core[live] + corr) - np.log1p(np.exp(-np.abs(fa - fb)))
+    with np.errstate(invalid="ignore"):
+        np.copyto(core, a * np.sign(b), where=inf_b)
+        np.copyto(core, b * np.sign(a), where=inf_a)
+    return core
+
+
+def _same_bits(got, want):
+    # same shape and bits; NaN equals NaN whatever its sign or payload
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan]))
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_f_plus_vec_scalars_and_empty_match_references(min_sum):
+    # 0-d arrays, Python floats and size-0 arrays go through the same paths
+    # as whole arrays: an infinity must come back as the scalar shortcut
+    # gives it, whatever numpy makes of a 0-d product
+    # 1e308 + 1e308 overflows in the exact update, in every formulation
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in F_PLUS_EDGES:
+            for y in F_PLUS_EDGES:
+                for a, b in ((x, y), (np.float64(x), np.float64(y)), (np.array(x), np.array(y))):
+                    got = f_plus_vec(a, b, min_sum=min_sum)
+                    want = _f_plus_vec_masked(a, b, min_sum=min_sum)
+                    assert type(got) is type(want), (x, y)
+                    assert _same_bits(got, want), (x, y, got, want)
+                    assert _same_bits(got, _f_plus_vec_reference(np.asarray(a), np.asarray(b), min_sum)), (x, y)
+                if (np.isinf(x) or np.isinf(y)) and not (np.isnan(x) or np.isnan(y)):
+                    scalar = (f_plus_minsum if min_sum else f_plus)(x, y)
+                    assert _same_bits(got, np.float64(scalar)), (x, y)
+    for shape in ((0,), (3, 0), (0, 4)):
+        empty = np.zeros(shape)
+        got = f_plus_vec(empty, empty, min_sum=min_sum)
+        assert got.shape == shape and got.dtype == np.float64
+        assert _same_bits(got, _f_plus_vec_masked(empty, empty, min_sum))
+
+
+def test_f_plus_vec_min_sum_adds_nothing():
+    # min-sum forms no sum, so +-1e308 must not overflow (RuntimeWarnings
+    # fail the suite); infinities beside them take the other path
+    big = np.array([1e308, -1e308, 1e308, -1e308])
+    got = f_plus_vec(big, np.array([-1e308, -1e308, 1e308, 1e308]), min_sum=True)
+    assert got.tolist() == [-1e308, 1e308, 1e308, -1e308]
+    with_inf = np.array([1e308, np.inf])
+    assert f_plus_vec(with_inf, -with_inf, min_sum=True).tolist() == [-1e308, -np.inf]
+    assert f_plus_vec(1e308, -np.inf, min_sum=True) == -1e308
+
+
+def _combine_vec_reference(state, a, b):
+    # the formulation before in-range sums came back unclamped: every sum
+    # goes through the NaN check and the clamp
+    s = a + b
+    nan = np.isnan(s)
+    if nan.any():
+        conflict = nan & np.isinf(a) & np.isinf(b)
+        if conflict.any():
+            state.contradiction[conflict.any(axis=-1)] = True
+            s[conflict] = 0.0
+    return np.where(np.isfinite(s), np.minimum(np.maximum(s, -BP_CLIP), BP_CLIP), s)
+
+
+def _combine_rows():
+    up, down = np.nextafter(BP_CLIP, np.inf), np.nextafter(-BP_CLIP, -np.inf)
+    inf, nan = np.inf, np.nan
+    rng = np.random.default_rng(23)
+    in_range = rng.normal(0.0, 8.0, (3, 2, 6)).clip(-BP_CLIP / 2, BP_CLIP / 2)
+    edges = [
+        ([BP_CLIP, -BP_CLIP, 0.0, -0.0, 5e-324, -1.5], [0.0, 0.0, 0.0, -0.0, -5e-324, 1.5]),  # at the clamp
+        ([BP_CLIP, -BP_CLIP, 20.0, -0.0, 1.0, 2.0], [5e-15, -5e-15, 20.0, -0.0, 1.0, 2.0]),  # one ulp beyond
+        ([up, down, 1.0, 2.0, -0.0, 3.0], [0.0, -0.0, 1.0, 2.0, -0.0, 3.0]),
+        ([inf, -inf, inf, 1.0, -0.0, 3.0], [2.0, -7.0, inf, 1.0, -0.0, 3.0]),  # infinities agree
+        ([inf, 1.0, -inf, 1.0, 2.0, 3.0], [-inf, 1.0, inf, 1.0, 2.0, 3.0]),  # opposite infinities
+        ([nan, 1.0, 2.0, -0.0, 3.0, 4.0], [1.0, 1.0, 2.0, -0.0, 3.0, 4.0]),  # NaN
+        ([nan, inf, 2.0, 1.0, 3.0, 4.0], [-inf, -inf, 2.0, 1.0, 3.0, 4.0]),  # NaN beside a conflict
+        ([30.0, -30.0, 1e308, -1e308, 0.0, 1.0], [30.0, -30.0, 1.0, -1.0, 0.0, 1.0]),  # clamped
+    ]
+    return list(in_range) + [np.array(e) for e in edges]
+
+
+@pytest.mark.parametrize("left_float", [None, 0.0, -0.0, 1.5, BP_CLIP, np.inf, -np.inf])
+def test_combine_vec_matches_reference(left_float):
+    # every row alone, every pair of rows, and all rows at once, so batches
+    # wholly within +-BP_CLIP and batches mixing in-range rows with clamped,
+    # infinite, conflicting and NaN rows are both compared, bit for bit,
+    # with their contradiction flags; a Python float left operand is how
+    # _base_step passes the prior po
+    rows = _combine_rows()
+    picks = [[i] for i in range(len(rows))] + [[i, j] for i in range(3) for j in range(len(rows))]
+    picks.append(list(range(len(rows))))
+    spec = CodeSpec(kernel_arikan(), 3, {})
+    with np.errstate(invalid="ignore"):
+        for pick in picks:
+            a, b = (np.stack([rows[i][k] for i in pick]) for k in (0, 1))
+            if left_float is not None:
+                a = left_float
+            got_state, want_state = bp_state(spec, batch=len(pick)), bp_state(spec, batch=len(pick))
+            got = _combine_vec(got_state, a, b)
+            want = _combine_vec_reference(want_state, a, b)
+            assert _same_bits(got, want), (pick, left_float)
+            assert np.array_equal(got_state.contradiction, want_state.contradiction), (pick, left_float)
+    # the in-range rows alone do take the unclamped return, -0.0 + -0.0 included
+    assert _same_bits(_combine_vec(bp_state(spec), np.array([[-0.0, 40.0]]), np.array([[-0.0, 0.0]])),
+                      np.array([[-0.0, 40.0]]))
 
 
 @pytest.mark.parametrize("min_sum", [False, True])
