@@ -323,6 +323,66 @@ def test_scl_batch_pinned_to_frame_by_frame_decodes(kind, param, m, list_size, w
     assert h.hexdigest()[:16] == want
 
 
+def _pin_rows(kind, param, spec, crc, rng, count):
+    # count frames of channel rows for random payloads, which carry the CRC
+    # if there is one; "mixed" cycles Gaussian rows, +-inf-laden LLRs,
+    # zero-laden rows and rows near underflow
+    q, n = spec.kernel.q, spec.n
+    if kind in ("bsc", "bec", "biawgn"):
+        ch = {"bsc": bsc, "bec": bec, "biawgn": biawgn}[kind](param)
+        data = rng.integers(0, q, (count, spec.k_info - (crc.width if crc else 0)))
+        payload = np.array([crc.attach(d) for d in data]) if crc else data
+        x = encode(spec, spec.assemble(payload))
+        return likelihood_rows_binary(np.array([transmit(ch, frame, rng) for frame in x]))
+    rows = np.exp(rng.normal(0.0, 2.0, (count, n, q)))
+    for f in range(count):
+        if f % 4 == 1:
+            llr = rng.choice([np.inf, -np.inf, 0.0, 1.5, -0.25], (n, q))
+            llr[:, 0] = 0.0
+            rows[f] = likelihood_rows(llr)
+        elif f % 4 == 2:
+            rows[f][rng.random((n, q)) < 0.3] = 0.0
+        elif f % 4 == 3:
+            rows[f] **= 40
+            rows[f][rng.random((n, q)) < 0.1] = 1e-300
+    return rows
+
+
+# sha256 prefixes over every SclResult field (bytes, dtype and shape), ops
+# and failed included, of one batch call and of single calls on its first
+# frames (or their failure messages), recorded before decode_scl's
+# gathers, preps and CRC filter went to fewer numpy calls
+SCL_FIELD_PINS = [
+    ("arikan", 7, {}, "bsc", 0.08, 8, None, 24, "8570521c13f36aed"),
+    ("arikan", 7, {}, "bsc", 0.06, 8, (8, 0x07), 24, "05af31580684344a"),
+    ("arikan", 6, {}, "bec", 0.4, 4, None, 24, "338baec0df692ea1"),
+    ("arikan", 5, {}, "biawgn", 0.8, 2, (3, 0x5), 24, "be8bbe40e11322ac"),
+    ("arikan", 4, {}, "bsc", 0.1, 1, None, 24, "67dc4b79d907efa7"),
+    ("arikan", 3, {0: 1, 1: 0, 4: 1}, "mixed", None, 8, (2, 0x3), 16, "8d1924c35415734c"),
+    ("arikan", 2, {0: 0}, "mixed", None, 4, None, 16, "340123ebd288763e"),
+    ("arikan", 6, {i: 0 for i in range(24)}, "mixed", None, 8, None, 16, "bbf4bc6d39da6366"),
+    ("g4", 2, {0: 0, 1: 1, 2: 0, 4: 0, 8: 1}, "mixed", None, 4, None, 12, "8e451879a1a0f1a0"),
+    ("gf3", 2, {0: 2, 1: 0, 3: 1}, "mixed", None, 4, None, 12, "a50ac5d1142f0ff8"),
+]
+
+
+@pytest.mark.parametrize("name,m,frozen,kind,param,list_size,crc,count,want", SCL_FIELD_PINS)
+def test_scl_every_field_pinned(name, m, frozen, kind, param, list_size, crc, count, want):
+    kernel = {"arikan": kernel_arikan(), "g4": kernel_linear(G4),
+              "gf3": kernel_linear([[1, 0, 0], [1, 1, 0], [1, 2, 1]], q=3)}[name]
+    spec = construct_bec(m, 0.5, 0.5) if kind in ("bsc", "bec", "biawgn") else CodeSpec(kernel, m, frozen)
+    crc = None if crc is None else Crc(*crc)
+    rows = _pin_rows(kind, param, spec, crc, np.random.default_rng([m, list_size, count]), count)
+    h = hashlib.sha256()
+    h.update(repr(_scl_fields(decode_scl(spec, rows, list_size, crc=crc))).encode())
+    for frame in rows[:6]:
+        try:
+            h.update(repr(_scl_fields(decode_scl(spec, frame, list_size, crc=crc))).encode())
+        except LlrContradiction as e:
+            h.update(str(e).encode())
+    assert h.hexdigest()[:16] == want
+
+
 SCL_KERNELS = {
     "uv": (kernel_arikan(), 5),
     "g4": (kernel_linear(G4), 2),
