@@ -76,6 +76,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+_PROBE = np.random.default_rng(0).random(20_000) * 40.0
+
+
+@functools.cache
+def _libm_same() -> dict[str, bool]:
+    # per ufunc: does numpy's loop equal libm on every probe value
+    return {name: np.array_equal(getattr(np, name)(_PROBE), [getattr(math, name)(v) for v in _PROBE.tolist()])
+            for name in ("exp", "log1p", "log")}
+
+
+def numpy_is_libm() -> bool:
+    """Whether np.exp, np.log1p and np.log all equal libm on the probe, as
+    with numpy's AVX-512 loops for them off (an AVX2-only host, or
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"). A pin table
+    that holds one digest per dispatch picks its column by this."""
+    return all(_libm_same().values())
+
+
 @functools.cache
 def libm_agreement() -> str:
     """One line: whether np.exp, np.log1p and np.log equal math.exp,
@@ -87,12 +105,8 @@ def libm_agreement() -> str:
     -q, which hides the header), so a pin that fails on another host can be
     traced to that dispatch from the log alone. It changes no test outcome.
     """
-    probe = np.random.default_rng(0).random(20_000) * 40.0
-    verdicts = []
-    for name in ("exp", "log1p", "log"):
-        same = np.array_equal(getattr(np, name)(probe), [getattr(math, name)(v) for v in probe.tolist()])
-        verdicts.append(f"np.{name} {'equals' if same else 'differs from'} math.{name}")
-    return f"numpy {np.__version__} on a fixed probe of {len(probe)} values: " + ", ".join(verdicts)
+    verdicts = [f"np.{name} {'equals' if same else 'differs from'} math.{name}" for name, same in _libm_same().items()]
+    return f"numpy {np.__version__} on a fixed probe of {len(_PROBE)} values: " + ", ".join(verdicts)
 
 
 def pytest_report_header(config):
