@@ -30,6 +30,12 @@ below the guard it walks, and its children check their own guards. ops
 still counts the work the walk would have done, so every field of a
 result, ops included, is what the full walk gives.
 
+A candidate gather is one flat-index take: with the frame and candidate
+axes merged, candidate sel[f] of frame f sits at f * n_in + sel[f]. What a
+code's frozen set decides per kernel block, the values each glue group may
+take there, is derived once per code (CodeSpec.cached), as is the parity
+matrix that tests every survivor against a CRC in one GF(2) product.
+
 Batch contract of decode_scl: a frame for which no list path stays
 possible is marked where that is found, and its evidence is replaced by
 ones from then on, so it walks on to the end without putting a NaN or a
@@ -58,6 +64,12 @@ class Crc:
 
     width: int = 8
     poly: int = 0x07
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"Crc width must be >= 1, got {self.width}")
+        if self.poly < 0:
+            raise ValueError(f"Crc poly must be >= 0, got {self.poly}")
 
     def compute(self, bits) -> list[int]:
         mask = (1 << self.width) - 1
@@ -122,6 +134,10 @@ class _Ctx:
     ops: int = 0
     reason: str | None = None  # message of the first failure
     spec: CodeSpec | None = None  # the code, whose node plan marks rate-0 nodes; None walks every node
+    choices: list | None = None  # _block_choices(groups), derived from groups when not given
+
+    def __post_init__(self):
+        self.choices = _block_choices(self.groups) if self.choices is None else self.choices
 
     def fail(self, dead: np.ndarray, msg: str) -> None:
         """Mark the frames `dead` (B,), which lost every path."""
@@ -130,27 +146,58 @@ class _Ctx:
             self.reason = msg
 
 
+def _block_choices(groups: list) -> list:
+    """Per kernel block, per glue group: (c, width, cand, vals), the group's
+    first input and width, the values its frozen pins allow and their
+    symbols, (len(cand), width). Blocks with the same pins share entries."""
+    per_group = []
+    for c, width, syms, allowed in groups:
+        pats, inv = np.unique(allowed, axis=0, return_inverse=True)
+        opts = [(c, width, np.flatnonzero(pat), syms[pat]) for pat in pats]
+        per_group.append([opts[i] for i in inv.ravel()])
+    return list(zip(*per_group))
+
+
+def _code_tables(spec: CodeSpec, key) -> tuple[list, list]:
+    """The glue groups of spec and their _block_choices, for CodeSpec.cached."""
+    groups = glue_values(spec.kernel, *spec.frozen_arrays())
+    return groups, _block_choices(groups)
+
+
+def _dead_frames(peak: np.ndarray) -> np.ndarray | None:
+    """Per frame (axis 0 of peak), whether some peak is <= 0; None where no
+    frame has one, which one minimum tells in the common case."""
+    if peak.min() > 0.0:
+        return None
+    dead = (peak <= 0.0).reshape(len(peak), -1).any(axis=1)
+    return dead if dead.any() else None
+
+
 def _normalize_columns(ctx: _Ctx, p: np.ndarray) -> np.ndarray:
     """Divide each output column by its max over (symbol, candidate), per frame.
 
-    p: (q, B, rho, Nd), freshly computed (a dead frame is overwritten).
+    p: (q, B, rho, Nd), freshly computed: it is overwritten and returned.
     """
-    peak = p.max(axis=(0, 2))
-    dead = (peak <= 0.0).any(axis=1)
-    if dead.any():
+    peak = np.maximum.reduce(p, axis=0).max(axis=1)
+    dead = _dead_frames(peak)
+    if dead is not None:
         ctx.fail(dead, "every list path is impossible at some position")
         p[:, dead] = 1.0
         peak[dead] = 1.0
-    return p / peak[None, :, None, :]
+    return np.divide(p, peak[:, None, :], out=p)
 
 
 def _gather(a: np.ndarray, sel: np.ndarray | None, axis: int = 1) -> np.ndarray:
     """The candidates sel, (B, rho), of each frame f: a[f, sel[f]] when the
-    candidate axis is 1, a[:, f, sel[f]] when it is 2; None keeps them all."""
+    candidate axis is 1, a[:, f, sel[f]] when it is 2; None keeps them all.
+
+    One take on the frame and candidate axes merged, at f * n_in + sel[f].
+    """
     if sel is None:
         return a
-    frames = np.arange(len(sel))[:, None]
-    return a[frames, sel] if axis == 1 else a[:, frames, sel]
+    nb, n_in = len(sel), a.shape[axis]
+    flat = sel + np.arange(0, nb * n_in, n_in)[:, None]
+    return a.reshape(a.shape[: axis - 1] + (nb * n_in,) + a.shape[axis + 1 :]).take(flat, axis=axis - 1)
 
 
 def _chain(src: np.ndarray | None, sel: np.ndarray | None) -> np.ndarray | None:
@@ -178,6 +225,21 @@ def _prep_ops(kernel: Kernel, rho: int, blk: int, r: int) -> int:
     return rho * blk * kernel.q ** (kernel.ell - r) * kernel.ell
 
 
+def _uv_planes(a: np.ndarray, x0: np.ndarray | None) -> np.ndarray:
+    """Scores of symbol b, (2, ...), for the (u+v, v) kernel's outer code 0
+    (x0 None) or 1, from evidence a, (2, ..., 2 * blk): code 0 sums
+    e[b ^ t] * o[t] over t, code 1 takes e[x0 ^ b] * o[b] at the decided x0,
+    with e and o the even and odd slots. A fresh array."""
+    e, o = a[..., 0::2], a[..., 1::2]
+    if x0 is None:
+        out = np.multiply(e, o[0])
+        out += e[::-1] * o[1]
+    else:
+        out = np.where(x0 == 0, e, e[::-1])
+        out *= o
+    return out
+
+
 def _prep_outer_list(
     ctx: _Ctx, pi: np.ndarray, src: np.ndarray | None, xcols: np.ndarray, r: int
 ) -> np.ndarray:
@@ -191,21 +253,13 @@ def _prep_outer_list(
     rescaled per column.
     """
     kernel = ctx.kernel
-    q = kernel.q
-    ell = kernel.ell
+    q, ell = kernel.q, kernel.ell
     a = _gather(pi, src, axis=2)
     nb, rho, blk = a.shape[1], a.shape[2], a.shape[3] // ell
     ctx.ops += _prep_ops(kernel, rho, blk, r)
     if kernel.is_arikan:
-        e, o = a[..., 0::2], a[..., 1::2]
-        if r == 0:
-            out = 0.5 * np.stack([e[0] * o[0] + e[1] * o[1], e[1] * o[0] + e[0] * o[1]])
-        else:
-            x0 = xcols[..., 0]
-            exb = np.where(x0 == 0, e[0], e[1])  # evidence at even slot for x0 ^ b = x0
-            exb1 = np.where(x0 == 0, e[1], e[0])
-            out = 0.5 * np.stack([exb * o[0], exb1 * o[1]])
-        return _normalize_columns(ctx, out)
+        out = _uv_planes(a, None if r == 0 else xcols[..., 0])
+        return _normalize_columns(ctx, np.multiply(out, 0.5, out=out))
 
     # every (frame, candidate, column) is one kernel instance
     a = a.transpose(1, 2, 3, 0).reshape(nb * rho * blk, ell, q)
@@ -217,15 +271,13 @@ def _prep_outer_list(
 def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     """Joint decode of one kernel block per frame, glue group by glue group."""
     kernel = ctx.kernel
-    q = kernel.q
-    ell = kernel.ell
+    q, ell = kernel.q, kernel.ell
     nb = pi.shape[1]
     u_blk = np.zeros((nb, rho, ell), dtype=np.int64)
     src = None
-    for c, width, syms, allowed in ctx.groups:
-        cand = np.flatnonzero(allowed[off // ell])
+    for c, width, cand, vals in ctx.choices[off // ell]:
         if len(cand) == 1:
-            u_blk[..., c : c + width] = syms[cand[0]]
+            u_blk[..., c : c + width] = vals[0]
             continue
         a = _gather(pi, src, axis=2)
         # per frame, candidates flattened in (i, ascending t) order: a stable
@@ -234,26 +286,21 @@ def _base_node(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
             # both values are allowed; conditioned_scores' sums in closed form,
             # P0(u0 ^ t) * P1(t) summed over u0 for group 0 and taken at the
             # decided u0 for group 1, the same products added in the same order
-            e, o = a[..., 0], a[..., 1]
-            if c == 0:
-                scores = np.stack([e[0] * o[0] + e[1] * o[1], e[1] * o[0] + e[0] * o[1]], axis=2)
-            else:
-                u0 = u_blk[..., 0] == 0
-                scores = np.stack([np.where(u0, e[0], e[1]) * o[0], np.where(u0, e[1], e[0]) * o[1]], axis=2)
-            scores = scores.reshape(nb, 2 * rho)
+            planes = _uv_planes(a, None if c == 0 else u_blk[..., :1])
+            scores = planes.transpose(1, 2, 3, 0).reshape(nb, 2 * rho)
         else:
             rows = a.transpose(1, 2, 3, 0).reshape(nb * rho, ell, q)
             scores = conditioned_scores(kernel, rows, u_blk[..., :c].reshape(nb * rho, c), c)
             scores = scores[:, cand].reshape(nb, rho * len(cand))
         ctx.ops += rho * len(cand)
-        dead = scores.max(axis=1) <= 0.0
-        if dead.any():
+        dead = _dead_frames(scores.max(axis=1))
+        if dead is not None:
             ctx.fail(dead, "no surviving list path at a selection step")
             scores[dead] = 1.0
         rho = min(rho * len(cand), ctx.m_list)
         pick_i, pick_k = np.divmod(np.argsort(-scores, axis=1, kind="stable")[:, :rho], len(cand))
         u_blk = _gather(u_blk, pick_i)
-        u_blk[..., c : c + width] = syms[cand[pick_k]]
+        u_blk[..., c : c + width] = vals[pick_k]
         src = _chain(src, pick_i)
     return src, u_blk, kernel.map_columns(u_blk), rho
 
@@ -310,6 +357,26 @@ def _rec_list(ctx: _Ctx, pi: np.ndarray, off: int, rho: int):
     return src, u_node, x_node, rho
 
 
+def _crc_parity(spec: CodeSpec, crc: Crc) -> np.ndarray:
+    """(K, W) parity matrix H of crc on the K >= W information bits of
+    spec, for CodeSpec.cached: bits pass crc.check exactly when bits @ H is
+    0 mod 2. A zero-init CRC is linear, so H stacks the CRC of each unit
+    data vector over the identity of the W check bits. float64 holds every
+    such count exactly, so that the product runs in BLAS."""
+    units = np.eye(spec.k_info - crc.width, dtype=np.int8)
+    return np.array([crc.compute(e) for e in units] + np.eye(crc.width).tolist(), dtype=np.float64)
+
+
+def _crc_best(spec: CodeSpec, crc: Crc, u_list: np.ndarray) -> np.ndarray:
+    """Per frame, the first row of u_list, (B, rho, N), whose information
+    bits pass crc, or 0 where none does (always when K < W)."""
+    if spec.k_info < crc.width:
+        return np.zeros(len(u_list), dtype=np.int64)
+    bits = u_list[..., spec.info_indices()].astype(np.float64)
+    passed = ~((bits @ spec.cached(crc, _crc_parity)) % 2).any(axis=2)
+    return passed.argmax(axis=1)
+
+
 def decode_scl(
     spec: CodeSpec,
     rows: np.ndarray,
@@ -337,18 +404,18 @@ def decode_scl(
         rows = rows[None]
     nb = len(rows)
 
-    groups = glue_values(kernel, *spec.frozen_arrays())
-    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool), spec=spec)
+    groups, choices = spec.cached("scl_choices", _code_tables)
+    ctx = _Ctx(kernel, list_size, groups, np.zeros(nb, dtype=bool), spec=spec, choices=choices)
     peak = rows.max(axis=2)
-    dead = (peak <= 0.0).any(axis=1)
-    if dead.any():
+    dead = _dead_frames(peak)
+    if dead is not None:
         ctx.fail(dead, "evidence rules out every symbol at some position")
         rows = np.where(dead[:, None, None], 1.0, rows)
         peak[dead] = 1.0
     rows = rows / peak[:, :, None]
 
     pi0 = np.ascontiguousarray(np.moveaxis(rows, 2, 0))[:, :, None, :]  # (q, B, 1, N)
-    _, u_list, x_list, rho = _rec_list(ctx, pi0, 0, 1)
+    _, u_list, x_list, _ = _rec_list(ctx, pi0, 0, 1)
 
     # exact full-evidence scores; selection-time rescaling cancels here
     with np.errstate(divide="ignore"):
@@ -366,14 +433,7 @@ def decode_scl(
     w[dead] = 1.0
     probs = w / w.sum(axis=1, keepdims=True)
 
-    best = np.zeros(nb, dtype=np.int64)
-    if crc is not None:
-        info = spec.info_indices()
-        for b in range(nb):
-            for i in range(rho):
-                if crc.check(u_list[b, i, info]):
-                    best[b] = i
-                    break
+    best = np.zeros(nb, dtype=np.int64) if crc is None else _crc_best(spec, crc, u_list)
     if single:
         if ctx.failed[0]:
             raise LlrContradiction(ctx.reason)

@@ -12,7 +12,7 @@ from polarbench.construction import construct_bec
 from polarbench.kernels import CodeSpec, encode, kernel_arikan, kernel_linear
 from polarbench.llrops import LlrContradiction
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan, glue_values
-from polarbench.scl import Crc, _base_node, _Ctx, _prep_outer_list, decode_scl
+from polarbench.scl import Crc, _base_node, _crc_best, _Ctx, _gather, _prep_outer_list, decode_scl
 
 from conftest import G4, numpy_is_libm, random_llr, spec_all_free
 from oracle import ml_decode
@@ -45,6 +45,49 @@ def test_crc_attach_check_roundtrip(rng):
 
 def test_crc_check_short_payload():
     assert not Crc().check([1, 0, 1])
+
+
+@pytest.mark.parametrize("field,value", [("width", 0), ("width", -3), ("poly", -1)])
+def test_crc_rejects_bad_parameters(field, value):
+    with pytest.raises(ValueError, match=field):
+        Crc(**{field: value})
+
+
+def _crc_best_reference(crc, u_list, info):
+    # the per-frame, per-candidate loop over Crc.check
+    best = np.zeros(len(u_list), dtype=np.int64)
+    for b in range(len(u_list)):
+        for i in range(u_list.shape[1]):
+            if crc.check(u_list[b, i, info]):
+                best[b] = i
+                break
+    return best
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_crc_filter_matches_check_loop(arikan, width):
+    # random lists where no row passes, row 0 passes or a later row is the
+    # first to pass, on codes with more, as many and fewer information bits
+    # than check bits
+    rng = np.random.default_rng(width)
+    for k_info in (width + 9, width + 1, width, width - 1, 24):
+        if k_info < 1 or k_info > 32:
+            continue
+        crc = Crc(width, int(rng.integers(0, 2**width)))
+        spec = CodeSpec(arikan, 5, {int(i): 0 for i in rng.choice(32, 32 - k_info, replace=False)})
+        info = spec.info_indices()
+        u_list = rng.integers(0, 2, (12, 8, 32))
+        firsts = (None, 0, 3, 7, 0, 5)  # first passing row of frames 0-5; the rest stay random
+        for b, first in enumerate(firsts if k_info >= width else ()):
+            for i in range(8 if first is None else first):
+                if crc.check(u_list[b, i, info]):
+                    u_list[b, i, info[-1]] ^= 1  # a flipped check bit fails
+            if first is not None:
+                u_list[b, first, info] = crc.attach(rng.integers(0, 2, k_info - width))
+        want = _crc_best_reference(crc, u_list, info)
+        assert np.array_equal(_crc_best(spec, crc, u_list), want), (width, k_info)
+        if k_info >= width:
+            assert want[:6].tolist() == [0, 0, 3, 7, 0, 5]
 
 
 def test_scl_list1_equals_sc(arikan, rng):
@@ -289,6 +332,68 @@ def test_scl_base_node_uv_fast_path_matches_general_branch():
             got.append((None if src is None else src.tolist(), u_blk.tolist(), x.tolist(), rho_out,
                         ctx.failed.tolist(), ctx.ops, ctx.reason))
         assert got[0] == got[1], case
+
+
+def _gather_reference(a, sel, axis=1):
+    # the broadcast fancy index on the frame and candidate axes
+    if sel is None:
+        return a
+    frames = np.arange(len(sel))[:, None]
+    return a[frames, sel] if axis == 1 else a[:, frames, sel]
+
+
+def test_scl_gather_matches_fancy_index():
+    # byte for byte on both candidate axes, over contiguous, transposed and
+    # broadcast inputs (a rate-0 node returns broadcast views), one frame
+    # and several, the list growing, staying and shrinking
+    rng = np.random.default_rng(37)
+    for nb in (1, 2, 5):
+        for n_in, rho in ((1, 1), (1, 2), (2, 4), (4, 4), (8, 3), (8, 1)):
+            sel = rng.integers(0, n_in, (nb, rho))
+            base = rng.random((nb, n_in, 6))
+            cands1 = [base, np.ascontiguousarray(base.transpose(2, 1, 0)).transpose(2, 1, 0),
+                      np.broadcast_to(rng.integers(0, 3, 6), (nb, n_in, 6)),
+                      rng.integers(0, 2, (nb, n_in, 3, 2))]
+            cands2 = [rng.random((2, nb, n_in, 4)), rng.random((4, n_in, nb, 2)).transpose(3, 2, 1, 0),
+                      np.broadcast_to(rng.random(4), (3, nb, n_in, 4))]
+            for axis, cands in ((1, cands1), (2, cands2)):
+                for a in cands:
+                    got, want = _gather(a, sel, axis), _gather_reference(a, sel, axis)
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert _gather(base, None) is base
+
+
+def test_scl_column_dying_in_an_inner_prep_is_marked(monkeypatch, rng):
+    # evidence whose root preps keep every column alive but where a width-4
+    # node's prep (2 columns) finds a column every candidate rules out:
+    # that frame alone is marked, with the prep's reason, and its single
+    # call raises with the same message
+    spec = CodeSpec(kernel_arikan(), 3, {5: 0, 7: 0})
+    bad = 2.0 ** -np.array([[300, 300], [0, 0], [300, 300], [300, 0],
+                            [0, 600], [0, 1000], [0, 600], [1000, 300]], dtype=float)
+    marks = []
+
+    def recorded(ctx, p, fn=scl._normalize_columns):
+        before = ctx.failed.copy()
+        out = fn(ctx, p)
+        marks.append((p.shape[3], (ctx.failed & ~before).tolist()))
+        return out
+
+    monkeypatch.setattr(scl, "_normalize_columns", recorded)
+    with pytest.raises(LlrContradiction, match="^every list path is impossible at some position$"):
+        decode_scl(spec, bad, 2)
+    assert [w for w, new in marks if any(new)] == [2]
+    clean = likelihood_rows_binary(rng.normal(0.0, 2.0, (2, 8)))
+    rows = np.stack([clean[0], bad, clean[1]])
+    marks.clear()
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        res = decode_scl(spec, rows, 2)
+    assert res.failed.tolist() == [False, True, False]
+    assert [new for w, new in marks if any(new)] == [[False, True, False]]
+    for i in (0, 2):
+        one = decode_scl(spec, rows[i], 2)
+        for field in ("u_list", "x_list", "log_scores", "probs"):
+            assert np.array_equal(getattr(res, field)[i], getattr(one, field)), (field, i)
 
 
 # batch contract --------------------------------------------------------------
