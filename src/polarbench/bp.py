@@ -143,7 +143,7 @@ def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     included. A NaN or an infinity fails that test and takes the full
     path."""
     s = a + b
-    if np.abs(s).max(initial=0.0) <= BP_CLIP:
+    if np.maximum.reduce(np.abs(s), axis=None, initial=0.0) <= BP_CLIP:  # max() without its wrapper
         return s
     nan = np.isnan(s)
     if nan.any():

@@ -2,8 +2,9 @@
 
 LLRs are float64 and may be +-inf (perfectly known bits, e.g. erasure
 channels or frozen priors). inf is treated as exact knowledge, so the
-updates below have closed-form shortcuts for it. The two trit rules are
-the same updates on evidence made only of 0 and +-inf, held as int8 signs.
+updates below have closed-form shortcuts for it. The two finite rules are
+the same updates on evidence known to hold no +-inf or NaN, and the two
+trit rules on evidence made only of 0 and +-inf, held as int8 signs.
 """
 
 from __future__ import annotations
@@ -54,30 +55,37 @@ def f_plus_vec(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarra
     priors or in an observed SC walk on erasure evidence, runs the same
     formula on every entry and then overwrites the entries with an
     infinite input by the scalar shortcuts, so each finite entry rounds as
-    in a call without infinities. (An unobserved SC walk on erasure
-    evidence uses f_plus_trit instead.)
+    in a call without infinities. (An SC walk without a hook on erasure
+    evidence uses f_plus_trit instead, and an SC walk on finite evidence
+    f_plus_finite, this formula without the infinity probe.)
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     abs_a, abs_b = np.abs(a), np.abs(b)
-    core = np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
     # no infinity, by reductions that cannot overflow and skip NaN
     if np.fmax.reduce(np.fmax(abs_a, abs_b), axis=None, initial=0.0) < np.inf:
-        return core if min_sum else _exact(core, a, b)
+        return _formula(a, b, abs_a, abs_b, min_sum)
     # inf against anything collapses to +-other, as the scalar shortcuts do:
     # f_plus(inf, 0) = 0 and two infinities give the product of their signs.
     # Where both are infinite, the second copy wins; the slots it discards,
     # and the formula on infinite entries, may compute 0 * inf or inf - inf.
     with np.errstate(invalid="ignore"):
-        core = np.asarray(core if min_sum else _exact(core, a, b))  # 0-d: written in place below
+        core = np.asarray(_formula(a, b, abs_a, abs_b, min_sum))  # 0-d: written in place below
         np.copyto(core, a * np.sign(b), where=np.isinf(b))
         np.copyto(core, b * np.sign(a), where=np.isinf(a))
     return core
 
 
-def _exact(core, a, b):
-    """The exact update from its min-sum core, rounded as (core + A) - B."""
-    return core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+def f_plus_finite(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:
+    """f_plus_vec on float64 arrays known to hold no +-inf or NaN, whose
+    |a +- b| do not overflow: the formula alone, with the same bits."""
+    return _formula(a, b, np.abs(a), np.abs(b), min_sum)
+
+
+def _formula(a, b, abs_a, abs_b, min_sum):
+    # the min-sum core, and the exact update from it rounded as (core + A) - B
+    core = np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
+    return core if min_sum else core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
 
 
 def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
@@ -99,6 +107,12 @@ def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
             failed |= conflict.any(axis=-1)
             total[conflict] = 0.0
     return total
+
+
+def f_equal_finite(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """f_equal_vec on finite LLRs whose sum does not overflow: a + b, which
+    marks no row."""
+    return a + b
 
 
 def f_plus_trit(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.ndarray:

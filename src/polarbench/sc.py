@@ -53,6 +53,19 @@ and zeroes and marks opposite infinities, and a leaf reads only
 the signs of zeros inside the walk may differ, and nothing reads them.
 A walk with a hook always runs on float LLRs, the values it observes.
 
+So decode_sc_arikan picks one of three rule sets per decode: trits, as
+above; the finite float rules, when every root LLR is finite once
+saturated (any walk, hooked or not); and the general float rules
+(f_plus_vec, f_equal_vec), which probe each node for infinities and
+contradictions, for all other evidence. The finite rules are f_plus_vec's
+formula without the probe (llrops.f_plus_finite) and a plain a + b
+(f_equal_finite). That is exact: a node at depth d sums at most 2**d root
+LLRs, so under the saturation bound 2**(1022 - m) no g sum and no
+|a +- b| in f overflows, and no LLR of the walk becomes +-inf or NaN.
+There f_plus_vec takes its finite branch and f_equal_vec returns a + b
+and marks nothing, so every output and every value a hook sees is the
+same bits.
+
 On trits, what a node returns (its decisions, its re-encoding and whether
 it marks a frame) is a function of its input trits and its frozen inputs
 alone. So an unobserved trit walk (no hook, no genie) does not descend
@@ -77,7 +90,9 @@ import numpy as np
 
 from .channels import check_likelihood_rows, check_llr
 from .kernels import CodeSpec, Kernel, _read_only, _words, encode_unchecked, kernel_arikan
-from .llrops import LlrContradiction, f_equal_trit, f_equal_vec, f_plus_trit, f_plus_vec
+from .llrops import (
+    LlrContradiction, f_equal_finite, f_equal_trit, f_equal_vec, f_plus_finite, f_plus_trit, f_plus_vec,
+)
 
 
 class UnsupportedCodeError(NotImplementedError):
@@ -209,6 +224,7 @@ def decode_sc_arikan(
         genie_u = np.asarray(genie_u, dtype=np.int64)
         if genie_u.shape != lam.shape:
             raise ValueError("genie_u must have the shape of llr")
+    finite = False  # every root LLR finite, once saturated
     if hook is None and ((lam == 0) | np.isinf(lam)).all():
         # erasure evidence: every LLR of the walk is 0 or +-inf, so it is
         # carried as its sign (see the module docstring)
@@ -218,10 +234,12 @@ def decode_sc_arikan(
         # of two no g sum and no |a +- b| in f goes beyond 2**1022
         bound = 2.0 ** (1022 - spec.m)
         mag = np.abs(lam)
-        big = (mag > bound) & (mag < np.inf)
+        fin = mag < np.inf  # False at +-inf and NaN
+        big = (mag > bound) & fin
         if big.any():
             lam = np.where(big, np.copysign(bound, lam), lam)
-    u_hat, x_hat, failed = _walk(spec, lam, min_sum, genie_u, hook)
+        finite = fin.all()
+    u_hat, x_hat, failed = _walk(spec, lam, min_sum, genie_u, hook, finite)
     if lam.ndim == 1:
         if failed:
             raise LlrContradiction("opposite infinite LLRs combined at equality node")
@@ -229,10 +247,11 @@ def decode_sc_arikan(
     return ScResult(u_hat.astype(np.int64, copy=False), x_hat.astype(np.int64, copy=False), failed)
 
 
-def _walk(spec, lam, min_sum, genie_u, hook):
+def _walk(spec, lam, min_sum, genie_u, hook, finite=False):
     """decode_sc_arikan's recursion on float64 LLRs or int8 trits, lam of
     shape (N,) or (B, N); returns u_hat and x_hat (int8 on trits, else
-    int64) and failed."""
+    int64) and failed. finite says float LLRs hold no +-inf or NaN and are
+    saturated, so the walk takes the finite rules."""
     vals = spec.frozen_arrays()[1]
     frozen = spec.node_plan(1)[0]  # 1 for a frozen input, a rate-0 leaf
     trits = lam.dtype == np.int8
@@ -245,6 +264,8 @@ def _walk(spec, lam, min_sum, genie_u, hook):
             tables = _erasure_tables(spec, table_width)
             radix, center = _TRIT_RADIX[:table_width], 3**table_width // 2
             u_rows, x_rows = _word_rows(table_width)
+    elif finite:
+        f_rule, g_rule, flip, bit_type = f_plus_finite, f_equal_finite, _flip_float, np.int64
     else:
         f_rule, g_rule, flip, bit_type = f_plus_vec, f_equal_vec, _flip_float, np.int64
     u_hat = np.empty(lam.shape, dtype=bit_type)

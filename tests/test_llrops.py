@@ -71,6 +71,19 @@ def test_minsum_dominates_exact(a, b):
         assert math.copysign(1, approx) == math.copysign(1, exact)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "f_plus and f_plus_vec round the ln 2-sized terms of log1p(exp(-|a+b|)) - log1p(exp(-|a-b|)), "
+    "which swamps a core of 4.26e-15: f_plus(2**-9, 4.26e-15) is -1.11e-16, the true update +4.2e-18"))
+def test_f_plus_keeps_the_sign_of_a_tiny_core():
+    # two positive LLRs give a positive check-node update; min-sum gives
+    # +4.26e-15 here. Found by a draw of test_minsum_dominates_exact
+    a, b = 0.001953125, 4.262657766221322e-15
+    assert 2 * math.atanh(math.tanh(a / 2) * math.tanh(b / 2)) > 0
+    assert f_plus_minsum(a, b) > 0
+    assert f_plus(a, b) > 0
+    assert f_plus_vec(np.array([a]), np.array([b]))[0] > 0
+
+
 def test_f_equal_basic():
     # infinities pass through the equality node; equal ones add up
     failed = np.zeros((), dtype=bool)

@@ -412,6 +412,142 @@ def test_sc_erasure_table_node_in_a_walk(arikan, frozen):
     assert want.failed.any() == bool(frozen)
 
 
+class _Events:
+    """Schedule hook of decode_sc_arikan that keeps a copy of every array
+    each f, g and decide event hands it, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def f(self, off, width, inputs, out):
+        self.events.append(("f", off, width, *map(np.array, inputs), np.array(out)))
+
+    def g(self, off, width, inputs, out, x0):
+        self.events.append(("g", off, width, *map(np.array, inputs), np.array(out), np.array(x0)))
+
+    def decide(self, off, u, llr):
+        self.events.append(("decide", off, np.array(u), np.array(llr)))
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _assert_same_walk(got, got_events, want, want_events, row):
+    # the fields and every hook array of `got` equal those of batch row
+    # `row` of `want` (rows 0..row-1 when row is a slice); a frozen
+    # decision, shape (1,), broadcasts over the batch and is compared whole
+    def cut(x):
+        return x[row] if x.ndim == 2 else x
+
+    assert _same_bits(got.u_hat, want.u_hat[row])
+    assert _same_bits(got.x_hat, want.x_hat[row])
+    if got.failed is not None:
+        assert _same_bits(got.failed, want.failed[row])
+    if got_events is None:
+        return
+    assert len(got_events.events) == len(want_events.events)
+    for event, other in zip(got_events.events, want_events.events):
+        assert event[:2] == other[:2]
+        for x, y in zip(event[2:], other[2:]):
+            if isinstance(x, np.ndarray):
+                assert _same_bits(x, cut(y)), event[:2]
+            else:
+                assert x == y, event[:2]
+
+
+def _finite_edge_llrs(m, rows, rng):
+    # finite root LLRs drawn from +-0, the smallest subnormal, 1e-300, the
+    # saturation bound 2**(1022 - m) and one ulp beyond it, and Gaussians
+    bound = 2.0 ** (1022 - m)
+    edge = [0.0, 5e-324, 1e-300, bound, np.nextafter(bound, np.inf)]
+    pool = np.concatenate([edge, np.negative(edge), rng.normal(0.0, 2.0, 10)])
+    return rng.choice(pool, (rows, 2**m))
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+@pytest.mark.parametrize("m", range(1, 11))
+def test_sc_finite_walk_matches_the_general_float_walk(arikan, m, min_sum):
+    # finite evidence takes the finite rules; the same frames next to one
+    # frame holding an infinity take the general float rules. Both give the
+    # same bits: u_hat, x_hat, failed and every array the hook sees, plain
+    # and genie walks, observed and not, batch rows and single frames
+    rng = np.random.default_rng(100 + m)
+    n = 2**m
+    spec = CodeSpec(arikan, m, {i: i % 2 for i in range(0, n, 3)})
+    lam = _finite_edge_llrs(m, 3, rng)
+    extra = lam[:1].copy()
+    extra[0, rng.integers(n)] = rng.choice([np.inf, -np.inf])
+    mixed = np.concatenate([lam, extra])
+    genie = rng.integers(0, 2, mixed.shape)
+    for genie_u in (None, genie):
+        for hook in (None, _Events):
+
+            def run(rows, at):
+                events = hook and hook()
+                genie_at = None if genie_u is None else genie_u[at]
+                return decode_sc_arikan(spec, rows, min_sum, genie_at, hook=events), events
+
+            want, want_events = run(mixed, slice(None))
+            got, got_events = run(lam, slice(0, 3))
+            assert not got.failed.any()
+            _assert_same_walk(got, got_events, want, want_events, slice(0, 3))
+            for b in range(3):
+                _assert_same_walk(*run(lam[b], b), want, want_events, b)
+
+
+def test_sc_finite_walk_skips_the_probing_rules(monkeypatch):
+    # a walk on finite evidence never calls f_plus_vec or f_equal_vec; one
+    # NaN or +-inf anywhere in a batch sends the whole call to them and
+    # away from the finite rules, and each row still equals its single call
+    import polarbench.sc as sc
+
+    calls = {}
+
+    def counted(name):
+        rule = getattr(sc, name)
+
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return rule(*args, **kwargs)
+
+        return count
+
+    for name in ("f_plus_vec", "f_equal_vec", "f_plus_finite", "f_equal_finite"):
+        monkeypatch.setattr(sc, name, counted(name))
+    spec = construct_bec(6, 0.4, 0.5)
+    lam = np.random.default_rng(6).normal(0.0, 2.0, (8, 64))
+    lam[0, :5] = [0.0, -0.0, 5e-324, 1e308, -1e308]  # saturated, still finite
+    genie = np.random.default_rng(7).integers(0, 2, lam.shape)
+    for min_sum in (False, True):
+        for hook in (None, Recorder()):
+            decode_sc_arikan(spec, lam, min_sum, hook=hook)
+            decode_sc_arikan(spec, lam[1], min_sum, hook=hook)
+        decode_sc_arikan(spec, lam, min_sum, genie)
+        decode_sc_arikan(spec, lam[1], min_sum, genie[1], hook=Recorder())
+    assert calls.keys() == {"f_plus_finite", "f_equal_finite"}
+    for entry in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (7, 63), (3, 17)):
+            bad = lam.copy()
+            bad[at] = entry
+            calls.clear()
+            rec = Recorder()
+            batch = decode_sc_arikan(spec, bad, hook=rec)
+            assert calls.keys() == {"f_plus_vec", "f_equal_vec"}, (entry, at)
+            assert not batch.failed.any()
+            for b in range(len(bad)):
+                one_rec = Recorder()
+                one = decode_sc_arikan(spec, bad[b], hook=one_rec)
+                assert np.array_equal(batch.u_hat[b], one.u_hat), (entry, at, b)
+                assert np.array_equal(batch.x_hat[b], one.x_hat), (entry, at, b)
+                assert _same_bits(rec.llrs()[b], one_rec.llrs()), (entry, at, b)
+            calls.clear()
+            quiet = decode_sc_arikan(spec, bad)
+            assert calls.keys() == {"f_plus_vec", "f_equal_vec"}, (entry, at)
+            assert np.array_equal(quiet.u_hat, batch.u_hat)
+
+
 def test_sc_batch_contradiction_marks_only_that_frame(arikan, rng):
     spec = _batch_spec(arikan)
     _, lam = _known_codewords(spec, rng, 5)
