@@ -29,21 +29,31 @@ under the exact rule, a rate-1 node +0.0, bit for bit. An unobserved
 sweep then runs the node's subtree as one pass over its levels on
 (B, k, w) arrays of k nodes of width w, writing +inf or +0.0 into its
 mu_v. Under min-sum the zeros a rate-1 node sends back carry the signs of
-its data, so it walks. A walked node whose rate-0 left child sent back
-+inf skips the two f updates that reduce to a copy, and a size-2 node
-with a frozen left coordinate runs every frame at once in numpy. f of two
-finite LLRs at the leaves stays on Python floats, through math.exp and
-math.log1p: numpy's SIMD exp and log1p can round differently in the last
-bit. A sweep that finds a NaN in its LLRs or in mu_v takes every step.
+its data, so it walks. An unobserved size-2 node with a frozen left
+coordinate runs every frame at once in numpy. f of two finite LLRs at
+the leaves stays on Python floats, through math.exp and math.log1p:
+numpy's SIMD exp and log1p can round differently in the last bit.
+
+A walked node takes three f updates by exact identities, the rate-0 and
+rate-1 rules of simplified SC (Alamdar-Yazdi and Kschischang, IEEE Commun.
+Lett. 2011), each keyed on a child's kind and confirmed on the message
+values (_identity). left0: the left child is rate-0 and sent back +inf
+throughout, so a0e1 is x0 and x0_out is e1a0, as f(+inf, y) is y byte for
+byte. right0: the right child is rate-0 and e1a0 is +inf throughout, so
+u_out is x0. left1, exact rule only: the left child is rate-1 and sent
+back +-0 throughout, so a0e1 is +0.0 if x0 is finite throughout, and
+x0_out is +0.0 if e1a0 is (against +-inf the exact f of +-0 is +-0).
 
 The sweep is also the schedule of the hardware BP line model: an optional
 tick(depth, node, op, outputs) is called once per message operation, in
 sweep order, and only on a batch of one frame. The size-2 base step ticks
 u0, u1, x0, x1 after its scalar updates; every other node ticks e1a0 and
 u_out before its first child, a0e1 and v_out before its second, then
-e1a0, x0_out and x1_out. A tick only observes, and an observed sweep
-takes every step, so it sees every operation; node ids follow
-2 * parent + child.
+e1a0, x0_out and x1_out. A tick only observes. An observed sweep, like
+one that finds a NaN in its LLRs or in mu_v, skips no node: it runs no
+level pass and no numpy base step, whose work a tick could not see in
+sweep order, but takes the node identities, which give every operation
+its own bits. Node ids follow 2 * parent + child.
 """
 
 from __future__ import annotations
@@ -227,17 +237,37 @@ def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, free: bool) ->
     return np.full(x_in.shape, out)
 
 
-def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.ndarray:
-    width = x_in.shape[-1]
+def _kinds(state: BpState, width: int, nodes: slice) -> list:
+    """The kinds of the given nodes of this width, read from the node plan:
+    "rate0" (every input frozen to 0), "rate1" (none frozen, exact rule
+    only: under min-sum a rate-1 node walks) or None."""
     frozen, zero = state.spec.node_plan(width)
-    free = frozen[r] == 0 and not state.min_sum  # a rate-1 node walks under min-sum
-    if tick is None and (free or frozen[r] == width and zero[r]) and (np.abs(x_in) <= BP_CLIP).all():
-        return _level_pass(state, d, r, x_in, free)
-    if width == 2:
+    return ["rate0" if f == width and z else "rate1" if f == 0 and not state.min_sum else None
+            for f, z in zip(frozen[nodes].tolist(), zero[nodes].tolist())]
+
+
+def _identity(kind, msg: np.ndarray, partner: np.ndarray):
+    """f(msg, partner), bit for bit, where a node identity gives it without
+    the formula, else None. msg is what a child of this kind sent back (or,
+    for a right child, e1a0). "rate0": msg is +inf throughout, and f(+inf,
+    y) is y. "rate1": msg is +-0 throughout and partner finite, and the
+    exact f is then +0.0 (with an infinite partner it would be +-0)."""
+    if kind == "rate0" and (msg == np.inf).all():
+        return partner
+    if kind == "rate1" and not msg.any() and np.isfinite(partner).all():
+        return np.zeros(partner.shape)
+    return None
+
+
+def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, kind, tick=None) -> np.ndarray:
+    if tick is None and kind and (np.abs(x_in) <= BP_CLIP).all():
+        return _level_pass(state, d, r, x_in, kind == "rate1")
+    if x_in.shape[-1] == 2:
         return _base_step(state, d, r, x_in, tick)
 
-    half = width // 2
+    half = x_in.shape[-1] // 2
     sl = slice(r * half, (r + 1) * half)
+    left, right = _kinds(state, half, slice(2 * r, 2 * r + 2))
     # contiguous copies: ufuncs on strided (B, .) views take numpy's slower
     # path, and the node reads x0 and x1 five times
     x0 = np.ascontiguousarray(x_in[..., 0::2])
@@ -245,23 +275,26 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
     ms = state.min_sum
 
     e1a0 = _combine_vec(state, state.mu_v[d][..., sl], x1)
-    u_out = f_plus_vec(x0, e1a0, min_sum=ms)
+    u_out = _identity(right, e1a0, x0)
+    if u_out is None:
+        u_out = f_plus_vec(x0, e1a0, min_sum=ms)
     if tick is not None:
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "u_out", u_out)
-    mu_u = _sweep(state, d + 1, 2 * r, u_out, tick)
-    # f(+inf, y) and f(y, +inf) are y bit for bit
-    frozen, zero = state.spec.node_plan(half)
-    left0 = tick is None and frozen[2 * r] == half and zero[2 * r] and (mu_u == np.inf).all()
-    a0e1 = x0 if left0 else f_plus_vec(mu_u, x0, min_sum=ms)
+    mu_u = _sweep(state, d + 1, 2 * r, u_out, left, tick)
+    a0e1 = _identity(left, mu_u, x0)
+    if a0e1 is None:
+        a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
     v_out = _combine_vec(state, a0e1, x1)
     if tick is not None:
         tick(d, r, "a0e1", a0e1)
         tick(d, r, "v_out", v_out)
-    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, tick)
+    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, right, tick)
     state.mu_v[d][..., sl] = mu_v
     e1a0 = _combine_vec(state, mu_v, x1)
-    x0_out = e1a0 if left0 else f_plus_vec(e1a0, mu_u, min_sum=ms)
+    x0_out = _identity(left, mu_u, e1a0)
+    if x0_out is None:
+        x0_out = f_plus_vec(e1a0, mu_u, min_sum=ms)
     x1_out = _combine_vec(state, a0e1, mu_v)
     if tick is not None:
         tick(d, r, "e1a0", e1a0)
@@ -276,7 +309,8 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, tick=None) -> np.nd
 
 
 def _observe_nothing(d, r, op, outputs):
-    """A tick that observes nothing, for a sweep that must take every step."""
+    """A tick that observes nothing, for a sweep that must skip no node: it
+    runs no level pass or numpy base step, but takes the node identities."""
 
 
 def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
@@ -289,9 +323,9 @@ def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
     if tick is not None and len(llr) != 1:
         raise ValueError("tick observes a single frame; a batch sweep takes none")
     if tick is None and any(np.isnan(v).any() for v in (llr, *state.mu_v)):
-        tick = _observe_nothing  # a NaN breaks the identities of the unobserved shortcuts
+        tick = _observe_nothing  # a NaN breaks the level passes and the numpy base step
     with np.errstate(invalid="ignore"):
-        state.x_out[...] = _sweep(state, 0, 0, llr, tick)
+        state.x_out[...] = _sweep(state, 0, 0, llr, _kinds(state, state.spec.n, slice(1))[0], tick)
 
 
 def channel_llr(spec: CodeSpec, llr: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ Units are addressed in the trace as u<depth>.r<id> where a node's id is
 2 * parent_id + (0 for the check-side child, 1 for the variable-side one).
 The model has no sweep of its own: it is the tick hook of the software
 sweep (bp_iteration), which reports each message operation in order, and
-it spends one cycle per operation. The model runs BP's state as a batch
+it spends one cycle per operation. Where the sweep takes an f update by an
+exact node identity (a copy, or +0.0) it still reports that operation, so
+the hook sees every one. The model runs BP's state as a batch
 of one frame, the one shape the software decoder has, so after any number
 of iterations that state matches the software decoder run with stopping
 disabled.

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
 
-from conftest import Recorder, message_values, random_llr, spec_all_free
+from conftest import Recorder, message_values, numpy_is_libm, random_llr, spec_all_free
 
 
 def test_bp_requires_arikan():
@@ -298,7 +302,9 @@ def _pin_digests(kind, n, min_sum):
 
 
 # recorded before the batched sweep landed, the bec-code rows before the
-# rate-0 and rate-1 level passes; (min_sum, kind, N) -> digests
+# rate-0 and rate-1 level passes; (min_sum, kind, N) -> digests. They hold
+# for numpy's AVX-512 exp and log1p loops; BP_PINS_LIBM holds the cases
+# that differ under libm's (conftest.numpy_is_libm picks).
 BP_PINS = {
     (False, "gauss", 2): ('4dd97c79c0c189dc', '4dd97c79c0c189dc', '4dd97c79c0c189dc'),
     (False, "gauss", 4): ('a7ffd0f109d87848', 'f34823bc6a9e2450', 'f34823bc6a9e2450'),
@@ -346,10 +352,32 @@ BP_PINS = {
     (True , "bec-code", 128): ('31ccbfbefe8d21dd', '26f621abb6115c15', '8a72c610c5b66f3c'),
 }
 
+# the exact-rule cases whose f values round differently under libm's exp
+# and log1p, recorded with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL
+# X86_V4"; every other case holds under both dispatches
+BP_PINS_LIBM = {
+    (False, "gauss", 8): ('1a1ab043a7e47658', '56fb52bfd559c0d0', '56fb52bfd559c0d0'),
+    (False, "gauss", 16): ('e826963b48d25bc5', '19f31a0ccbb0228e', '9a80636500560c92'),
+    (False, "gauss", 32): ('9f9324a51e7aff59', '787cb99e6467159d', 'b135133bb9158542'),
+    (False, "gauss", 64): ('48c19f7c89386d38', 'bf40cf6060afeb2a', '0d5526b6ac1c320b'),
+    (False, "gauss", 128): ('2a2f55b4ac7f1215', '88bb2491c9628193', '0a73b3b7faac4b2a'),
+    (False, "pm", 16): ('02c032a96cfd4d51', '69f1a97b93b3cdf2', '9329189ee012f07e'),
+    (False, "pm", 32): ('85171ea15a57f8f9', '76fa024ba06aafd3', 'f57f2a1088400d31'),
+    (False, "pm", 64): ('656310f851388760', '7f4e8d77df0fe6d4', '407e660a3055bf68'),
+    (False, "pm", 128): ('ff839f7baeaad391', '29f1012bb4dd44fe', 'cb4f322396aa8510'),
+    (False, "inf", 16): ('c5f01bd536dab6a4', 'eec1e8c241047bef', 'bcb6aa605fa0eb72'),
+    (False, "inf", 32): ('5e268c49ece51410', '309f78c55d863527', 'f7bc8676bfde4d1c'),
+    (False, "inf", 64): ('62b1f796e18f5acf', 'f51de44c663a9417', 'bb0bf6134f60f1a6'),
+    (False, "inf", 128): ('f696bd70b2308ef8', 'ad6903e91bbddd55', '6945e1368827f91a'),
+    (False, "bec-code", 128): ('d41d7ec735f087e5', '7a9b293c265d77fc', '590f3e18dd17f742'),
+}
+
 
 @pytest.mark.parametrize("min_sum,kind,n", sorted(BP_PINS))
 def test_bp_messages_pinned_at_full_precision(min_sum, kind, n):
     want = BP_PINS[(min_sum, kind, n)]
+    if numpy_is_libm():
+        want = BP_PINS_LIBM.get((min_sum, kind, n), want)
     assert _pin_digests(kind, n, min_sum) == want
     # the same frame as the middle row of a batch leaves the same bytes
     spec, lam = _pin_case(kind, n)
@@ -359,6 +387,22 @@ def test_bp_messages_pinned_at_full_precision(min_sum, kind, n):
     for it in range(3):
         bp_iteration(st, batch)
         assert _message_digest(st, row=1) == want[it], it
+
+
+@pytest.mark.skipif(numpy_is_libm(), reason="numpy already calls libm here: the pins ran on that column")
+def test_bp_message_pins_hold_under_libm_dispatch():
+    # the pin cases once more in a child process whose numpy runs exp,
+    # log1p and log through libm, so that this host checks both columns
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", PYTHONPATH=str(root / "src"))
+    probe = subprocess.run([sys.executable, "-c", "import conftest; print(conftest.numpy_is_libm())"],
+                           cwd=root / "tests", env=env, capture_output=True, text=True, timeout=120)
+    assert probe.stdout.strip() == "True", probe.stderr
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "tests/test_bp.py", "-k", "test_bp_messages_pinned_at_full_precision"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert f"{len(BP_PINS)} passed" in done.stdout
 
 
 # batch contract --------------------------------------------------------------
@@ -468,10 +512,11 @@ def test_bp_rejects_non_positive_iterations(arikan):
 
 # unobserved shortcuts --------------------------------------------------------
 #
-# An unobserved sweep runs rate-0 and rate-1 subtrees as level passes,
-# skips f under a left child that sent back +inf and runs size-2 nodes
-# with a frozen left coordinate in numpy. An observed sweep takes every
-# step, so a no-op tick gives the reference.
+# An unobserved sweep runs rate-0 and rate-1 subtrees as level passes and
+# runs size-2 nodes with a frozen left coordinate in numpy. An observed
+# sweep takes neither, so a no-op tick gives the reference. Both take the
+# value-checked node identities (bp._identity) in place of f; patched to
+# find none, an observed sweep computes every f by the formula.
 
 
 def _observe_nothing(d, r, op, outs):
@@ -543,6 +588,61 @@ def test_bp_unobserved_sweep_matches_observed_walk(m, data):
         assert batch.message_updates == sum(one.message_updates for one in singles), sweep
 
 
+def _ticked_sweep(st, lam, formula_only):
+    # one observed sweep; every tick as (d, r, op) and a copy of its outputs
+    ticks = []
+    tick = lambda d, r, op, outs: ticks.append(((d, r, op), np.array(outs, dtype=np.float64)))
+    with pytest.MonkeyPatch.context() as mp:
+        if formula_only:
+            mp.setattr(bp, "_identity", lambda kind, msg, partner: None)
+        bp_iteration(st, lam, tick=tick)
+    return ticks
+
+
+def _same_state(got, want, row):
+    # every message of frame `row` of got, its flag and (for a batch of one)
+    # its count equal those of the single-frame state want
+    for a, b in zip((got.u_msg, got.x_out, *got.mu_v), (want.u_msg, want.x_out, *want.mu_v)):
+        if not _same_bytes(a[row], b[0]):
+            return False
+    return got.contradiction[row] == want.contradiction[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs.integers(1, 6), hs.data())
+def test_bp_node_identities_match_the_formula_tick_by_tick(m, data):
+    # an observed sweep that takes the node identities ticks the same
+    # operations, in the same order and with the same bytes, as one that
+    # computes every f by the formula, sweep after sweep; so does the
+    # unobserved batch sweep in every message, flag and count. Blocks frozen
+    # with a 1 are no rate-0 node, and min-sum has no rate-1 identity.
+    n = 2**m
+    frozen = {}
+    _draw_blocks(data, 0, n, frozen)
+    spec = CodeSpec(kernel_arikan(), m, frozen)
+    rows = data.draw(hs.integers(1, 3))
+    fresh = data.draw(hs.booleans())
+    min_sum = data.draw(hs.booleans())
+    batch = bp_state(spec, min_sum=min_sum, batch=rows)
+    fast = [bp_state(spec, min_sum=min_sum) for _ in range(rows)]
+    slow = [bp_state(spec, min_sum=min_sum) for _ in range(rows)]
+    for sweep in range(data.draw(hs.integers(1, 3))):
+        if sweep == 0 or fresh:
+            lam = np.array([_evidence_row(data, n) for _ in range(rows)])
+        with np.errstate(over="ignore"):
+            bp_iteration(batch, lam)
+            for i, row in enumerate(lam):
+                got = _ticked_sweep(fast[i], row[None], formula_only=False)
+                want = _ticked_sweep(slow[i], row[None], formula_only=True)
+                assert [op for op, _ in got] == [op for op, _ in want], (sweep, i)
+                for (op, a), (_, b) in zip(got, want):
+                    assert _same_bytes(a, b), (sweep, i, op)
+                assert _same_state(fast[i], slow[i], 0), (sweep, i)
+                assert _same_state(batch, slow[i], i), (sweep, i)
+                assert fast[i].message_updates == slow[i].message_updates, (sweep, i)
+        assert batch.message_updates == sum(one.message_updates for one in slow), sweep
+
+
 @pytest.mark.parametrize("frozen", [{}, {0: 0, 1: 0, 2: 0, 3: 0}])
 def test_bp_nan_left_in_mu_v_keeps_the_walk(frozen):
     # a NaN stored by an earlier sweep is fed back by the next one, even on
@@ -592,7 +692,11 @@ def test_bp_rate1_subtree_f_counts(monkeypatch, arikan, how):
     # an all-free code is one rate-1 subtree. The walk makes 3 scalar f per
     # size-2 node and 3 vector f per other node; the level pass one scalar f
     # per pair and one vector f per level above the pairs. A tick, a NaN or
-    # the min-sum rule keeps the walk.
+    # the min-sum rule keeps the walk. A ticked walk on finite evidence
+    # makes only u_out's vector f at each of the 7 nodes above the pairs:
+    # their left child is rate-1 and sent back +-0, so a0e1 and x0_out are
+    # +0.0 by the rate-1 identity. Here a NaN reaches every such node, and
+    # min-sum has no rate-1 identity. The tick still sees every operation.
     spec = spec_all_free(arikan, 4)
     lam = channel_llr(spec, np.random.default_rng(4).normal(0.0, 2.0, (1, 16)))
     if how == "nan":
@@ -600,6 +704,9 @@ def test_bp_rate1_subtree_f_counts(monkeypatch, arikan, how):
     st = bp_state(spec, min_sum=how == "min-sum")
     bp_iteration(st, lam)
     calls = _count_f_calls(monkeypatch)
-    bp_iteration(st, lam, tick=_observe_nothing if how == "ticked" else None)
-    want = (8, 3) if how == "unobserved" else (24, 21)
+    ticks = []
+    bp_iteration(st, lam, tick=(lambda d, r, op, outs: ticks.append(op)) if how == "ticked" else None)
+    want = {"unobserved": (8, 3), "ticked": (24, 7)}.get(how, (24, 21))
     assert (len(calls["scalar"]), len(calls["vector"])) == want
+    if how == "ticked":
+        assert len(ticks) == (11 * 16 - 14) // 2

@@ -265,6 +265,37 @@ def test_f_plus_vec_min_sum_adds_nothing():
     assert f_plus_vec(1e308, -np.inf, min_sum=True) == -1e308
 
 
+# the partners of BP's node identities: signed zeros, subnormals, tiny,
+# ordinary and huge magnitudes
+IDENTITY_PARTNERS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_f_plus_vec_against_plus_inf_is_the_other_input(min_sum):
+    # BP's rate-0 identities: f(+inf, y) and f(y, +inf) are y byte for
+    # byte, -0.0 and NaN included, so a sweep may copy y instead
+    y = np.append(IDENTITY_PARTNERS, np.nan)
+    inf = np.full(y.shape, np.inf)
+    assert f_plus_vec(inf, y, min_sum=min_sum).tobytes() == y.tobytes()
+    assert f_plus_vec(y, inf, min_sum=min_sum).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_f_plus_vec_of_a_signed_zero_is_plus_zero_only_against_finite(zero):
+    # BP's rate-1 identity: under the exact rule a +-0 input makes
+    # |a + b| == |a - b|, so (core + A) - B is +0.0 for every finite partner
+    z = np.full(IDENTITY_PARTNERS.shape, zero)
+    plus_zero = np.zeros(IDENTITY_PARTNERS.shape).tobytes()
+    assert f_plus_vec(z, IDENTITY_PARTNERS).tobytes() == plus_zero
+    assert f_plus_vec(IDENTITY_PARTNERS, z).tobytes() == plus_zero
+    # against +-inf it is +-0, the product of the signs: the identity needs
+    # a finite partner
+    for inf in (np.inf, -np.inf):
+        want = np.float64(math.copysign(0.0, math.copysign(1.0, zero) * inf)).tobytes()
+        assert f_plus_vec(np.array([zero]), np.array([inf])).tobytes() == want
+        assert f_plus_vec(np.array([inf]), np.array([zero])).tobytes() == want
+
+
 def _combine_vec_reference(state, a, b):
     # the formulation before in-range sums came back unclamped: every sum
     # goes through the NaN check and the clamp
