@@ -20,19 +20,30 @@ of a batch result equals a single-frame call on that row: decisions,
 iteration count, convergence and contradiction.
 
 Every node is an outer code of its parent, so the frozen set decides
-much of the arithmetic. The sweep reads each node's kind from the code's
-node plan (CodeSpec.node_plan): rate-0 when every coordinate is frozen
-to 0 (priors +inf), rate-1 when none is frozen. Fed inputs within
-+-BP_CLIP (two larger finite ones can sum to inf) while no message is NaN
-(BP makes no NaN from non-NaN inputs), a rate-0 node sends back +inf and,
-under the exact rule, a rate-1 node +0.0, bit for bit. An unobserved
-sweep then runs the node's subtree as one pass over its levels on
-(B, k, w) arrays of k nodes of width w, writing +inf or +0.0 into its
-mu_v. Under min-sum the zeros a rate-1 node sends back carry the signs of
-its data, so it walks. An unobserved size-2 node with a frozen left
-coordinate runs every frame at once in numpy. f of two finite LLRs at
-the leaves stays on Python floats, through math.exp and math.log1p:
-numpy's SIMD exp and log1p can round differently in the last bit.
+much of the arithmetic. The sweep reads each node's kind from a table
+built once per code and rule from the node plan (CodeSpec.node_plan):
+rate-0 when every coordinate is frozen to 0 (priors +inf), rate-1 when
+none is frozen. Fed inputs within +-BP_CLIP (two larger finite ones can
+sum to inf) while no message is NaN (BP makes no NaN from non-NaN
+inputs), a rate-0 node sends back +inf and, under the exact rule, a
+rate-1 node +0.0, bit for bit. Under min-sum the zeros a rate-1 node
+sends back carry the signs of its data, so it walks.
+
+An unobserved sweep returns that constant at once and records the node
+and its input. Nothing else in the sweep reads what the subtree's work
+writes: its own mu_v and u_msg entries, and a message count and
+contradiction flags that only add up. So that work waits until the root
+returns. bp_iteration then runs one level pass per depth and kind over
+every subtree recorded there, on (B, k, w) arrays of k nodes of width w,
+writing +inf or +0.0 into their mu_v. Every update is elementwise, so
+each subtree gets the bits it would get alone. Where one subtree of a
+rate-0 pass has a mu that is not +inf throughout (a walk left it), the
+pass computes f(x0, e1a0) for all of them, and against e1a0 = +inf that
+is x0 bit for bit. Ticked and NaN sweeps record nothing: they walk every
+node. An unobserved size-2 node with a frozen left coordinate runs every
+frame at once in numpy. f of two finite LLRs at the leaves stays on
+Python floats, through math.exp and math.log1p: numpy's SIMD exp and
+log1p can round differently in the last bit.
 
 A walked node takes three f updates by exact identities, the rate-0 and
 rate-1 rules of simplified SC (Alamdar-Yazdi and Kschischang, IEEE Commun.
@@ -153,12 +164,12 @@ def _combine_vec(state: BpState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     included. A NaN or an infinity fails that test and takes the full
     path."""
     s = a + b
-    if np.maximum.reduce(np.abs(s), axis=None, initial=0.0) <= BP_CLIP:  # max() without its wrapper
+    top = np.maximum.reduce(np.abs(s), axis=None, initial=0.0)  # max() without its wrapper
+    if top <= BP_CLIP:
         return s
-    nan = np.isnan(s)
-    if nan.any():
+    if np.isnan(top):  # the maximum of values holding a NaN is NaN
         # a NaN sum of two infinities is a conflict; other NaNs came in as NaN
-        conflict = nan & np.isinf(a) & np.isinf(b)
+        conflict = np.isnan(s) & np.isinf(a) & np.isinf(b)
         if conflict.any():
             state.contradiction[conflict.any(axis=-1)] = True
             s[conflict] = 0.0
@@ -205,45 +216,52 @@ def _base_step(state: BpState, d: int, r: int, x_in: np.ndarray, tick) -> np.nda
     return np.array(x).reshape(x_in.shape)
 
 
-def _level_pass(state: BpState, d: int, r: int, x_in: np.ndarray, free: bool) -> np.ndarray:
-    """The rate-0 or rate-1 subtree of node r at depth d, one level at a
-    time on (B, k, w) inputs. A rate-0 child sends back +inf, so the left
-    input is f(x0, e1a0) and the right one x0 + x1; a rate-1 child sends
-    back +0.0, and f(+0.0, x0) is +0.0, so the right input is 0.0 + x1.
-    At the leaves e1a0 is +inf (rate-0) or the right input (rate-1). free
-    says which: True for a rate-1 subtree."""
-    rows, n = x_in.shape
+def _level_pass(state: BpState, d: int, free: bool, nodes: np.ndarray, x: np.ndarray) -> None:
+    """The rate-0 or rate-1 subtrees of the given nodes at depth d, one
+    level at a time. x holds what each was fed, (B, len(nodes), width), and
+    each level works on (B, k, w) arrays of its k nodes of width w, subtree
+    by subtree. A rate-0 child sends back +inf, so the left input is
+    f(x0, e1a0) and the right one x0 + x1; a rate-1 child sends back +0.0,
+    and f(+0.0, x0) is +0.0, so the right input is 0.0 + x1. At the leaves
+    e1a0 is +inf (rate-0) or the right input (rate-1). free says which:
+    True for rate-1 subtrees."""
+    rows, count, width = x.shape
     out = 0.0 if free else np.inf
-    x = x_in[:, None]
+    state.message_updates += x.size // 2 * (7 * (state.m - 1 - d) + 6)
     for dd in range(d, state.m):
-        k, w = x.shape[1], x.shape[2] // 2
         x0, x1 = x[..., 0::2], x[..., 1::2]
         right = _combine_vec(state, 0.0 if free else x0, x1)
         if dd < state.m - 1:
-            mu = state.mu_v[dd][:, r * w : (r + k) * w].reshape(rows, k, w)
-            left = x0 if not free and (mu == np.inf).all() else f_plus_vec(
-                x0, _combine_vec(state, mu, x1), min_sum=state.min_sum)
-            mu[...] = out
+            # a view (mu_v is C-contiguous) whose block r holds the width / 2
+            # butterflies of subtree r at this level
+            stored = state.mu_v[dd].reshape(rows, 2**d, width // 2)
+            mu = stored[:, nodes].reshape(x0.shape)
+            full = not free and np.minimum.reduce(mu, axis=None, initial=np.inf) == np.inf  # mu +inf throughout
+            left = x0 if full else f_plus_vec(x0, _combine_vec(state, mu, x1), min_sum=state.min_sum)
+            stored[:, nodes] = out
         elif free:
-            left = np.reshape(list(map(f_plus, x0.ravel().tolist(), right.ravel().tolist())), x0.shape)
+            left = np.fromiter(map(f_plus, x0.ravel().tolist(), right.ravel().tolist()), float, x0.size)
+            left = left.reshape(x0.shape)
         else:
             left = x0
-        x = np.empty((rows, 2 * k, w))
+        x = np.empty((rows, 2 * x0.shape[1], x0.shape[2]))
         x[:, 0::2] = left
         x[:, 1::2] = right
-        r *= 2
-    state.u_msg[:, r : r + n] = x.reshape(rows, n)
-    state.message_updates += x_in.size // 2 * (7 * (state.m - 1 - d) + 6)
-    return np.full(x_in.shape, out)
+    state.u_msg.reshape(rows, 2**d, width)[:, nodes] = x.reshape(rows, count, width)
 
 
-def _kinds(state: BpState, width: int, nodes: slice) -> list:
-    """The kinds of the given nodes of this width, read from the node plan:
-    "rate0" (every input frozen to 0), "rate1" (none frozen, exact rule
-    only: under min-sum a rate-1 node walks) or None."""
-    frozen, zero = state.spec.node_plan(width)
-    return ["rate0" if f == width and z else "rate1" if f == 0 and not state.min_sum else None
-            for f, z in zip(frozen[nodes].tolist(), zero[nodes].tolist())]
+def _node_kinds(spec: CodeSpec, key) -> tuple:
+    """Per depth d < m, the kind of each node of width N / 2**d, read from
+    the node plan: "rate0" (every input frozen to 0), "rate1" (none frozen,
+    exact rule only: under min-sum a rate-1 node walks) or None. key is
+    ("bp_kinds", min_sum)."""
+    kinds = []
+    for d in range(spec.m):
+        width = spec.n >> d
+        frozen, zero = spec.node_plan(width)
+        kinds.append(tuple("rate0" if f == width and z else "rate1" if f == 0 and not key[1] else None
+                           for f, z in zip(frozen.tolist(), zero.tolist())))
+    return tuple(kinds)
 
 
 def _identity(kind, msg: np.ndarray, partner: np.ndarray):
@@ -252,22 +270,25 @@ def _identity(kind, msg: np.ndarray, partner: np.ndarray):
     for a right child, e1a0). "rate0": msg is +inf throughout, and f(+inf,
     y) is y. "rate1": msg is +-0 throughout and partner finite, and the
     exact f is then +0.0 (with an infinite partner it would be +-0)."""
-    if kind == "rate0" and (msg == np.inf).all():
+    if kind == "rate0" and np.minimum.reduce(msg, axis=None, initial=np.inf) == np.inf:
         return partner
-    if kind == "rate1" and not msg.any() and np.isfinite(partner).all():
+    if kind == "rate1" and not np.logical_or.reduce(msg, axis=None) and np.logical_and.reduce(
+            np.isfinite(partner), axis=None):
         return np.zeros(partner.shape)
     return None
 
 
-def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, kind, tick=None) -> np.ndarray:
-    if tick is None and kind and (np.abs(x_in) <= BP_CLIP).all():
-        return _level_pass(state, d, r, x_in, kind == "rate1")
+def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, kinds: tuple, deferred: dict, tick) -> np.ndarray:
+    kind = kinds[d][r]
+    if tick is None and kind and np.maximum.reduce(np.abs(x_in), axis=None, initial=0.0) <= BP_CLIP:
+        deferred.setdefault((d, kind), []).append((r, x_in))  # bp_iteration runs its level pass
+        return np.full(x_in.shape, 0.0 if kind == "rate1" else np.inf)
     if x_in.shape[-1] == 2:
         return _base_step(state, d, r, x_in, tick)
 
     half = x_in.shape[-1] // 2
     sl = slice(r * half, (r + 1) * half)
-    left, right = _kinds(state, half, slice(2 * r, 2 * r + 2))
+    left, right = kinds[d + 1][2 * r : 2 * r + 2]
     # contiguous copies: ufuncs on strided (B, .) views take numpy's slower
     # path, and the node reads x0 and x1 five times
     x0 = np.ascontiguousarray(x_in[..., 0::2])
@@ -281,7 +302,7 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, kind, tick=None) ->
     if tick is not None:
         tick(d, r, "e1a0", e1a0)
         tick(d, r, "u_out", u_out)
-    mu_u = _sweep(state, d + 1, 2 * r, u_out, left, tick)
+    mu_u = _sweep(state, d + 1, 2 * r, u_out, kinds, deferred, tick)
     a0e1 = _identity(left, mu_u, x0)
     if a0e1 is None:
         a0e1 = f_plus_vec(mu_u, x0, min_sum=ms)
@@ -289,7 +310,7 @@ def _sweep(state: BpState, d: int, r: int, x_in: np.ndarray, kind, tick=None) ->
     if tick is not None:
         tick(d, r, "a0e1", a0e1)
         tick(d, r, "v_out", v_out)
-    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, right, tick)
+    mu_v = _sweep(state, d + 1, 2 * r + 1, v_out, kinds, deferred, tick)
     state.mu_v[d][..., sl] = mu_v
     e1a0 = _combine_vec(state, mu_v, x1)
     x0_out = _identity(left, mu_u, e1a0)
@@ -322,10 +343,18 @@ def bp_iteration(state: BpState, llr: np.ndarray, tick=None) -> None:
         raise ValueError(f"llr shape {llr.shape} does not match the state's {state.x_out.shape}")
     if tick is not None and len(llr) != 1:
         raise ValueError("tick observes a single frame; a batch sweep takes none")
-    if tick is None and any(np.isnan(v).any() for v in (llr, *state.mu_v)):
-        tick = _observe_nothing  # a NaN breaks the level passes and the numpy base step
+    # a NaN breaks the level passes and the numpy base step; a maximum is NaN
+    # where its values hold one
+    if tick is None and any(np.isnan(np.maximum.reduce(v, axis=None, initial=-np.inf)) for v in (llr, *state.mu_v)):
+        tick = _observe_nothing
+    kinds = state.spec.cached(("bp_kinds", state.min_sum), _node_kinds)
+    deferred = {}  # (depth, kind) -> [(node, input)] of the subtrees whose level pass waits
     with np.errstate(invalid="ignore"):
-        state.x_out[...] = _sweep(state, 0, 0, llr, _kinds(state, state.spec.n, slice(1))[0], tick)
+        state.x_out[...] = _sweep(state, 0, 0, llr, kinds, deferred, tick)
+        for (d, kind), group in deferred.items():
+            nodes, inputs = zip(*group)
+            x = np.concatenate(inputs, axis=1).reshape(len(llr), len(nodes), inputs[0].shape[1])
+            _level_pass(state, d, kind == "rate1", np.array(nodes), x)
 
 
 def channel_llr(spec: CodeSpec, llr: np.ndarray) -> np.ndarray:

@@ -83,9 +83,26 @@ def f_plus_finite(a: np.ndarray, b: np.ndarray, min_sum: bool = False) -> np.nda
 
 
 def _formula(a, b, abs_a, abs_b, min_sum):
-    # the min-sum core, and the exact update from it rounded as (core + A) - B
-    core = np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
-    return core if min_sum else core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    # the min-sum core, and the exact update from it rounded as (core + A) - B.
+    # Min-sum keeps the sign product: where an input is +-0 its core is a
+    # signed zero, and the sign of sign(a) * sign(b) * 0 is what it returns.
+    # The exact update returns +0.0 there whatever the core's sign (A == B),
+    # so its core may be copysign(min, a * sign(b)), which equals the sign
+    # product on nonzero inputs and, unlike a * b, cannot overflow. Its two
+    # log terms run as one C-contiguous (2, ...) buffer: the same ufuncs on
+    # the same values, elementwise and on contiguous memory as the separate
+    # temporaries were, so each entry keeps the bits they gave it.
+    if min_sum:
+        return np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
+    core = np.copysign(np.minimum(abs_a, abs_b), a * np.sign(b))
+    t = np.empty((2,) + core.shape)
+    np.add(a, b, out=t[0, ...])
+    np.subtract(a, b, out=t[1, ...])
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    return core + t[0] - t[1]
 
 
 def f_equal_vec(a: np.ndarray, b: np.ndarray, failed: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,23 @@ def numpy_is_libm() -> bool:
     NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"). A pin table
     that holds one digest per dispatch picks its column by this."""
     return all(_libm_same().values())
+
+
+LIBM_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+def run_pytest_under_libm(*args: str) -> subprocess.CompletedProcess:
+    """Run pytest on args in a child process whose numpy computes exp,
+    log1p and log through libm (LIBM_DISPATCH), after asserting that it
+    does, so that a host with numpy's AVX-512 loops checks both columns of
+    a pin table that keeps one digest per dispatch."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, **LIBM_DISPATCH, PYTHONPATH=str(root / "src"))
+    probe = subprocess.run([sys.executable, "-c", "import conftest; print(conftest.numpy_is_libm())"],
+                           cwd=root / "tests", env=env, capture_output=True, text=True, timeout=120)
+    assert probe.stdout.strip() == "True", probe.stderr
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
 
 
 @functools.cache

@@ -1,9 +1,5 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +23,7 @@ from polarbench.llrops import BP_CLIP, f_plus
 from polarbench.hwsim import run_bp_line
 from polarbench.sc import decode_sc_arikan
 
-from conftest import Recorder, message_values, numpy_is_libm, random_llr, spec_all_free
+from conftest import Recorder, message_values, numpy_is_libm, random_llr, run_pytest_under_libm, spec_all_free
 
 
 def test_bp_requires_arikan():
@@ -393,14 +389,7 @@ def test_bp_messages_pinned_at_full_precision(min_sum, kind, n):
 def test_bp_message_pins_hold_under_libm_dispatch():
     # the pin cases once more in a child process whose numpy runs exp,
     # log1p and log through libm, so that this host checks both columns
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", PYTHONPATH=str(root / "src"))
-    probe = subprocess.run([sys.executable, "-c", "import conftest; print(conftest.numpy_is_libm())"],
-                           cwd=root / "tests", env=env, capture_output=True, text=True, timeout=120)
-    assert probe.stdout.strip() == "True", probe.stderr
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "tests/test_bp.py", "-k", "test_bp_messages_pinned_at_full_precision"],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    done = run_pytest_under_libm("tests/test_bp.py", "-k", "test_bp_messages_pinned_at_full_precision")
     assert done.returncode == 0, done.stdout[-2000:]
     assert f"{len(BP_PINS)} passed" in done.stdout
 
@@ -654,6 +643,57 @@ def test_bp_nan_left_in_mu_v_keeps_the_walk(frozen):
         bp_iteration(walk, np.array(lam), tick=_observe_nothing)
         for got, want in zip((fast.u_msg, fast.x_out, *fast.mu_v), (walk.u_msg, walk.x_out, *walk.mu_v)):
             assert _same_bytes(got[0], want[0]), lam
+
+
+def test_bp_grouped_level_passes_match_the_walk(monkeypatch):
+    # construct_bec(7, 0.5, 0.5) has 5 rate-0 and 5 rate-1 subtrees at
+    # depth 6, 3 + 3 at depth 5, 2 + 2 at depth 4 and 1 + 1 at depth 3: an
+    # unobserved sweep runs one level pass per depth and kind, over all the
+    # subtrees recorded there. Sweep 2 feeds +-inf, so some subtrees walk;
+    # in sweep 3 a rate-0 pass then holds a subtree whose mu is not +inf
+    # next to ones whose mu is +inf throughout, where f(x0, +inf) must keep
+    # x0's bits. Every message, flag and count equals the walk of each frame.
+    spec = construct_bec(7, 0.5, 0.5)
+    passes = []
+    level_pass = bp._level_pass
+
+    def recorded(state, d, free, nodes, x):
+        w = x.shape[2] // 2
+        full = [bool((state.mu_v[d][:, r * w : (r + 1) * w] == np.inf).all()) for r in nodes.tolist()]
+        passes.append((d, free, nodes.tolist(), full))
+        level_pass(state, d, free, nodes, x)
+
+    monkeypatch.setattr(bp, "_level_pass", recorded)
+    rng = np.random.default_rng(5)
+    for b in (1, 5):
+        lam = channel_llr(spec, rng.normal(1.0, 1.0, (b, 128)))
+        hard = lam.copy()
+        pick = (rng.random((b, 128)) < 0.5) & (np.arange(128) < 112)
+        pick[1:4] = False  # frames 1 to 3 stay within +-BP_CLIP
+        hard[pick] = rng.choice([np.inf, -np.inf], (b, 128))[pick]
+        fast = bp_state(spec, batch=b)
+        walks = [bp_state(spec) for _ in range(b)]
+        for sweep, llr in enumerate((lam, hard, lam)):
+            passes.clear()
+            bp_iteration(fast, llr)
+            for row, one in zip(llr, walks):
+                bp_iteration(one, row[None], tick=_observe_nothing)
+            for i, one in enumerate(walks):
+                assert _same_state(fast, one, i), (b, sweep, i)
+            assert fast.message_updates == sum(one.message_updates for one in walks), (b, sweep)
+            if sweep == 0:
+                assert [(d, free, len(nodes)) for d, free, nodes, _ in sorted(passes)] == [
+                    (3, False, 1), (3, True, 1), (4, False, 2), (4, True, 2),
+                    (5, False, 3), (5, True, 3), (6, False, 5), (6, True, 5)]
+        assert any(any(full) and not all(full) for d, free, _, full in passes if not free and d < 6), b
+
+
+def test_bp_sweep_of_an_empty_batch():
+    # a state of no frames sweeps to nothing, its level passes included
+    spec = construct_bec(7, 0.5, 0.5)
+    st = bp_state(spec, batch=0)
+    bp_iteration(st, np.zeros((0, 128)))
+    assert st.x_out.shape == st.u_msg.shape == (0, 128) and st.message_updates == 0
 
 
 def _count_f_calls(monkeypatch):

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarbench import llrops
 from polarbench.bp import _combine_vec, bp_state
 from polarbench.kernels import CodeSpec, kernel_arikan
 from polarbench.llrops import (
     BP_CLIP,
+    _formula,
     decide,
     f_equal_vec,
     f_plus,
     f_plus_minsum,
     f_plus_vec,
 )
+
+from conftest import numpy_is_libm, run_pytest_under_libm
 
 
 def _f_plus_direct(a, b):
@@ -294,6 +298,86 @@ def test_f_plus_vec_of_a_signed_zero_is_plus_zero_only_against_finite(zero):
         want = np.float64(math.copysign(0.0, math.copysign(1.0, zero) * inf)).tobytes()
         assert f_plus_vec(np.array([zero]), np.array([inf])).tobytes() == want
         assert f_plus_vec(np.array([inf]), np.array([zero])).tobytes() == want
+
+
+def _formula_reference(a, b, abs_a, abs_b, min_sum):
+    # the formula before its log terms shared one buffer, kept as the
+    # reference: the sign-product core, and each log term on its own arrays
+    core = np.sign(a) * np.sign(b) * np.minimum(abs_a, abs_b)
+    return core if min_sum else core + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+
+
+SC_SATURATION = [2.0 ** (1022 - m) for m in (1, 10)]  # SC's bound: a * b overflows, a + b does not
+FORMULA_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022, 2.0**-9, -(2.0**-9), 4.26e-15, -4.26e-15,
+                 1.0, -1.5, 700.0, -750.0, BP_CLIP, -BP_CLIP, np.nextafter(BP_CLIP, 0.0),
+                 *SC_SATURATION, *(-v for v in SC_SATURATION)]
+
+
+def _formula_pairs(extra=()):
+    # every pair of edge values (extra ones included), then Gaussian pairs
+    # with magnitudes from 1e-17 to 30
+    vals = FORMULA_EDGES + list(extra)
+    grid = np.array([(x, y) for x in vals for y in vals]).T
+    rng = np.random.default_rng(29)
+    scaled = rng.normal(0.0, 1.0, (2, 2000)) * 10.0 ** rng.uniform(-17.0, 1.5, (2, 2000))
+    return np.hstack((grid, scaled))
+
+
+def _formula_shapes(a, b):
+    # 0-d, empty, (N,) and (B, N) views of the same pairs
+    yield from ((np.asarray(x), np.asarray(y)) for x, y in zip(a[:40], b[:40]))
+    yield np.zeros((0,)), np.zeros((0,))
+    yield np.zeros((3, 0)), np.zeros((3, 0))
+    yield a, b
+    n = len(a) - len(a) % 8
+    yield a[:n].reshape(8, -1), b[:n].reshape(8, -1)
+    yield a[:n].reshape(-1, 8)[:, ::2], b[:n].reshape(-1, 8)[:, 1::2]  # strided views
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_formula_matches_its_reference(min_sum):
+    # the stacked-buffer formula against the body it replaced, bit for bit,
+    # signed zeros included: SC's finite walk calls it as f_plus_finite.
+    # No errstate: at SC's saturation bound a * b would overflow, and the
+    # suite turns that RuntimeWarning into an error
+    a, b = _formula_pairs()
+    for x, y in _formula_shapes(a, b):
+        got = _formula(x, y, np.abs(x), np.abs(y), min_sum)
+        want = _formula_reference(x, y, np.abs(x), np.abs(y), min_sum)
+        assert type(got) is type(want)
+        assert _same_bits(got, want), (x, y) if np.ndim(x) == 0 else x.shape
+
+
+@pytest.mark.parametrize("min_sum", [False, True])
+def test_f_plus_vec_on_the_formula_matches_its_reference(monkeypatch, min_sum):
+    # +-inf and NaN beside the edge pairs go through f_plus_vec's infinity
+    # path, which runs the formula on every entry; NaN compares by position
+    # only, as its sign bit is not part of the contract
+    a, b = _formula_pairs(extra=(np.inf, -np.inf, np.nan))
+    shapes = list(_formula_shapes(a, b))
+    with np.errstate(invalid="ignore"):
+        got = [f_plus_vec(x, y, min_sum=min_sum) for x, y in shapes]
+        monkeypatch.setattr(llrops, "_formula", _formula_reference)
+        want = [f_plus_vec(x, y, min_sum=min_sum) for x, y in shapes]
+    for (x, _), g, w in zip(shapes, got, want):
+        assert _same_bits(g, w), x if np.ndim(x) == 0 else x.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-(2.0**1021), 2.0**1021), st.floats(-(2.0**1021), 2.0**1021), st.booleans())
+def test_formula_matches_its_reference_on_any_finite_pair(a, b, min_sum):
+    a, b = np.array([a]), np.array([b])
+    assert _same_bits(_formula(a, b, np.abs(a), np.abs(b), min_sum),
+                      _formula_reference(a, b, np.abs(a), np.abs(b), min_sum))
+
+
+@pytest.mark.skipif(numpy_is_libm(), reason="numpy already calls libm here: the tests ran on that dispatch")
+def test_formula_matches_its_reference_under_libm_dispatch():
+    # once more in a child process whose numpy runs exp and log1p through
+    # libm: the stacked buffer must keep the bits of either dispatch
+    done = run_pytest_under_libm("tests/test_llrops.py", "-k", "formula")
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert "5 passed" in done.stdout
 
 
 def _combine_vec_reference(state, a, b):

@@ -14,7 +14,7 @@ from polarbench.llrops import LlrContradiction
 from polarbench.sc import UnsupportedCodeError, decode_sc_arikan, glue_values
 from polarbench.scl import Crc, _base_node, _crc_best, _Ctx, _gather, _prep_outer_list, decode_scl
 
-from conftest import G4, numpy_is_libm, random_llr, spec_all_free
+from conftest import G4, numpy_is_libm, random_llr, run_pytest_under_libm, spec_all_free
 from oracle import ml_decode
 
 
@@ -399,12 +399,16 @@ def test_scl_column_dying_in_an_inner_prep_is_marked(monkeypatch, rng):
 # batch contract --------------------------------------------------------------
 
 # sha256 prefixes over 200 frames of (u_list, log_scores, ops) bytes,
-# recorded frame by frame before decode_scl took a frame axis
+# recorded frame by frame before decode_scl took a frame axis, for numpy's
+# AVX-512 exp and log loops; SCL_PINS_LIBM holds the case whose log_scores
+# round differently under libm's, recorded with conftest.LIBM_DISPATCH
+# (conftest.numpy_is_libm picks)
 SCL_PINS = [
     ("bsc", 0.08, 7, 8, "78f117962e46c269"),
     ("bec", 0.4, 6, 8, "1797da8d4a76cce3"),
     ("biawgn", 0.8, 7, 4, "7eb8a1626143f72a"),
 ]
+SCL_PINS_LIBM = {("biawgn", 0.8, 7, 4): "7c9db9ce7a1ddd3d"}
 
 
 @pytest.mark.parametrize("kind,param,m,list_size,want", SCL_PINS)
@@ -425,7 +429,21 @@ def test_scl_batch_pinned_to_frame_by_frame_decodes(kind, param, m, list_size, w
         h.update(res.u_list[b].tobytes())
         h.update(res.log_scores[b].tobytes())
         h.update(str(res.ops).encode())
+    if numpy_is_libm():
+        want = SCL_PINS_LIBM.get((kind, param, m, list_size), want)
     assert h.hexdigest()[:16] == want
+
+
+@pytest.mark.skipif(numpy_is_libm(), reason="numpy already calls libm here: the pins ran on that column")
+def test_scl_batch_pins_hold_under_libm_dispatch():
+    # the case with a libm digest once more in a child process whose numpy
+    # runs exp, log1p and log through libm, so that this host checks both
+    # columns
+    ids = [f"tests/test_scl.py::test_scl_batch_pinned_to_frame_by_frame_decodes[{kind}-{param}-{m}-{size}-{want}]"
+           for kind, param, m, size, want in SCL_PINS if (kind, param, m, size) in SCL_PINS_LIBM]
+    done = run_pytest_under_libm(*ids)
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert f"{len(SCL_PINS_LIBM)} passed" in done.stdout
 
 
 def _pin_rows(kind, param, spec, crc, rng, count):
