@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 
-# Tabulates counted cycle/resource figures against the closed forms for
-# every architecture over a range of block lengths. Cells where the two
-# disagree are marked; with the stock formulas the only offenders are the
-# general-kernel line cells beyond two recursion levels.
+# Tabulates each architecture's reported cycle/resource figures against its
+# closed forms over a range of block lengths. Cells where the two disagree
+# are marked; with the stock formulas the only offenders are the
+# general-kernel line cells beyond two recursion levels. Cycles (and
+# sc-multi's PEs and contention) are counted by the run; the other PE
+# columns, LLR registers and bp-line's units are set from the closed-form
+# expressions themselves, so they cannot disagree.
 
 import argparse
 

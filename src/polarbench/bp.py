@@ -15,9 +15,9 @@ failures surface as flags rather than exceptions.
 One frame is a batch of one. Every array of BpState takes the batch axis
 first, (B, .), and the contradiction flag is a (B,) array; the sweep runs
 over the last axis. Every message depends on its own frame alone, and
-bp_decode sweeps only the frames that have not yet stopped, so each row
-of a batch result equals a single-frame call on that row: decisions,
-iteration count, convergence and contradiction.
+a frame leaves bp_decode's state when it stops, so each row of a batch
+result equals a single-frame call on that row: decisions, iteration
+count, convergence and contradiction.
 
 Every node is an outer code of its parent, so the frozen set decides
 much of the arithmetic. The sweep reads each node's kind from a table
@@ -129,16 +129,6 @@ class BpState:
         counting from 0."""
         return BpState(self.m, self.priors, self.spec, [v[rows] for v in self.mu_v], self.u_msg[rows],
                        self.x_out[rows], self.contradiction[rows], min_sum=self.min_sum)
-
-    def put(self, rows: np.ndarray, sub: "BpState") -> None:
-        """Write back the frames of a state made by take(rows), and add its
-        message_updates."""
-        for dst, src in zip(self.mu_v, sub.mu_v):
-            dst[rows] = src
-        self.u_msg[rows] = sub.u_msg
-        self.x_out[rows] = sub.x_out
-        self.contradiction[rows] = sub.contradiction
-        self.message_updates += sub.message_updates
 
 
 def bp_state(spec: CodeSpec, min_sum: bool = False, batch: int = 1) -> BpState:
@@ -391,8 +381,9 @@ def bp_decode(
     Each frame stops on its own, by `stop`: "frozen" once every frozen
     coordinate's message agrees with its value, "unchanged" once u_hat
     repeats, "adaptive" at the first of the two, "none" after max_iters.
-    An iteration sweeps only the frames still running; the others keep the
-    state they stopped with.
+    The state holds only the frames still running. A frame that stops
+    leaves it: its u_hat and x_hat come from its own rows (bp_decisions),
+    and its iterations, converged and contradiction are final from then on.
     """
     if stop not in STOP_RULES:
         raise ValueError(f"stop must be one of {STOP_RULES}")
@@ -407,37 +398,34 @@ def bp_decode(
     want_pos = vals[mask] == 0
     state = bp_state(spec, min_sum=min_sum, batch=b)
 
+    u_hat, x_hat = np.empty(lam.shape, np.int64), np.empty(lam.shape, np.int64)
     iters = np.zeros(b, dtype=np.int64)
-    converged = np.zeros(b, dtype=bool)
+    converged, contradiction = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
     prev_u = np.full(lam.shape, -1, dtype=np.int64)  # no decision repeats at iteration 1
-    active = np.arange(b)
+    active = np.arange(b)  # the frame of each row of state
     for it in range(1, max_iters + 1):
-        if len(active) == b:
-            sub = state
-            bp_iteration(sub, lam)
-        else:
-            sub = state.take(active)
-            bp_iteration(sub, lam[active])
-            state.put(active, sub)
-        u_hat = _decisions(sub, mask, vals)
-        msgs = sub.u_msg[:, mask]
+        bp_iteration(state, lam)
+        u_now = _decisions(state, mask, vals)
+        msgs = state.u_msg[:, mask]
         frozen_ok = np.where(want_pos, msgs >= 0, msgs <= 0).all(axis=1)
-        unchanged = (u_hat == prev_u[active]).all(axis=1)
-        prev_u[active] = u_hat
+        unchanged = (u_now == prev_u).all(axis=1)
         done = {
             "frozen": frozen_ok,
             "unchanged": unchanged,
             "adaptive": frozen_ok | unchanged,
             "none": np.zeros(len(active), bool),
         }[stop]
-        iters[active] = it
-        converged[active] = done
-        active = active[~done]
-        if not len(active):
-            break
+        ends = done | (it == max_iters)
+        prev_u = u_now
+        if ends.any():
+            stopped, running = np.flatnonzero(ends), np.flatnonzero(~ends)
+            ended, rows = state.take(stopped), active[stopped]
+            u_hat[rows], x_hat[rows] = bp_decisions(ended, lam[stopped], mask, vals)
+            iters[rows], converged[rows], contradiction[rows] = it, done[stopped], ended.contradiction
+            state, lam, prev_u, active = state.take(running), lam[running], u_now[running], active[running]
+            if not len(active):
+                break
 
-    u_hat, x_hat = bp_decisions(state, lam, mask, vals)
     if single:
-        return BpResult(u_hat[0], x_hat[0], int(iters[0]), bool(converged[0]),
-                        bool(state.contradiction[0]))
-    return BpResult(u_hat, x_hat, iters, converged, state.contradiction)
+        return BpResult(u_hat[0], x_hat[0], int(iters[0]), bool(converged[0]), bool(contradiction[0]))
+    return BpResult(u_hat, x_hat, iters, converged, contradiction)

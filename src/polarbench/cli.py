@@ -24,8 +24,7 @@ from .construction import construct_bec, construct_montecarlo
 from .gf import AlphabetError
 from .kernels import (
     CodeLengthError, CodeSpec, FrozenMismatchError, InvalidKernelError, Kernel, SpecFormatError,
-    check_length, code_depth, dump_codespec, encode, kernel_arikan, kernel_linear,
-    load_codespec, load_kernel,
+    code_depth, dump_codespec, encode, kernel_arikan, kernel_linear, load_codespec, load_kernel,
 )
 from .llrops import LlrContradiction
 from .montecarlo import CSV_HEADER, csv_row, decode_frame, reads_min_sum, run_trials
@@ -160,7 +159,6 @@ def _check_kernel(kernel: Kernel, decoder: str, channel: bool, min_sum: bool = F
 
 
 def cmd_construct(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.kernel:
         kernel = _load_file(args.kernel, load_kernel)
         if args.m is None:
@@ -168,7 +166,6 @@ def cmd_construct(args) -> int:
         if args.mc_trials <= 0:
             raise SystemExit("error: custom kernels are constructed by --mc-trials")
         _check_kernel(kernel, "sc", channel=True)  # the genie decoder is SC
-        check_length(kernel.ell, args.m)
         m = args.m
     else:
         if args.N is None:
@@ -176,7 +173,7 @@ def cmd_construct(args) -> int:
         kernel, m = kernel_arikan(), code_depth(args.N, 2)
     if args.mc_trials > 0:
         spec = construct_montecarlo(
-            kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(seed)
+            kernel, m, args.channel, args.rate, args.mc_trials, np.random.default_rng(args.seed)
         )
     elif args.channel.kind != "bec":
         raise SystemExit("error: analytic construction covers bec only; use --mc-trials")
@@ -187,7 +184,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.code:
         spec = _load_file(args.code, load_codespec)
     else:
@@ -203,7 +199,7 @@ def cmd_simulate(args) -> int:
         args.channel,
         args.decoder,
         args.trials,
-        seed,
+        args.seed,
         list_size=args.list_size,
         iters=args.iters,
         min_sum=args.min_sum,
@@ -211,7 +207,7 @@ def cmd_simulate(args) -> int:
     )
     list_col = args.list_size if args.decoder == "scl" else 1
     iters_col = args.iters if args.decoder == "bp" else 0
-    row = csv_row(args.decoder, args.channel, spec, stats, seed, list_col, iters_col)
+    row = csv_row(args.decoder, args.channel, spec, stats, args.seed, list_col, iters_col)
     _write_out(args.out, CSV_HEADER + "\n" + row + "\n")
     return 0
 
@@ -238,8 +234,7 @@ def _hwsim_spec(args, arch: str, n: int):
 def cmd_hwsim(args) -> int:
     arch = ARCH_NAMES[args.arch]
     n = args.N
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     spec = _hwsim_spec(args, arch, n)
     want_trace = bool(args.trace)
 
@@ -337,6 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="polar-code construction, Monte-Carlo evaluation, and decoder architecture simulation",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    decoding = argparse.ArgumentParser(add_help=False)  # the decoder flags of simulate and decode
+    decoding.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
+    decoding.add_argument("--list-size", type=_positive_int, default=8)
+    decoding.add_argument("--iters", type=_positive_int, default=40)
+    decoding.add_argument("--min-sum", action="store_true")
 
     p = sub.add_parser("construct", help="build a code and write its spec file")
     p.add_argument("--N", type=int, help="code length (power of 2, Arikan kernel)")
@@ -351,15 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo BER/FER, CSV output")
+    p = sub.add_parser("simulate", help="Monte-Carlo BER/FER, CSV output", parents=[decoding])
     p.add_argument("--code", metavar="FILE", help="code spec file (else --N/--rate)")
     p.add_argument("--N", type=int)
     p.add_argument("--rate", type=_rate)
     p.add_argument("--channel", type=_parse_channel, default=ChannelModel("bec", 0.5))
-    p.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
-    p.add_argument("--list-size", type=_positive_int, default=8)
-    p.add_argument("--iters", type=_positive_int, default=40)
-    p.add_argument("--min-sum", action="store_true")
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -389,13 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("decode", help="decode one block of llrs from a file")
+    p = sub.add_parser("decode", help="decode one block of llrs from a file", parents=[decoding])
     p.add_argument("--code", metavar="FILE", required=True)
     p.add_argument("--in", dest="infile", metavar="FILE", required=True)
-    p.add_argument("--decoder", choices=("sc", "scl", "bp"), default="sc")
-    p.add_argument("--list-size", type=_positive_int, default=8)
-    p.add_argument("--iters", type=_positive_int, default=40)
-    p.add_argument("--min-sum", action="store_true")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_decode)
 
@@ -406,6 +398,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_apply_config(argv))
+        if getattr(args, "seed", 0) is None:  # POLARBENCH_SEED stands in for --seed
+            args.seed = _default_seed()
         return args.fn(args)
     except SystemExit as e:
         # usage-level problems: --config and the handlers raise

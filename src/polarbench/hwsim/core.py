@@ -15,7 +15,17 @@ import numpy as np
 
 @dataclass
 class CycleReport:
-    """Counted (not predicted) resources and latency of one simulated run."""
+    """Resources and latency of one simulated run.
+
+    Counted by the run: cycles, cycles_per_iteration (bp_line), contention
+    and sc_multi's instances_d* and pe_count, which come from its
+    schedule. ps_flops and mem_cells are the sizes of the partial-sum banks
+    and BP message arrays the model holds. pe_count and llr_regs of
+    sc_pipeline, sc_line, sc_limited and general_line, and units of
+    bp_line, are set from the same expressions as their closed forms, so
+    check_formulas compares them with themselves. sc_multi's llr_regs is
+    set too, and in no closed form.
+    """
 
     arch: str
     n: int

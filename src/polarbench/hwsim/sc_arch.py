@@ -53,15 +53,12 @@ class PartialSumMismatch(AssertionError):
 
 
 class _ScEngine:
-    def __init__(self, spec: CodeSpec, arch: str, i_param: int = 1,
-                 min_sum: bool = False, trace: bool = False):
+    def __init__(self, spec: CodeSpec, arch: str, i_param: int = 1, trace: bool = False):
         if not spec.kernel.is_arikan:
             raise ValueError("SC hardware models cover the (u+v, v) kernel")
-        self.spec = spec
         self.n = spec.n
         self.m = spec.m
         self.arch = arch
-        self.min_sum = min_sum
         self.trace = TraceLog(trace)
         self.cycle = 0
         self.sched: list[tuple[int, int]] = []  # (depth, cycle) per sub-pass
@@ -131,13 +128,6 @@ class _ScEngine:
             for depth, start, width in self.left_phase:
                 self.banks[depth][:width] ^= _arikan_gmat(width)[off - start]
 
-    def run(self, llr: np.ndarray):
-        lam = np.asarray(llr, dtype=np.float64)
-        if lam.shape != (self.n,):
-            raise ValueError(f"llr must have length {self.n}")
-        res = decode_sc_arikan(self.spec, lam, min_sum=self.min_sum, hook=self)
-        return res.u_hat, res.x_hat
-
 
 def run_sc(
     spec: CodeSpec,
@@ -147,8 +137,11 @@ def run_sc(
     min_sum: bool = False,
     trace: bool = False,
 ) -> HwRun:
-    eng = _ScEngine(spec, arch, i_param=i_param, min_sum=min_sum, trace=trace)
-    u_hat, x_hat = eng.run(llr)
+    eng = _ScEngine(spec, arch, i_param=i_param, trace=trace)
+    lam = np.asarray(llr, dtype=np.float64)
+    if lam.shape != (spec.n,):
+        raise ValueError(f"llr must have length {spec.n}")
+    res = decode_sc_arikan(spec, lam, min_sum=min_sum, hook=eng)
     extra = {}
     if arch == "sc_limited":
         extra["i"] = i_param
@@ -163,7 +156,7 @@ def run_sc(
         extra=extra,
         closed_form=eng.closed_form,
     )
-    return HwRun(u_hat, x_hat, report, eng.trace)
+    return HwRun(res.u_hat, res.x_hat, report, eng.trace)
 
 
 def _contention(inst_ids: np.ndarray, cycles: np.ndarray, p: int, total: int) -> int:
@@ -210,7 +203,7 @@ def run_sc_multi(
 
     # The schedule is input-independent: the engine counts it once while
     # the decoder walks all p codewords together.
-    eng = _ScEngine(spec, "sc_pipeline", min_sum=min_sum, trace=False)
+    eng = _ScEngine(spec, "sc_pipeline")
     res = decode_sc_arikan(spec, np.stack(words), min_sum=min_sum, hook=eng)
     if res.failed.any():
         bad = np.flatnonzero(res.failed).tolist()

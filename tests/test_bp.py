@@ -447,9 +447,71 @@ def test_bp_batch_stops_frames_separately(arikan, rng):
     assert np.array_equal(res.u_hat[0], u)
 
 
+def _result_rows(kind, spec, rng, count):
+    # count frames of channel LLRs for random payloads. "awgn": BPSK through
+    # Gaussian noise of a sigma drawn per frame, so that frames stop at
+    # different iterations; "erasure": the codeword's +-inf with a share
+    # drawn per frame erased to 0; "mixed" cycles those two with rows of
+    # random +-inf, zeros and small values, which defy the frozen pins, and
+    # with pure noise
+    x = encode(spec, spec.assemble(rng.integers(0, 2, (count, spec.k_info))))
+    sign = 1.0 - 2.0 * x
+    sigma = rng.choice([0.5, 0.7, 0.9, 1.2], (count, 1))
+    awgn = 2.0 * (sign + sigma * rng.normal(0.0, 1.0, x.shape)) / sigma**2
+    erased = np.where(rng.random(x.shape) < rng.choice([0.4, 0.55, 0.7], (count, 1)), 0.0, sign * np.inf)
+    if kind == "awgn":
+        return awgn
+    if kind == "erasure":
+        return erased
+    wild = rng.choice([np.inf, -np.inf, 0.0, 1.5, -0.25], x.shape)
+    return np.choose((np.arange(count) % 4)[:, None], [awgn, erased, wild, rng.normal(0.0, 2.0, x.shape)])
+
+
+def _bp_fields(res):
+    # every field of a result, arrays with their dtype and shape, byte for
+    # byte, scalars with their type
+    return tuple((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else (type(a).__name__, a)
+                 for a in (res.u_hat, res.x_hat, res.iterations, res.converged, res.contradiction))
+
+
+# sha256 prefixes over every BpResult field of one batch call per stop rule
+# and of single calls on its first frames, recorded before bp_decode took
+# stopped frames out of its state. Decisions pass through np.exp and
+# np.log1p, so each case holds one digest per dispatch of those ufuncs:
+# numpy's AVX-512 loops, then libm's (conftest.numpy_is_libm picks); a
+# case that moves in neither repeats it. (code, m, rows, max_iters, frames,
+# min_sum, digests)
+BP_RESULT_PINS = [
+    ("bec", 7, "awgn", 10, 16, False, ("ac7ec12d6ff58e9a",) * 2),
+    ("bec", 7, "awgn", 10, 16, True, ("ce4a2250b94a1291",) * 2),
+    ("bec", 6, "erasure", 40, 12, False, ("bc3fe0682c3c08c2",) * 2),
+    ("bec", 6, "erasure", 40, 12, True, ("c922a79b5d1d6a86",) * 2),
+    ("random", 5, "mixed", 8, 16, False, ("583ed5b509d1fcc8",) * 2),
+    ("random", 5, "mixed", 8, 16, True, ("d3cb36d8b98694f4",) * 2),
+    ("random", 4, "mixed", 40, 12, True, ("2c4e2711f8cc52ab",) * 2),
+    ("random", 3, "mixed", 1, 8, False, ("c129b21bff5027f8",) * 2),
+]
+
+
+@pytest.mark.parametrize("code,m,kind,max_iters,count,min_sum,want", BP_RESULT_PINS)
+def test_bp_every_result_field_pinned(code, m, kind, max_iters, count, min_sum, want):
+    rng = np.random.default_rng([m, max_iters, count, min_sum])
+    n = 2**m
+    spec = construct_bec(m, 0.5, 0.5) if code == "bec" else CodeSpec(
+        kernel_arikan(), m, {int(i): int(rng.integers(0, 2)) for i in rng.choice(n, n // 2, replace=False)})
+    rows = _result_rows(kind, spec, rng, count)
+    h = hashlib.sha256()
+    for stop in STOP_RULES:
+        res = bp_decode(spec, rows, max_iters=max_iters, stop=stop, min_sum=min_sum)
+        h.update(repr(_bp_fields(res)).encode())
+        for frame in rows[:3]:
+            h.update(repr(_bp_fields(bp_decode(spec, frame, max_iters, stop, min_sum))).encode())
+    assert h.hexdigest()[:16] == want[numpy_is_libm()]
+
+
 def test_bp_batch_message_updates_sum_single_sweeps(arikan, rng):
-    # every swept row counts, and a frame left out of a sweep keeps exactly
-    # the state its own calls would leave
+    # every swept row counts, and a state taken from a batch holds copies
+    # that sweep exactly as the frames' own calls do, counting from 0
     spec = CodeSpec(arikan, 4, {0: 0, 3: 1, 5: 0})
     # the all -inf row is the codeword of u = e_15, so u_3 = 0 defies its pin
     lam = np.stack([rng.normal(0.0, 2.0, 16), np.full(16, -np.inf), rng.normal(0.0, 2.0, 16)])
@@ -458,20 +520,22 @@ def test_bp_batch_message_updates_sum_single_sweeps(arikan, rng):
     bp_iteration(st, lam)
     for one, row in zip(singles, lam):
         bp_iteration(one, row[None])
+    assert st.message_updates == sum(one.message_updates for one in singles)
+    assert st.contradiction[1]  # the +-inf row contradicts its frozen pins
+    before = [_message_digest(st, i) for i in range(3)]
     active = np.array([0, 2])
     sub = st.take(active)
+    assert sub.message_updates == 0
     bp_iteration(sub, lam[active])
-    st.put(active, sub)
+    counted = 0
     for i in active:
+        counted -= singles[i].message_updates
         bp_iteration(singles[i], lam[i][None])
-    assert st.message_updates == sum(one.message_updates for one in singles)
-    for i, one in enumerate(singles):
-        for d in range(spec.m):
-            assert np.array_equal(st.mu_v[d][i], one.mu_v[d][0]), (i, d)
-        assert np.array_equal(st.u_msg[i], one.u_msg[0]), i
-        assert np.array_equal(st.x_out[i], one.x_out[0]), i
-        assert st.contradiction[i] == one.contradiction[0], i
-    assert st.contradiction[1]  # the +-inf row contradicts its frozen pins
+        counted += singles[i].message_updates
+    assert sub.message_updates == counted
+    assert [_message_digest(st, i) for i in range(3)] == before  # the batch it came from is untouched
+    for j, i in enumerate(active):
+        assert _message_digest(sub, j) == _message_digest(singles[i], 0), i
 
 
 def test_bp_batch_rejects_tick_and_mismatched_shapes(arikan):

@@ -140,7 +140,7 @@ def test_sc_line_bank_corruption_raises(arch, rng):
     spec = _spec(4, 8)
     llr = random_llr(rng, 16)
     eng = _ScEngine(spec, arch, i_param=2)
-    eng.run(llr)  # clean run: banks agree at every STEP III
+    decode_sc_arikan(spec, llr, hook=eng)  # clean run: banks agree at every STEP III
     eng = _ScEngine(spec, arch, i_param=2)
     decide = eng.decide
 
@@ -151,7 +151,7 @@ def test_sc_line_bank_corruption_raises(arch, rng):
 
     eng.decide = corrupting_decide
     with pytest.raises(PartialSumMismatch):
-        eng.run(llr)
+        decode_sc_arikan(spec, llr, hook=eng)
 
 
 def test_report_text_format(rng):
